@@ -1,11 +1,13 @@
-//! Batched block kernels versus the scalar reference loop, per mode.
+//! The fast executor versus the reference executor, per mode.
 //!
 //! The simulator's default execution path is the set of monomorphized
 //! per-mode kernels that hoist mode dispatch, engine probes and cost-model
 //! constants to block entry and process accesses in `(page, kind,
-//! instrumented)` runs. The scalar loop (one dispatch + one engine probe per
-//! access) is kept as the byte-identical reference; this bench quantifies
-//! what the batching buys per mode.
+//! instrumented)` runs, on packed shadow words, behind the inline-check
+//! tables and the static plan. `Simulator::reference()` swaps every one of
+//! those for its unoptimised counterpart (scalar loop, enum shadow store, no
+//! inline check, no plan) and must produce byte-identical reports; this
+//! bench quantifies what the fast paths buy together, per mode.
 //!
 //! ```bash
 //! cargo bench -p aikido-bench --bench block_kernels
@@ -26,20 +28,20 @@ fn bench_kernels(c: &mut Criterion) {
             .scaled(0.01);
         let workload = Workload::generate(&spec);
         for mode in [Mode::Native, Mode::FullInstrumentation, Mode::Aikido] {
-            let batched = Simulator::default();
-            let scalar = Simulator::default().with_batched_kernels(false);
-            // The two paths must agree exactly — a bench that silently
+            let fast = Simulator::default();
+            let reference = Simulator::reference();
+            // The two executors must agree exactly — a bench that silently
             // compared different behaviours would be meaningless.
-            assert_eq!(batched.run(&workload, mode), scalar.run(&workload, mode));
+            assert_eq!(fast.run(&workload, mode), reference.run(&workload, mode));
             group.bench_with_input(
-                BenchmarkId::new(format!("batched/{}", mode.label()), name),
+                BenchmarkId::new(format!("fast/{}", mode.label()), name),
                 &workload,
-                |b, w| b.iter(|| black_box(batched.run(w, mode))),
+                |b, w| b.iter(|| black_box(fast.run(w, mode))),
             );
             group.bench_with_input(
-                BenchmarkId::new(format!("scalar/{}", mode.label()), name),
+                BenchmarkId::new(format!("reference/{}", mode.label()), name),
                 &workload,
-                |b, w| b.iter(|| black_box(scalar.run(w, mode))),
+                |b, w| b.iter(|| black_box(reference.run(w, mode))),
             );
         }
     }

@@ -20,7 +20,7 @@ use crate::stats::{FastTrackStats, SpillStats};
 /// one bit-packed [`ShadowWord`] per block in page-granular dense slabs with
 /// a spilled side table; the reference store keeps the full enum
 /// representation and is retained as the equivalence oracle behind
-/// [`FastTrack::with_packed_words`]. Both run the exact same update logic
+/// [`FastTrack::with_reference_store`]. Both run the exact same update logic
 /// ([`read_slow`]/[`write_slow`]) — they differ only in how states are
 /// loaded and stored.
 #[derive(Debug)]
@@ -297,35 +297,32 @@ impl FastTrack {
         }
     }
 
-    /// Selects between the packed shadow-word metadata plane (the default)
-    /// and the enum-based reference store. The two are byte-identical by
+    /// Builder: runs this detector on the enum-based reference store instead
+    /// of the packed shadow-word plane. The two are byte-identical by
     /// construction — same statistics, same costs, same races, same
-    /// reconstructed states — mirroring the simulator's
-    /// `with_batched_kernels` pattern: the reference path exists as the
-    /// equivalence oracle the tests and the `shadow_words` benchmark compare
-    /// against, not as a user-facing feature. Any metadata accumulated so
-    /// far is converted losslessly.
-    pub fn with_packed_words(mut self, packed: bool) -> Self {
-        match (&self.vars, packed) {
-            (VarStorage::Packed(_), true) | (VarStorage::Reference(_), false) => {}
-            (VarStorage::Reference(store), true) => {
-                let mut vars = PackedVars::new(self.config.granularity);
-                let shift = self.config.granularity.trailing_zeros();
-                for (addr, state) in store.iter() {
-                    vars.insert_state(addr.raw() >> shift, state.clone());
-                }
-                self.vars = VarStorage::Packed(vars);
-            }
-            (VarStorage::Packed(vars), false) => {
-                let mut store = ShadowStore::new(self.config.granularity);
-                let shift = self.config.granularity.trailing_zeros();
-                for (block, state) in vars.states() {
-                    store.insert(Addr::new(block << shift), state);
-                }
-                self.vars = VarStorage::Reference(store);
-            }
-        }
+    /// reconstructed states — so the reference store exists only as the
+    /// equivalence oracle (the simulator's `Simulator::reference` executor
+    /// selects it), not as a user-facing feature. Valid only on a fresh
+    /// detector: no state is converted.
+    pub fn with_reference_store(mut self) -> Self {
+        debug_assert_eq!(
+            self.tracked_blocks(),
+            0,
+            "with_reference_store on a detector that already tracks state"
+        );
+        self.vars = VarStorage::Reference(ShadowStore::new(self.config.granularity));
         self
+    }
+
+    /// A fresh detector with `config` on the packed plane (`packed`) or the
+    /// reference store.
+    fn with_storage(config: FastTrackConfig, packed: bool) -> Self {
+        let ft = FastTrack::with_config(config);
+        if packed {
+            ft
+        } else {
+            ft.with_reference_store()
+        }
     }
 
     /// True if the detector runs on the packed metadata plane.
@@ -1031,8 +1028,7 @@ impl FastTrack {
     /// detector would hold; from then on the broadcast synchronisation
     /// stream keeps every replica's clock plane identical.
     pub fn fork_clock_plane(&self) -> FastTrack {
-        let mut ft =
-            FastTrack::with_config(self.config.clone()).with_packed_words(self.packed_words());
+        let mut ft = FastTrack::with_storage(self.config.clone(), self.packed_words());
         ft.threads = self.threads.clone();
         ft.locks = self.locks.clone();
         ft
@@ -1208,7 +1204,7 @@ impl FastTrack {
             max_reports,
             dedup_by_block,
         };
-        let mut ft = FastTrack::with_config(config).with_packed_words(packed);
+        let mut ft = FastTrack::with_storage(config, packed);
 
         let get_clock = |r: &mut SectionReader<'_>| -> Result<VectorClock, SnapshotError> {
             let len = r.get_usize()?;
@@ -1829,7 +1825,7 @@ mod tests {
         };
         let mut packed = FastTrack::new();
         assert!(packed.packed_words());
-        let mut reference = FastTrack::new().with_packed_words(false);
+        let mut reference = FastTrack::new().with_reference_store();
         assert!(!reference.packed_words());
         drive(&mut packed);
         drive(&mut reference);
@@ -1837,19 +1833,6 @@ mod tests {
         assert_eq!(packed.races(), reference.races());
         assert_eq!(packed.var_states(), reference.var_states());
         assert_eq!(packed.tracked_blocks(), reference.tracked_blocks());
-    }
-
-    #[test]
-    fn with_packed_words_converts_accumulated_state_losslessly() {
-        let mut ft = FastTrack::new();
-        ft.write(t(0), addr(0x2000));
-        ft.read(t(0), addr(0x2008));
-        ft.read(t(1), addr(0x2008)); // promoted (spilled) read-shared clock
-        let before = ft.var_states();
-        let ft = ft.with_packed_words(false);
-        assert_eq!(ft.var_states(), before);
-        let ft = ft.with_packed_words(true);
-        assert_eq!(ft.var_states(), before);
     }
 
     #[test]
@@ -1891,7 +1874,7 @@ mod tests {
     #[test]
     fn snapshot_roundtrip_preserves_detector_behavior() {
         for packed in [true, false] {
-            let mut ft = FastTrack::new().with_packed_words(packed);
+            let mut ft = FastTrack::with_storage(FastTrackConfig::default(), packed);
             let l = LockId::new(3);
             ft.fork(t(0), t(1));
             ft.read(t(0), addr(0x100));

@@ -21,7 +21,7 @@
 //!   word — promoted read-shared vector clocks, oversized clocks or thread
 //!   ids — escape through a tag bit into a spilled side table. The enum-based
 //!   [`aikido_shadow::ShadowStore`] representation is retained as the
-//!   equivalence oracle behind [`FastTrack::with_packed_words`];
+//!   equivalence oracle behind [`FastTrack::with_reference_store`];
 //! * thread creation is serialised by the harness, and thread/lock clock
 //!   state is kept in dense slot-indexed arrays rather than hash tables.
 //!

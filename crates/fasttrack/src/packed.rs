@@ -16,9 +16,9 @@
 //! past the lane budget participates does the history fall back to the
 //! dense boxed clock, preserving exact FastTrack semantics. The enum-based
 //! [`aikido_shadow::ShadowStore`] storage is retained as the reference
-//! oracle behind [`crate::FastTrack::with_packed_words`]; the two are proven
-//! equivalent by the `packed_words_model` property suite and by the
-//! end-to-end pipeline equivalence tests.
+//! oracle behind [`crate::FastTrack::with_reference_store`]; the two are
+//! proven equivalent by the `packed_words_model` property suite and by the
+//! end-to-end `reference_equivalence` suite.
 
 use aikido_shadow::ShadowSlabs;
 use aikido_types::{Addr, ShadowWord, SlabHandle, ThreadId};

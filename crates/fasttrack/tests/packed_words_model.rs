@@ -81,7 +81,7 @@ fn apply(ft: &mut FastTrack, events: &[Event]) {
 /// statistics, and serialized shadow state.
 fn assert_model_equal(events: &[Event]) {
     let mut packed = FastTrack::new();
-    let mut reference = FastTrack::new().with_packed_words(false);
+    let mut reference = FastTrack::new().with_reference_store();
     apply(&mut packed, events);
     apply(&mut reference, events);
     assert_eq!(packed.stats(), reference.stats(), "stats diverged");
@@ -183,7 +183,7 @@ fn epoch_free_configurations_agree_too() {
     ];
     let mut packed = FastTrack::with_config(FastTrackConfig::without_epochs());
     let mut reference =
-        FastTrack::with_config(FastTrackConfig::without_epochs()).with_packed_words(false);
+        FastTrack::with_config(FastTrackConfig::without_epochs()).with_reference_store();
     apply(&mut packed, &events);
     apply(&mut reference, &events);
     assert_eq!(packed.stats(), reference.stats());
@@ -205,7 +205,7 @@ fn sub_word_granularity_disables_the_slab_run_path_but_not_correctness() {
         Event::Read(1, 0x1000),
     ];
     let mut packed = FastTrack::with_config(config.clone());
-    let mut reference = FastTrack::with_config(config).with_packed_words(false);
+    let mut reference = FastTrack::with_config(config).with_reference_store();
     apply(&mut packed, &events);
     apply(&mut reference, &events);
     assert_eq!(packed.stats(), reference.stats());

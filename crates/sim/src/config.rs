@@ -1,15 +1,9 @@
 //! `SimConfig`: one serializable, validated description of everything a
 //! [`Simulator`](crate::Simulator) can be configured to do.
 //!
-//! Historically the simulator grew one `with_*` toggle per PR — scheduling
-//! quantum (PR 1), epoch workers (PR 3), batched kernels and the inline TLB
-//! (PR 4), packed shadow words (PR 5), the static pre-check (PR 6) and the
-//! periodic checkpoint policy (PR 7) — plus a matching `*_from_env` helper
-//! scattered per crate. `SimConfig` consolidates the sprawl:
-//!
-//! * every knob is a plain named field, so a configuration can be built,
-//!   inspected, serialized (it is part of service requests and fleet
-//!   reports) and compared;
+//! * every knob is a plain named field a user would turn, so a configuration
+//!   can be built, inspected, serialized (it is part of service requests and
+//!   fleet reports) and compared;
 //! * [`SimConfig::validate`] rejects nonsense (`quantum == 0`,
 //!   `checkpoint_every == Some(0)`, a non-finite scale) with a structured
 //!   [`SimConfigError`] naming the offending field — a service admission
@@ -18,8 +12,10 @@
 //!   variables are parsed. Library code never reads the environment; only
 //!   binaries and examples opt in by starting from this constructor.
 //!
-//! The existing `Simulator::with_*` methods remain as thin delegates writing
-//! into the simulator's embedded config, so no call site breaks.
+//! Behaviour-neutral fast paths are not configuration: they are always on,
+//! and the one unoptimised executor they are proven against is
+//! [`Simulator::reference`](crate::Simulator::reference), which no config,
+//! wire form or environment variable can select.
 
 use serde::{Deserialize, Serialize};
 
@@ -66,22 +62,6 @@ pub struct SimConfig {
     /// (`Simulator::with_workers`); 1 is the sequential reference path.
     /// Reports are byte-identical at every count. Must be ≥ 1.
     pub workers: usize,
-    /// Batched per-mode block kernels (default) vs the scalar per-access
-    /// reference loop (`Simulator::with_batched_kernels`). Byte-identical by
-    /// construction; the scalar path is the equivalence oracle.
-    pub batched_kernels: bool,
-    /// The simulator's per-thread inline-check tables
-    /// (`Simulator::with_inline_tlb`). Disabling routes every access through
-    /// `vm.touch`; reports do not change.
-    pub inline_tlb: bool,
-    /// The static pre-analysis plan installed into the DBI engine in Aikido
-    /// mode (`Simulator::with_static_precheck`). Advice only; reports do not
-    /// change.
-    pub static_precheck: bool,
-    /// Packed epoch shadow words vs the retained enum-store reference oracle
-    /// in the FastTrack analysis (`FastTrack::with_packed_words`). Reports
-    /// are byte-identical either way.
-    pub packed_words: bool,
     /// Sharded parallel analysis (`Simulator::with_sharded_analysis`): when
     /// running with `workers > 1` in an analysed mode, FastTrack work for
     /// pages owned by a single worker partition is analysed on per-shard
@@ -110,10 +90,6 @@ impl Default for SimConfig {
         SimConfig {
             quantum: 8,
             workers: 1,
-            batched_kernels: true,
-            inline_tlb: true,
-            static_precheck: true,
-            packed_words: true,
             sharded_analysis: true,
             checkpoint_every: None,
             scale: 1.0,
@@ -137,31 +113,6 @@ impl SimConfig {
     /// Builder: sets the epoch-engine worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Builder: selects batched kernels (true) or the scalar reference loop.
-    pub fn with_batched_kernels(mut self, batched: bool) -> Self {
-        self.batched_kernels = batched;
-        self
-    }
-
-    /// Builder: enables or disables the inline-check tables.
-    pub fn with_inline_tlb(mut self, enabled: bool) -> Self {
-        self.inline_tlb = enabled;
-        self
-    }
-
-    /// Builder: enables or disables the static pre-analysis.
-    pub fn with_static_precheck(mut self, enabled: bool) -> Self {
-        self.static_precheck = enabled;
-        self
-    }
-
-    /// Builder: selects the packed shadow-word plane (true) or the reference
-    /// enum store for the FastTrack analysis.
-    pub fn with_packed_words(mut self, packed: bool) -> Self {
-        self.packed_words = packed;
         self
     }
 
@@ -266,12 +217,16 @@ impl SimConfig {
         let mut config = SimConfig::default();
         for (key, value) in entries {
             match key.as_str() {
-                "quantum" => config.quantum = json_u64(value, "quantum")? as u32,
+                "quantum" => {
+                    let quantum = json_u64(value, "quantum")?;
+                    config.quantum = u32::try_from(quantum).map_err(|_| {
+                        SimConfigError::new(
+                            "quantum",
+                            format!("must be at most {}, got {quantum}", u32::MAX),
+                        )
+                    })?
+                }
                 "workers" => config.workers = json_u64(value, "workers")? as usize,
-                "batched_kernels" => config.batched_kernels = json_bool(value, "batched_kernels")?,
-                "inline_tlb" => config.inline_tlb = json_bool(value, "inline_tlb")?,
-                "static_precheck" => config.static_precheck = json_bool(value, "static_precheck")?,
-                "packed_words" => config.packed_words = json_bool(value, "packed_words")?,
                 "sharded_analysis" => {
                     config.sharded_analysis = json_bool(value, "sharded_analysis")?
                 }
@@ -305,13 +260,15 @@ fn parse_env<T: std::str::FromStr>(name: &str) -> Option<T> {
     std::env::var(name).ok().and_then(|v| v.parse::<T>().ok())
 }
 
-/// A JSON number as a non-negative integer, rejecting fractions and
-/// negatives with a structured error.
+/// A JSON number as a non-negative integer, rejecting fractions, negatives
+/// and values `u64` cannot hold with a structured error.
 fn json_u64(value: &serde_json::Value, field: &'static str) -> Result<u64, SimConfigError> {
     let n = value
         .as_f64()
         .ok_or_else(|| SimConfigError::new(field, "must be a JSON number"))?;
-    if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
+    // `u64::MAX as f64` rounds up to exactly 2^64, the first value `as u64`
+    // would saturate.
+    if n < 0.0 || n.fract() != 0.0 || n >= u64::MAX as f64 {
         return Err(SimConfigError::new(
             field,
             format!("must be a non-negative integer, got {n}"),
@@ -337,10 +294,6 @@ mod tests {
         config.validate().unwrap();
         assert_eq!(config.quantum, 8);
         assert_eq!(config.workers, 1);
-        assert!(config.batched_kernels);
-        assert!(config.inline_tlb);
-        assert!(config.static_precheck);
-        assert!(config.packed_words);
         assert!(config.sharded_analysis);
         assert_eq!(config.checkpoint_every, None);
         assert_eq!(config.scale, 1.0);
@@ -370,10 +323,6 @@ mod tests {
         let config = SimConfig::default()
             .with_quantum(3)
             .with_workers(4)
-            .with_batched_kernels(false)
-            .with_inline_tlb(false)
-            .with_static_precheck(false)
-            .with_packed_words(false)
             .with_sharded_analysis(false)
             .with_checkpoint_every(Some(512))
             .with_scale(0.25);
@@ -408,6 +357,22 @@ mod tests {
 
         let bad = serde_json::from_str(r#"{"workers": 1.5}"#).unwrap();
         assert!(SimConfig::from_json_value(&bad).is_err());
+
+        // One past u32::MAX must not wrap to quantum 1.
+        let bad = serde_json::from_str(r#"{"quantum": 4294967297}"#).unwrap();
+        assert_eq!(
+            SimConfig::from_json_value(&bad).unwrap_err().field,
+            "quantum"
+        );
+        let max = serde_json::from_str(r#"{"quantum": 4294967295}"#).unwrap();
+        assert_eq!(SimConfig::from_json_value(&max).unwrap().quantum, u32::MAX);
+
+        // Exactly 2^64 must not saturate to u64::MAX.
+        let bad = serde_json::from_str(r#"{"checkpoint_every": 18446744073709551616}"#).unwrap();
+        assert_eq!(
+            SimConfig::from_json_value(&bad).unwrap_err().field,
+            "checkpoint_every"
+        );
 
         let bad = serde_json::from_str("[1,2]").unwrap();
         assert_eq!(

@@ -146,6 +146,10 @@ impl Comparison {
 pub struct Simulator {
     cost: CostModel,
     config: SimConfig,
+    /// Set only by [`Simulator::reference`]: run the unoptimised executor.
+    /// Deliberately outside `config` — it is not serialized, not part of the
+    /// snapshot identity, and not settable from JSON or the environment.
+    reference: bool,
 }
 
 impl Default for Simulator {
@@ -166,6 +170,24 @@ impl Simulator {
         Simulator {
             cost,
             config: SimConfig::default(),
+            reference: false,
+        }
+    }
+
+    /// The reference executor: the default configuration with every
+    /// behaviour-neutral fast path swapped for its unoptimised counterpart —
+    /// the scalar per-access loop instead of the batched block kernels, the
+    /// enum `ShadowStore` FastTrack instead of packed shadow words, no
+    /// inline-check tables (every access consults the VM) and no static
+    /// pre-analysis plan. Every report, detector statistic, race and shadow
+    /// state must equal [`Simulator::default`]'s byte for byte; the
+    /// `reference_equivalence` suite and the `block_kernels` bench compare
+    /// against it. It exists for equivalence checking only, so no
+    /// [`SimConfig`], wire form or environment variable can select it.
+    pub fn reference() -> Self {
+        Simulator {
+            reference: true,
+            ..Self::default()
         }
     }
 
@@ -184,7 +206,11 @@ impl Simulator {
         cost: CostModel,
     ) -> Result<Self, SimConfigError> {
         config.validate()?;
-        Ok(Simulator { cost, config })
+        Ok(Simulator {
+            cost,
+            config,
+            reference: false,
+        })
     }
 
     /// The full configuration in use.
@@ -215,50 +241,6 @@ impl Simulator {
         self.config.workers
     }
 
-    /// Selects between the batched per-mode block kernels (the default) and
-    /// the scalar per-access reference loop. The two are byte-identical by
-    /// construction — the scalar path exists as the equivalence oracle the
-    /// tests and the `block_kernels` benchmark compare against, not as a
-    /// user-facing feature.
-    pub fn with_batched_kernels(mut self, batched: bool) -> Self {
-        self.config.batched_kernels = batched;
-        self
-    }
-
-    /// Enables or disables the simulator's per-thread inline-check tables
-    /// (the Figure-4 analogue that proves accesses free without consulting
-    /// the VM). Disabling them routes every access through `vm.touch`;
-    /// because a free touch mutates no observable state, reports are
-    /// byte-identical either way — which is exactly what the TLB-aliasing
-    /// property tests pin down.
-    pub fn with_inline_tlb(mut self, enabled: bool) -> Self {
-        self.config.inline_tlb = enabled;
-        self
-    }
-
-    /// Enables or disables the static pre-analysis (the default is enabled).
-    /// When enabled, Aikido-mode runs derive a
-    /// [`StaticReport`](aikido_staticcheck::StaticReport) from the workload's
-    /// scenario model and install its plan into the DBI engine before the
-    /// first block executes: proven-private blocks extend the whole-block
-    /// free fast path even when they are too wide for an exact mask. The
-    /// plan never changes which analysis callbacks are delivered, so reports
-    /// are byte-identical with the pre-check on or off (pinned by
-    /// `static_precheck_*` tests and the golden suite).
-    pub fn with_static_precheck(mut self, enabled: bool) -> Self {
-        self.config.static_precheck = enabled;
-        self
-    }
-
-    /// Selects the packed shadow-word plane (the default) or the reference
-    /// enum store for the built-in FastTrack analysis — the simulator-level
-    /// spelling of [`FastTrack::with_packed_words`]. Reports are
-    /// byte-identical either way (the `packed_equivalence` suite pins it).
-    pub fn with_packed_words(mut self, packed: bool) -> Self {
-        self.config.packed_words = packed;
-        self
-    }
-
     /// Sets the periodic checkpoint policy [`Simulator::run_checkpointed`]
     /// follows (`None`, the default, disables it; `Some(0)` is clamped to
     /// `Some(1)` to mirror the other builders' lenient clamping — use
@@ -284,10 +266,16 @@ impl Simulator {
         &self.cost
     }
 
-    /// The FastTrack instance the built-in-analysis entry points construct,
-    /// honouring the configured shadow-word representation.
-    fn new_fasttrack(&self) -> FastTrack {
-        FastTrack::new().with_packed_words(self.config.packed_words)
+    /// A fresh instance of the FastTrack detector the built-in-analysis
+    /// entry points construct: packed shadow words, or the enum reference
+    /// store under [`Simulator::reference`]. Hand it to
+    /// [`Simulator::run_with_analysis`] to inspect the detector after a run.
+    pub fn new_fasttrack(&self) -> FastTrack {
+        if self.reference {
+            FastTrack::new().with_reference_store()
+        } else {
+            FastTrack::new()
+        }
     }
 
     /// Runs `workload` in `mode` with a FastTrack race detector as the
@@ -949,7 +937,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                         .expect("regions attach cleanly");
                 }
                 let mut engine = DbiEngine::new(self.workload.program_arc());
-                if self.sim.config.static_precheck {
+                if !self.sim.reference {
                     // Run the static pre-analysis and hand its derived plan
                     // to the engine. The plan is advice: it stamps
                     // proven-private bits onto cached blocks (enabling the
@@ -1362,14 +1350,15 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         }
     }
 
-    /// Executes one work-block: dispatches to the batched per-mode kernel
-    /// (the default) or to the scalar reference loop. Both paths perform the
-    /// same additions to the same counters in the same stateful order, so
-    /// every report is byte-identical between them — `batched_kernels_*`
-    /// tests and the `block_kernels` benchmark rely on exactly that.
+    /// Executes one work-block: dispatches to the batched per-mode kernel,
+    /// or to the scalar loop under [`Simulator::reference`]. Both paths
+    /// perform the same additions to the same counters in the same stateful
+    /// order, so every report is byte-identical between them — the
+    /// `reference_equivalence` suite and the `block_kernels` benchmark rely
+    /// on exactly that.
     fn execute_work_block(&mut self, thread: ThreadId, exec: &BlockExec) {
         self.counts.block_execs += 1;
-        if !self.sim.config.batched_kernels {
+        if self.sim.reference {
             return self.execute_work_block_scalar(thread, exec);
         }
         match self.mode {
@@ -1380,8 +1369,9 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     }
 
     /// The scalar reference implementation: one mode dispatch, one engine
-    /// probe and one `Option` unwrap per access. Kept as the equivalence
-    /// oracle the batched kernels are proven against.
+    /// probe and one `Option` unwrap per access. Runs only under
+    /// [`Simulator::reference`], as the oracle the batched kernels are
+    /// proven against.
     fn execute_work_block_scalar(&mut self, thread: ThreadId, exec: &BlockExec) {
         if let Some(engine) = self.engine.as_mut() {
             let result = engine.execute_block(exec.block);
@@ -1623,9 +1613,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                 self.counts.mem_accesses += mems;
                 self.cycles += mems * (self.sim.cost.mem_cycles + self.sim.cost.dbi_overhead(1));
                 let mut first_miss = None;
-                if !self.sim.config.inline_tlb {
-                    first_miss = Some(0);
-                } else if let Some(lane) = self.inline_tlb.get(thread.index()) {
+                if let Some(lane) = self.inline_tlb.get(thread.index()) {
                     for (ri, run) in exec.meta.runs.iter().enumerate() {
                         let (cached, kinds) =
                             lane[(run.page.raw() as usize) & (SIM_TLB_ENTRIES - 1)];
@@ -2060,11 +2048,9 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     }
 
     /// True if the inline check proves this access free (no VM involvement).
+    /// Always false for reference runs, whose tables are never filled.
     #[inline]
     fn inline_tlb_hit(&self, thread: ThreadId, page: Vpn, kind: AccessKind) -> bool {
-        if !self.sim.config.inline_tlb {
-            return false;
-        }
         match self.inline_tlb.get(thread.index()) {
             Some(lane) => {
                 let (cached, kinds) = lane[(page.raw() as usize) & (SIM_TLB_ENTRIES - 1)];
@@ -2074,10 +2060,11 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         }
     }
 
-    /// Records a proven-free `(thread, page, kind)` access.
+    /// Records a proven-free `(thread, page, kind)` access (never under
+    /// [`Simulator::reference`], which routes every access to `vm.touch`).
     #[inline]
     fn inline_tlb_fill(&mut self, thread: ThreadId, page: Vpn, kind: AccessKind) {
-        if !self.sim.config.inline_tlb {
+        if self.sim.reference {
             return;
         }
         let idx = thread.index();
@@ -2393,9 +2380,12 @@ const AKSD_VERSION: u16 = 1;
 /// The identity a snapshot was taken under, serialized as canonical JSON.
 /// Everything that must match for a resumed run to be byte-identical is in
 /// here: the full workload spec, the mode, the scheduling quantum and the
-/// cost model. Worker count, batched kernels, the inline TLB and the static
-/// pre-check are deliberately absent — all four are proven observably
-/// inert, so a snapshot resumes cleanly across those configurations.
+/// cost model. Deliberately absent, because each is proven observably inert:
+/// the worker count, `sharded_analysis`, `checkpoint_every`, `scale` (the
+/// workload spec is recorded already scaled) and whether the simulator is
+/// [`Simulator::reference`]. A snapshot resumes cleanly across all of them;
+/// the FTRK section's own storage byte keeps a reference image on the
+/// reference store.
 #[derive(serde::Serialize)]
 struct SnapshotMeta {
     format: &'static str,
@@ -2811,15 +2801,17 @@ mod tests {
         assert_eq!(a.counts.segfaults, b.counts.segfaults);
     }
 
+    // The four tests below pin each fast path against `Simulator::reference()`
+    // on the workload that stresses it; `tests/reference_equivalence.rs`
+    // covers the rest of the inputs and the detector state.
+
     #[test]
     fn batched_kernels_reproduce_the_scalar_reference_exactly() {
         for name in ["blackscholes", "fluidanimate", "canneal"] {
             let w = small(name);
             for mode in [Mode::Native, Mode::FullInstrumentation, Mode::Aikido] {
                 let batched = Simulator::default().run(&w, mode);
-                let scalar = Simulator::default()
-                    .with_batched_kernels(false)
-                    .run(&w, mode);
+                let scalar = Simulator::reference().run(&w, mode);
                 assert_eq!(batched, scalar, "{name} {mode:?}");
             }
         }
@@ -2830,9 +2822,7 @@ mod tests {
         let racy = Workload::generate(&racy_workload(4));
         for mode in [Mode::FullInstrumentation, Mode::Aikido] {
             let batched = Simulator::default().run(&racy, mode);
-            let scalar = Simulator::default()
-                .with_batched_kernels(false)
-                .run(&racy, mode);
+            let scalar = Simulator::reference().run(&racy, mode);
             assert_eq!(batched, scalar, "racy {mode:?}");
             assert!(batched.race_count() > 0);
         }
@@ -2840,87 +2830,35 @@ mod tests {
         spec.barrier_every = 10;
         let barriers = Workload::generate(&spec);
         let batched = Simulator::default().run(&barriers, Mode::Aikido);
-        let scalar = Simulator::default()
-            .with_batched_kernels(false)
-            .run(&barriers, Mode::Aikido);
+        let scalar = Simulator::reference().run(&barriers, Mode::Aikido);
         assert_eq!(batched, scalar);
-    }
-
-    #[test]
-    fn huge_lock_id_spaces_spill_out_of_the_dense_owner_table() {
-        // More locks than the dense owner table holds: acquires of the high
-        // lock ids exercise the scanned spill list, and mutual exclusion
-        // still holds (no deadlock, identical reports across kernels).
-        let spec = WorkloadSpec {
-            mem_accesses_per_thread: 1_200,
-            threads: 4,
-            locks: (super::DENSE_LOCKS + 128) as u32,
-            ..WorkloadSpec::default()
-        };
-        let w = Workload::generate(&spec);
-        let batched = Simulator::default().run(&w, Mode::Aikido);
-        let scalar = Simulator::default()
-            .with_batched_kernels(false)
-            .run(&w, Mode::Aikido);
-        assert_eq!(batched, scalar);
-        assert!(batched.counts.sync_ops > 0);
     }
 
     #[test]
     fn static_precheck_changes_no_observable_output() {
         // The derived plan only widens the whole-block free fast path, whose
         // charges are identical to the fallback's — so the full report must
-        // not move when the pre-analysis is disabled.
+        // match the reference executor, which installs no plan.
         for name in ["raytrace", "canneal"] {
             let w = small(name);
             for mode in [Mode::FullInstrumentation, Mode::Aikido] {
                 let with_precheck = Simulator::default().run(&w, mode);
-                let without = Simulator::default()
-                    .with_static_precheck(false)
-                    .run(&w, mode);
+                let without = Simulator::reference().run(&w, mode);
                 assert_eq!(with_precheck, without, "{name} {mode:?}");
             }
         }
     }
 
     #[test]
-    fn wide_blocks_use_the_proven_private_fast_path_identically() {
-        // 80 memory instructions per block pushes every work block past the
-        // 64-bit exact mask, so proven-private blocks can only take the
-        // whole-block fast path through the static plan. All four
-        // configurations must agree byte for byte.
-        let spec = WorkloadSpec {
-            mem_accesses_per_thread: 2_000,
-            threads: 4,
-            block_mem_instrs: 80,
-            ..WorkloadSpec::default()
-        };
-        let w = Workload::generate(&spec);
-        assert!(
-            w.program().iter().any(|b| b.len() > 64),
-            "spec must produce mask-inexact blocks"
-        );
-        let reference = Simulator::default()
-            .with_static_precheck(false)
-            .with_batched_kernels(false)
-            .run(&w, Mode::Aikido);
-        for (precheck, batched) in [(false, true), (true, false), (true, true)] {
-            let report = Simulator::default()
-                .with_static_precheck(precheck)
-                .with_batched_kernels(batched)
-                .run(&w, Mode::Aikido);
-            assert_eq!(report, reference, "precheck={precheck} batched={batched}");
-        }
-    }
-
-    #[test]
     fn disabling_the_inline_tlb_changes_no_observable_output() {
         // The inline check only ever skips provably free VM touches, so the
-        // full report — cycles included — must not move when it is off.
+        // full report — cycles included — must match the reference
+        // executor, which never fills the tables and touches the VM for
+        // every access.
         let w = small("vips");
         for mode in [Mode::FullInstrumentation, Mode::Aikido] {
             let with_tlb = Simulator::default().run(&w, mode);
-            let without = Simulator::default().with_inline_tlb(false).run(&w, mode);
+            let without = Simulator::reference().run(&w, mode);
             assert_eq!(with_tlb, without, "{mode:?}");
         }
     }
@@ -2990,14 +2928,12 @@ mod tests {
         let config = SimConfig::default()
             .with_quantum(3)
             .with_workers(2)
-            .with_batched_kernels(false)
-            .with_packed_words(false);
+            .with_sharded_analysis(false);
         let from_config = Simulator::from_config(config).unwrap();
         let chained = Simulator::default()
             .with_quantum(3)
             .with_workers(2)
-            .with_batched_kernels(false)
-            .with_packed_words(false);
+            .with_sharded_analysis(false);
         assert_eq!(from_config.config(), chained.config());
         assert_eq!(
             from_config.run(&w, Mode::Aikido),
@@ -3212,6 +3148,21 @@ mod tests {
         assert!(sequential.is_none(), "one worker: no plane");
         let (_, native) = sim.try_run_with_occupancy(&w, Mode::Native).unwrap();
         assert!(native.is_none(), "native mode: no analysis at all");
+    }
+
+    #[test]
+    fn the_shard_plane_clamps_its_replicas_to_the_guest_thread_count() {
+        // A 64-worker request on a 4-thread workload: extra replicas could
+        // only ever replay broadcast sync events, so the plane builds one
+        // per guest thread and the report is still the sequential one.
+        let w = small("bodytrack");
+        let sequential = Simulator::default().run(&w, Mode::Aikido);
+        let (report, occupancy) = Simulator::default()
+            .with_workers(64)
+            .try_run_with_occupancy(&w, Mode::Aikido)
+            .unwrap();
+        assert_eq!(occupancy.unwrap().per_shard.len(), 4);
+        assert_eq!(report, sequential);
     }
 
     #[test]

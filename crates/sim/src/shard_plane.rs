@@ -277,8 +277,11 @@ impl std::fmt::Debug for ShardPlane {
 }
 
 impl ShardPlane {
-    /// Builds a plane around `canonical` with one shard replica per
-    /// worker. Handles fresh and restored canonical detectors uniformly:
+    /// Builds a plane around `canonical` with one shard replica per worker,
+    /// clamped to the guest thread count exactly like the epoch engine's
+    /// producer pool: threads map to shards by `slot % shards`, so a replica
+    /// past the thread count could never own a page. Handles fresh and
+    /// restored canonical detectors uniformly:
     /// pages already tracked (or already reported) by `canonical` are
     /// commit-owned, threads it already knows are pre-clocked, and each
     /// shard forks the canonical clock plane so replicas created
@@ -289,7 +292,7 @@ impl ShardPlane {
         threads: Vec<ThreadId>,
         contention: f64,
     ) -> ShardPlane {
-        let workers = workers.max(1);
+        let workers = workers.clamp(1, threads.len().max(1));
         let shards: Vec<Replica> = (0..workers)
             .map(|_| Replica::new(canonical.fork_clock_plane()))
             .collect();

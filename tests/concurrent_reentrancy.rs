@@ -20,8 +20,7 @@ fn batch() -> Vec<(WorkloadSpec, Mode, SimConfig)> {
         for (j, mode) in modes.into_iter().enumerate() {
             let config = SimConfig::default()
                 .with_scale(0.02)
-                .with_workers(1 + (i + j) % 2)
-                .with_packed_words((i + j) % 2 == 0);
+                .with_workers(1 + (i + j) % 2);
             let spec = WorkloadSpec::parsec(preset).unwrap();
             batch.push((spec, mode, config));
         }

@@ -1,17 +1,17 @@
-//! The packed metadata plane's end-to-end equivalence oracle.
+//! The packed metadata plane, isolated from the other fast paths.
 //!
-//! FastTrack's hot-path storage is one packed 64-bit shadow word per block
-//! (PR 5); the enum-based `ShadowStore` representation is retained behind
-//! `FastTrack::with_packed_words(false)` exactly the way the scalar block
-//! loop is retained behind `Simulator::with_batched_kernels(false)`. This
-//! suite drives both representations through the full pipeline — all six
-//! benchmarks, every execution mode — and requires byte-identical results:
-//! same `RunReport` (cycles included, so the per-access cost stream matched
-//! access by access), same detector statistics, same races, and the same
-//! reconstructed per-block metadata, serialized and compared as JSON.
+//! FastTrack's hot-path storage is one packed 64-bit shadow word per block;
+//! the enum-based `ShadowStore` representation is kept behind
+//! `FastTrack::with_reference_store()`, the store `Simulator::reference()`
+//! runs on. `tests/reference_equivalence.rs` swaps every fast path at once;
+//! this suite swaps only the store — same default simulator, same kernels,
+//! same inline-check tables and static plan — so a mismatch here points at
+//! the packed plane alone. It requires the same `RunReport` (cycles
+//! included), detector statistics, races and reconstructed per-block
+//! metadata, serialized and compared as JSON.
 //!
-//! The CI `packed-equivalence` lane runs this file in release mode at
-//! `AIKIDO_SCALE=0.05`, the same scale as the throughput lanes.
+//! The CI `reference-equivalence` lane runs this file in release mode at
+//! `AIKIDO_SCALE=0.05`.
 
 use aikido::fasttrack::FastTrack;
 use aikido::{Mode, RunReport, Simulator, Workload, WorkloadSpec};
@@ -36,15 +36,16 @@ fn scale() -> f64 {
         .unwrap_or(0.02)
 }
 
-fn run_with(workload: &Workload, mode: Mode, packed: bool) -> (RunReport, FastTrack) {
-    let mut ft = FastTrack::new().with_packed_words(packed);
+fn run_with(workload: &Workload, mode: Mode, mut ft: FastTrack) -> (RunReport, FastTrack) {
     let report = Simulator::default().run_with_analysis(workload, mode, &mut ft);
     (report, ft)
 }
 
 fn assert_equivalent(workload: &Workload, mode: Mode, context: &str) {
-    let (packed_report, packed) = run_with(workload, mode, true);
-    let (reference_report, reference) = run_with(workload, mode, false);
+    let (packed_report, packed) = run_with(workload, mode, FastTrack::new());
+    let (reference_report, reference) =
+        run_with(workload, mode, FastTrack::new().with_reference_store());
+    assert!(packed.packed_words() && !reference.packed_words());
     assert_eq!(
         packed_report, reference_report,
         "report mismatch ({context})"
@@ -59,18 +60,11 @@ fn assert_equivalent(workload: &Workload, mode: Mode, context: &str) {
         reference.races(),
         "races mismatch ({context})"
     );
-    let packed_states = packed.var_states();
-    let reference_states = reference.var_states();
-    assert_eq!(
-        packed_states, reference_states,
-        "shadow states mismatch ({context})"
-    );
-    // Serialized-byte equality of the reconstructed metadata plane.
-    let packed_json = serde_json::to_string(&packed_states).expect("states serialize");
-    let reference_json = serde_json::to_string(&reference_states).expect("states serialize");
+    let packed_json = serde_json::to_string(&packed.var_states()).expect("states serialize");
+    let reference_json = serde_json::to_string(&reference.var_states()).expect("states serialize");
     assert_eq!(
         packed_json, reference_json,
-        "serialized states differ ({context})"
+        "shadow states mismatch ({context})"
     );
 }
 
@@ -99,32 +93,4 @@ fn packed_words_match_the_reference_store_on_racy_and_barrier_workloads() {
     spec.barrier_every = 10;
     let barriers = Workload::generate(&spec);
     assert_equivalent(&barriers, Mode::Aikido, "bodytrack barriers");
-}
-
-#[test]
-fn packed_words_match_the_reference_store_under_spill_pressure() {
-    // The adversarial spill-pressure scenario: alternating-thread shared
-    // reads in one-access runs with frequent barrier epochs, maximizing
-    // word→arena traffic and ownership-hint churn. Thread counts straddle
-    // the spill slot's inline-lane budget: 4 (inside), 8 (exactly full) and
-    // 9 (one thread past the lanes, forcing the boxed overflow clock).
-    use aikido::workloads::spill_pressure_workload;
-    for threads in [4, 8, 9] {
-        let workload = Workload::generate(&spill_pressure_workload(threads));
-        for mode in [Mode::FullInstrumentation, Mode::Aikido] {
-            assert_equivalent(
-                &workload,
-                mode,
-                &format!("spill_pressure x{threads}, {mode:?}"),
-            );
-        }
-    }
-}
-
-#[test]
-fn the_default_pipeline_detector_runs_packed() {
-    // `Simulator::run` constructs its own FastTrack; the packed plane being
-    // its default is what the throughput trajectory measures.
-    assert!(FastTrack::new().packed_words());
-    assert!(!FastTrack::new().with_packed_words(false).packed_words());
 }

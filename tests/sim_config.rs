@@ -3,6 +3,7 @@
 //! describe the same machine.
 
 use aikido::prelude::*;
+use aikido_serve::RunRequest;
 
 #[test]
 fn from_config_matches_the_equivalent_with_chain_byte_for_byte() {
@@ -12,19 +13,13 @@ fn from_config_matches_the_equivalent_with_chain_byte_for_byte() {
     let config = SimConfig::default()
         .with_quantum(5)
         .with_workers(2)
-        .with_batched_kernels(false)
-        .with_inline_tlb(false)
-        .with_static_precheck(false)
-        .with_packed_words(false)
+        .with_sharded_analysis(false)
         .with_checkpoint_every(Some(400));
     let via_config = Simulator::from_config(config).unwrap();
     let via_chain = Simulator::default()
         .with_quantum(5)
         .with_workers(2)
-        .with_batched_kernels(false)
-        .with_inline_tlb(false)
-        .with_static_precheck(false)
-        .with_packed_words(false)
+        .with_sharded_analysis(false)
         .with_checkpoint_every(Some(400));
 
     assert_eq!(via_config.config(), via_chain.config());
@@ -66,7 +61,7 @@ fn the_json_wire_form_round_trips() {
     let config = SimConfig::default()
         .with_quantum(12)
         .with_workers(3)
-        .with_inline_tlb(false)
+        .with_sharded_analysis(false)
         .with_checkpoint_every(Some(250))
         .with_scale(0.25);
     let text = serde_json::to_string(&config).unwrap();
@@ -80,4 +75,28 @@ fn the_json_wire_form_round_trips() {
     assert_eq!(parsed, SimConfig::default().with_workers(2));
     let junk = serde_json::from_str(r#"{"wokers": 2}"#).unwrap();
     assert!(SimConfig::from_json_value(&junk).is_err());
+}
+
+#[test]
+fn removed_fast_path_toggles_are_refused_on_the_wire() {
+    // Behaviour-neutral fast paths are not configuration (their only off
+    // switch is the test-only `Simulator::reference()`): a request naming
+    // one is an unknown field, refused with a message that names it.
+    for field in [
+        "batched_kernels",
+        "inline_tlb",
+        "static_precheck",
+        "packed_words",
+    ] {
+        let value = serde_json::from_str(&format!(r#"{{"{field}": false}}"#)).unwrap();
+        let err = SimConfig::from_json_value(&value).unwrap_err();
+        assert!(err.to_string().contains(field), "{field}: {err}");
+
+        let request = format!(
+            r#"{{"tenant": "t", "workload": {{"preset": "vips"}}, "mode": "aikido",
+                "config": {{"{field}": true}}}}"#
+        );
+        let err = RunRequest::from_json(&request).unwrap_err();
+        assert!(err.contains(field), "{field}: {err}");
+    }
 }

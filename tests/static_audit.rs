@@ -13,7 +13,8 @@
 //!   blocks (it currently proves 100%), and never claim a labeled-shared
 //!   block;
 //! * **determinism** — two analysis runs over the same spec serialise to
-//!   identical bytes, and the derived plan leaves every report unchanged.
+//!   identical bytes, and the derived plan leaves every report unchanged
+//!   (checked against `Simulator::reference()`, which runs without it).
 //!
 //! The CI `static-audit` lane runs this file in release mode at
 //! `AIKIDO_SCALE=0.05`.
@@ -109,9 +110,7 @@ fn derived_plan_leaves_reports_byte_identical() {
         let w = workload(name);
         for mode in [Mode::FullInstrumentation, Mode::Aikido] {
             let with_precheck = Simulator::default().run(&w, mode);
-            let without = Simulator::default()
-                .with_static_precheck(false)
-                .run(&w, mode);
+            let without = Simulator::reference().run(&w, mode);
             assert_eq!(with_precheck, without, "{name}, {mode:?}");
         }
     }
