@@ -8,6 +8,7 @@ use aikido::shadow::{DualShadow, RegionKind, ShadowStore, TranslationCache};
 use aikido::types::AddrMode;
 use aikido::types::{AccessKind, Addr, BlockId, InstrId, LockId, Prot, ThreadId};
 use aikido::vm::{AikidoVm, Hypercall, VmConfig};
+use aikido::{CheckpointOutcome, Mode, Simulator, Snapshot, Workload, WorkloadSpec};
 
 fn bench_vector_clock_detector(c: &mut Criterion) {
     c.bench_function("fasttrack/same_epoch_write", |b| {
@@ -132,11 +133,45 @@ fn bench_dbi(c: &mut Criterion) {
     });
 }
 
+/// One checkpoint period of `run_checkpointed`: resume from a validated
+/// image, simulate one period, checkpoint, serialize the image and
+/// re-validate it from its bytes. A period should cost what the state is
+/// worth, independent of how far into the run it starts.
+fn bench_checkpoint_period(c: &mut Criterion) {
+    let spec = WorkloadSpec::parsec("blackscholes")
+        .expect("known preset")
+        .scaled(0.25);
+    let workload = Workload::generate(&spec);
+    let sim = Simulator::default();
+    let mode = Mode::FullInstrumentation;
+    let total = sim.run(&workload, mode).counts.block_execs;
+    let (start, period) = (total / 2, total / 16);
+    let CheckpointOutcome::Paused(snapshot) = sim.checkpoint(&workload, mode, start).unwrap()
+    else {
+        panic!("the midpoint checkpoint must pause");
+    };
+    let mut group = c.benchmark_group("checkpoint_period");
+    group.sample_size(20);
+    group.bench_function("blackscholes_full_0.25", |b| {
+        b.iter(|| {
+            let outcome = sim
+                .resume_until(&workload, &snapshot, start + period)
+                .unwrap();
+            let CheckpointOutcome::Paused(next) = outcome else {
+                panic!("one period cannot finish the run");
+            };
+            black_box(Snapshot::from_bytes(next.into_bytes()).unwrap())
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_vector_clock_detector,
     bench_shadow,
     bench_vm,
-    bench_dbi
+    bench_dbi,
+    bench_checkpoint_period
 );
 criterion_main!(benches);

@@ -1077,9 +1077,10 @@ impl FastTrack {
     }
 
     /// Serializes the detector's complete state — configuration, thread and
-    /// lock clocks, every tracked variable state (storage-independent, via
-    /// [`FastTrack::var_states`]), dedup set, reports, statistics and the
-    /// last-cost memo — into one snapshot section.
+    /// lock clocks, every tracked variable state (storage-independent, in
+    /// ascending block order, written straight from the active storage),
+    /// dedup set, reports, statistics and the last-cost memo — into one
+    /// snapshot section.
     pub fn encode_snapshot(&self, out: &mut SectionWriter) {
         out.put_u64(self.config.granularity);
         out.put_bool(self.config.epoch_optimization);
@@ -1087,38 +1088,21 @@ impl FastTrack {
         out.put_bool(self.config.dedup_by_block);
         out.put_bool(self.packed_words());
 
-        let put_clock = |out: &mut SectionWriter, vc: &VectorClock| {
-            let raw = vc.raw_clocks();
-            out.put_usize(raw.len());
-            for &c in raw {
-                out.put_u32(c);
-            }
-        };
         for map in [&self.threads, &self.locks] {
             out.put_usize(map.len());
             for (key, vc) in map.iter() {
                 out.put_u64(key);
-                put_clock(out, vc);
+                put_clock(out, vc.raw_clocks());
             }
         }
 
-        let put_epoch = |out: &mut SectionWriter, e: Epoch| {
-            out.put_u32(e.clock());
-            out.put_u32(e.thread().raw());
-        };
-        let states = self.var_states();
-        out.put_usize(states.len());
-        for (block, state) in &states {
-            out.put_u64(*block);
-            put_epoch(out, state.write);
-            match &state.read {
-                ReadState::Exclusive(e) => {
-                    out.put_u8(0);
-                    put_epoch(out, *e);
-                }
-                ReadState::Shared(rvc) => {
-                    out.put_u8(1);
-                    put_clock(out, rvc);
+        out.put_usize(self.tracked_blocks());
+        match &self.vars {
+            VarStorage::Packed(vars) => vars.encode_states(out),
+            VarStorage::Reference(store) => {
+                let shift = self.config.granularity.trailing_zeros();
+                for (addr, state) in store.iter() {
+                    put_var_state(out, addr.raw() >> shift, state);
                 }
             }
         }
@@ -1206,14 +1190,6 @@ impl FastTrack {
         };
         let mut ft = FastTrack::with_storage(config, packed);
 
-        let get_clock = |r: &mut SectionReader<'_>| -> Result<VectorClock, SnapshotError> {
-            let len = r.get_usize()?;
-            let mut clocks = Vec::with_capacity(len.min(1 << 16));
-            for _ in 0..len {
-                clocks.push(r.get_u32()?);
-            }
-            Ok(VectorClock::from_raw_clocks(clocks))
-        };
         for map_is_threads in [true, false] {
             let count = r.get_usize()?;
             for _ in 0..count {
@@ -1228,14 +1204,21 @@ impl FastTrack {
             }
         }
 
-        let get_epoch = |r: &mut SectionReader<'_>| -> Result<Epoch, SnapshotError> {
-            let clock = r.get_u32()?;
-            let thread = r.get_u32()?;
-            Ok(Epoch::new(clock, ThreadId::new(thread)))
-        };
+        // States arrive in ascending block order, so the packed plane fills
+        // each slab with one directory probe.
         let var_count = r.get_usize()?;
+        let mut previous: Option<u64> = None;
+        let mut slab = None;
         for _ in 0..var_count {
             let block = r.get_u64()?;
+            if previous.is_some_and(|p| p >= block) {
+                return Err(SnapshotError::new(
+                    r.section_name(),
+                    r.offset(),
+                    format!("variable state for block {block} is out of ascending order"),
+                ));
+            }
+            previous = Some(block);
             let write = get_epoch(r)?;
             let read = match r.get_u8()? {
                 0 => ReadState::Exclusive(get_epoch(r)?),
@@ -1250,7 +1233,7 @@ impl FastTrack {
             };
             let state = VarState { write, read };
             match &mut ft.vars {
-                VarStorage::Packed(vars) => vars.insert_state(block, state),
+                VarStorage::Packed(vars) => vars.insert_ascending(&mut slab, block, state),
                 VarStorage::Reference(store) => {
                     let shift = granularity.trailing_zeros();
                     store.insert(Addr::new(block << shift), state);
@@ -1336,6 +1319,51 @@ impl FastTrack {
         ft.last_cost = r.get_u64()?;
         Ok(ft)
     }
+}
+
+/// Writes a vector clock's exact backing array (FTRK wire layout).
+pub(crate) fn put_clock(out: &mut SectionWriter, clocks: &[u32]) {
+    out.put_usize(clocks.len());
+    for &c in clocks {
+        out.put_u32(c);
+    }
+}
+
+/// Writes an epoch as `(clock, thread)` (FTRK wire layout).
+pub(crate) fn put_epoch(out: &mut SectionWriter, e: Epoch) {
+    out.put_u32(e.clock());
+    out.put_u32(e.thread().raw());
+}
+
+/// Writes one `(block, state)` record (FTRK wire layout).
+fn put_var_state(out: &mut SectionWriter, block: u64, state: &VarState) {
+    out.put_u64(block);
+    put_epoch(out, state.write);
+    match &state.read {
+        ReadState::Exclusive(e) => {
+            out.put_u8(0);
+            put_epoch(out, *e);
+        }
+        ReadState::Shared(rvc) => {
+            out.put_u8(1);
+            put_clock(out, rvc.raw_clocks());
+        }
+    }
+}
+
+fn get_clock(r: &mut SectionReader<'_>) -> Result<VectorClock, SnapshotError> {
+    let len = r.get_usize()?;
+    let mut clocks = Vec::with_capacity(len.min(1 << 16));
+    for _ in 0..len {
+        clocks.push(r.get_u32()?);
+    }
+    Ok(VectorClock::from_raw_clocks(clocks))
+}
+
+fn get_epoch(r: &mut SectionReader<'_>) -> Result<Epoch, SnapshotError> {
+    let clock = r.get_u32()?;
+    let thread = r.get_u32()?;
+    Ok(Epoch::new(clock, ThreadId::new(thread)))
 }
 
 impl SharedDataAnalysis for FastTrack {
@@ -1928,6 +1956,52 @@ mod tests {
             assert_eq!(w2.len(), w3.len());
             assert!(section_len > 0);
         }
+    }
+
+    #[test]
+    fn packed_and_reference_storage_encode_identical_state_bytes() {
+        // The packed plane encodes straight from its slabs and spill slots;
+        // the reference store encodes its enum states. Both must produce the
+        // same FTRK bytes (apart from the storage flag), across every word
+        // and spill-slot kind: packed words, inline shared lanes, boxed
+        // overflow clocks and exclusive states spilled by a wide thread id.
+        let image = |packed: bool| {
+            let mut ft = FastTrack::with_storage(FastTrackConfig::default(), packed);
+            for child in 1..12 {
+                ft.fork(t(0), t(child));
+            }
+            ft.fork(t(0), t(200));
+            ft.write(t(0), addr(0x100));
+            for reader in 1..4 {
+                ft.read(t(reader), addr(0x200)); // inline shared lanes
+            }
+            for reader in 1..12 {
+                ft.read(t(reader), addr(0x1_0000)); // boxed overflow
+            }
+            ft.write(t(200), addr(0x2_0008)); // wide thread id spills
+            ft.read(t(3), addr(0x2_0010));
+            let mut w = SectionWriter::new(*b"FTRK", 2);
+            ft.encode_snapshot(&mut w);
+            let mut builder = aikido_snapshot::SnapshotBuilder::new();
+            builder.push(w);
+            builder.finish().into_bytes()
+        };
+        let (packed, reference) = (image(true), image(false));
+        // Payload layout: granularity u64, epoch flag, max_reports u64,
+        // dedup flag, then the storage flag.
+        let storage_flag = 10 + 14 + 8 + 1 + 8 + 1;
+        assert_eq!(packed.len(), reference.len());
+        let differing: Vec<usize> = (0..packed.len())
+            .filter(|&i| packed[i] != reference[i])
+            .collect();
+        let checksum = packed.len() - 8..packed.len();
+        assert!(
+            differing
+                .iter()
+                .all(|&i| i == storage_flag || checksum.contains(&i)),
+            "state bytes differ at {differing:?}"
+        );
+        assert_eq!((packed[storage_flag], reference[storage_flag]), (1, 0));
     }
 
     #[test]

@@ -21,10 +21,11 @@
 //! end-to-end `reference_equivalence` suite.
 
 use aikido_shadow::ShadowSlabs;
-use aikido_types::{Addr, ShadowWord, SlabHandle, ThreadId};
+use aikido_snapshot::SectionWriter;
+use aikido_types::{Addr, ShadowWord, SlabDirectory, SlabHandle, ThreadId};
 
 use crate::clock::{Epoch, VectorClock};
-use crate::detector::{cost, ReadOutcome, WriteOutcome};
+use crate::detector::{cost, put_clock, put_epoch, ReadOutcome, WriteOutcome};
 use crate::state::{ReadState, VarState};
 use crate::stats::SpillStats;
 
@@ -539,6 +540,62 @@ impl PackedVars {
             None => {
                 let marker = self.spill(state);
                 self.slabs.set(block, marker);
+            }
+        }
+    }
+
+    /// Installs `block`'s state during a restore that visits blocks in
+    /// strictly ascending order: `slab` caches the last resolved slab, so
+    /// each slab costs one directory probe instead of one per block.
+    pub fn insert_ascending(
+        &mut self,
+        slab: &mut Option<(u64, SlabHandle)>,
+        block: u64,
+        state: VarState,
+    ) {
+        let (chunk, slot) = SlabDirectory::split(block);
+        let handle = match *slab {
+            Some((cached, handle)) if cached == chunk => handle,
+            _ => {
+                let handle = self.slabs.resolve(block).0;
+                *slab = Some((chunk, handle));
+                handle
+            }
+        };
+        let word = match encode_state(&state) {
+            Some(word) => word,
+            None => self.spill(state),
+        };
+        self.slabs.set_word_at(handle, slot, word);
+    }
+
+    /// Writes every tracked state in the FTRK wire layout, ascending by
+    /// block, straight from the slabs and spill slots — the same bytes
+    /// [`PackedVars::states`] would encode to, without materializing them.
+    pub fn encode_states(&self, out: &mut SectionWriter) {
+        for (block, word) in self.slabs.iter() {
+            out.put_u64(block);
+            if !word.is_spilled() {
+                put_epoch(out, unpack_epoch(word.write_field()));
+                out.put_u8(0);
+                put_epoch(out, unpack_epoch(word.read_field()));
+                continue;
+            }
+            let slot = self.spill_slot(word);
+            put_epoch(out, slot.write);
+            match &slot.read {
+                SpillRead::Exclusive(e) => {
+                    out.put_u8(0);
+                    put_epoch(out, *e);
+                }
+                SpillRead::Inline { width } => {
+                    out.put_u8(1);
+                    put_clock(out, &slot.lanes[..*width as usize]);
+                }
+                SpillRead::Boxed(rvc) => {
+                    out.put_u8(1);
+                    put_clock(out, rvc.raw_clocks());
+                }
             }
         }
     }

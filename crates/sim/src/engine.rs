@@ -4,17 +4,24 @@ use aikido_dbi::DbiEngine;
 use aikido_fasttrack::FastTrack;
 use aikido_shadow::{CacheLevel, DualShadow, RegionId, RegionKind, TranslationCache};
 use aikido_sharing::AikidoSd;
-use aikido_snapshot::{SectionReader, SectionWriter, Snapshot, SnapshotBuilder, SnapshotError};
+use aikido_snapshot::{Snapshot, SnapshotError};
 use aikido_types::{
-    AccessContext, AccessKind, Addr, LockId, MemRef, Operation, Prot, SharedDataAnalysis, SyncOp,
-    ThreadId, Vpn,
+    AccessContext, AccessKind, Addr, MemRef, Operation, Prot, SharedDataAnalysis, SyncOp, ThreadId,
+    Vpn,
 };
 use aikido_vm::{AikidoVm, TouchOutcome, VmConfig};
-use aikido_workloads::{BlockExec, Workload, WorkloadSpec};
+use aikido_workloads::{BlockExec, Workload};
+
+mod checkpoint;
+
+use checkpoint::{
+    check_stash, snapshot_meta_json, stashed_op, SchedState, AKSD_VERSION, AKVM_VERSION,
+    DBIE_VERSION, FTRK_VERSION, META_VERSION, SCHD_VERSION, TCCH_VERSION,
+};
 
 use crate::config::{SimConfig, SimConfigError};
 use crate::cost::CostModel;
-use crate::epoch::TraceSource;
+use crate::epoch::{BlockStream, StreamPos, TraceSource};
 use crate::report::{RunCounts, RunReport};
 use crate::shard_plane::{ShardOccupancy, ShardPlane};
 
@@ -313,7 +320,7 @@ impl Simulator {
             run.shard_plane = Some(self.new_shard_plane(workload));
         }
         let mut states = run.initial_states();
-        self.drive(workload, workload, &mut run, &mut states, None, false)?;
+        self.drive(workload, &mut run, &mut states, None)?;
         let occupancy = run.shard_plane.as_ref().map(ShardPlane::occupancy);
         let mut report = run.into_report();
         if report.fasttrack.is_none() {
@@ -371,7 +378,7 @@ impl Simulator {
     ) -> Result<RunReport, SimError> {
         let mut run = Run::new(self, workload, mode, analysis);
         let mut states = run.initial_states();
-        self.drive(workload, workload, &mut run, &mut states, None, false)?;
+        self.drive(workload, &mut run, &mut states, None)?;
         Ok(run.into_report())
     }
 
@@ -386,11 +393,26 @@ impl Simulator {
     /// still byte-identical to an uninterrupted run — that equivalence is
     /// what the crash-recovery suite pins.
     pub fn run_checkpointed(&self, workload: &Workload, mode: Mode) -> Result<RunReport, SimError> {
-        let Some(every) = self.config.checkpoint_every else {
+        if self.config.checkpoint_every.is_none() {
             return self.try_run(workload, mode);
-        };
+        }
+        self.run_checkpointed_from(workload, workload, mode)
+    }
+
+    /// [`Simulator::run_checkpointed`] with every period's block streams
+    /// opened from `source` (the test seam behind the no-replay tests).
+    fn run_checkpointed_from<S: TraceSource + ?Sized>(
+        &self,
+        workload: &Workload,
+        source: &S,
+        mode: Mode,
+    ) -> Result<RunReport, SimError> {
+        let every = self
+            .config
+            .checkpoint_every
+            .expect("callers check for a checkpoint policy");
         let mut target = every;
-        let mut outcome = self.checkpoint(workload, mode, target)?;
+        let mut outcome = self.checkpoint_from(workload, source, mode, target)?;
         loop {
             match outcome {
                 CheckpointOutcome::Completed(report) => return Ok(*report),
@@ -400,7 +422,7 @@ impl Simulator {
                     let snapshot =
                         Snapshot::from_bytes(snapshot.into_bytes()).map_err(SimError::Snapshot)?;
                     target += every;
-                    outcome = self.resume_until(workload, &snapshot, target)?;
+                    outcome = self.resume_from(workload, source, &snapshot, Some(target))?;
                 }
             }
         }
@@ -418,20 +440,23 @@ impl Simulator {
         mode: Mode,
         after_blocks: u64,
     ) -> Result<CheckpointOutcome, SimError> {
+        self.checkpoint_from(workload, workload, mode, after_blocks)
+    }
+
+    fn checkpoint_from<S: TraceSource + ?Sized>(
+        &self,
+        workload: &Workload,
+        source: &S,
+        mode: Mode,
+        after_blocks: u64,
+    ) -> Result<CheckpointOutcome, SimError> {
         let mut analysis = self.new_fasttrack();
         let mut run = Run::new(self, workload, mode, &mut analysis);
         if self.sharded_analysis_active(workload, mode) {
             run.shard_plane = Some(self.new_shard_plane(workload));
         }
         let mut states = run.initial_states();
-        let status = self.drive(
-            workload,
-            workload,
-            &mut run,
-            &mut states,
-            Some(after_blocks),
-            false,
-        )?;
+        let status = self.drive(source, &mut run, &mut states, Some(after_blocks))?;
         Ok(match status {
             ExecStatus::Paused => CheckpointOutcome::Paused(run.encode_snapshot(&states)),
             ExecStatus::Completed => {
@@ -451,7 +476,7 @@ impl Simulator {
     /// container checksums missed) returns a structured
     /// [`SnapshotError`] naming the failing section and offset.
     pub fn resume(&self, workload: &Workload, snapshot: &Snapshot) -> Result<RunReport, SimError> {
-        match self.resume_inner(workload, snapshot, None)? {
+        match self.resume_from(workload, workload, snapshot, None)? {
             CheckpointOutcome::Completed(report) => Ok(*report),
             CheckpointOutcome::Paused(_) => unreachable!("no block target was set"),
         }
@@ -468,12 +493,13 @@ impl Simulator {
         snapshot: &Snapshot,
         after_blocks: u64,
     ) -> Result<CheckpointOutcome, SimError> {
-        self.resume_inner(workload, snapshot, Some(after_blocks))
+        self.resume_from(workload, workload, snapshot, Some(after_blocks))
     }
 
-    fn resume_inner(
+    fn resume_from<S: TraceSource + ?Sized>(
         &self,
         workload: &Workload,
+        source: &S,
         snapshot: &Snapshot,
         stop_after: Option<u64>,
     ) -> Result<CheckpointOutcome, SimError> {
@@ -494,7 +520,7 @@ impl Simulator {
         meta.finish()?;
 
         let mut schd = reader.section(*b"SCHD", SCHD_VERSION)?;
-        let sched = SchedState::decode(&mut schd, workload.threads().len())?;
+        let sched = SchedState::decode(&mut schd, workload)?;
         schd.finish()?;
 
         let mut ftrk = reader.section(*b"FTRK", FTRK_VERSION)?;
@@ -558,7 +584,7 @@ impl Simulator {
             sched,
         );
         run.shard_plane = shard_plane;
-        let status = self.drive(workload, workload, &mut run, &mut states, stop_after, true)?;
+        let status = self.drive(source, &mut run, &mut states, stop_after)?;
         Ok(match status {
             ExecStatus::Paused => CheckpointOutcome::Paused(run.encode_snapshot(&states)),
             ExecStatus::Completed => {
@@ -574,36 +600,33 @@ impl Simulator {
     /// Drives `run` to completion (or to the `stop_after` block target) over
     /// the configured feed: sequential for one worker, the epoch-parallel
     /// engine otherwise. `source` supplies the per-thread block streams
-    /// (always the workload itself outside tests). When `fast_forward` is
-    /// set, each slot's stream is first replayed past the executions a
-    /// restored scheduler already consumed.
+    /// (always the workload itself outside tests); each slot's stream opens
+    /// at its state's recorded position, so resuming a run is a seek, not a
+    /// replay of the prefix. On a pause, every state's position is updated
+    /// to where its stream stands.
     fn drive<'w, A: SharedDataAnalysis, S: TraceSource + ?Sized>(
         &self,
-        workload: &'w Workload,
         source: &S,
         run: &mut Run<'_, 'w, A>,
         states: &mut [ThreadState],
         stop_after: Option<u64>,
-        fast_forward: bool,
     ) -> Result<ExecStatus, SimError> {
-        let threads = workload.threads();
-        if self.config.workers <= 1 || threads.len() <= 1 {
-            let mut feed = SeqFeed::new(source, &threads);
-            if fast_forward {
-                fast_forward_feed(&mut feed, states)?;
-            }
-            return run.execute(&mut feed, states, stop_after);
+        let streams = open_streams(source, run.workload, states)?;
+        if self.config.workers <= 1 || states.len() <= 1 {
+            let mut feed = SeqFeed { traces: streams };
+            let status = run.execute(&mut feed, states, stop_after)?;
+            record_positions(source, &feed, states, status)?;
+            return Ok(status);
         }
         let (status, panic) = std::thread::scope(|scope| {
-            let mut feed =
-                crate::epoch::spawn_producers(scope, source, &threads, self.config.workers);
+            let mut feed = crate::epoch::spawn_producers(scope, streams, self.config.workers);
             let panic = feed.panic_handle();
-            let status = (|| -> Result<ExecStatus, SimError> {
-                if fast_forward {
-                    fast_forward_feed(&mut feed, states)?;
-                }
-                run.execute(&mut feed, states, stop_after)
-            })();
+            let status = run
+                .execute(&mut feed, states, stop_after)
+                .and_then(|status| {
+                    record_positions(source, &feed, states, status)?;
+                    Ok(status)
+                });
             // Dropping the feed disconnects every lane, letting any
             // producer that ran ahead of the commit clock exit before the
             // scope joins it.
@@ -635,7 +658,7 @@ impl Simulator {
         let mut analysis = FastTrack::new();
         let mut run = Run::new(self, workload, mode, &mut analysis);
         let mut states = run.initial_states();
-        self.drive(workload, source, &mut run, &mut states, None, false)?;
+        self.drive(source, &mut run, &mut states, None)?;
         Ok(run.into_report())
     }
 
@@ -656,7 +679,7 @@ impl Simulator {
         plane.inject_panic_in_shard(shard);
         run.shard_plane = Some(plane);
         let mut states = run.initial_states();
-        self.drive(workload, workload, &mut run, &mut states, None, false)?;
+        self.drive(workload, &mut run, &mut states, None)?;
         Ok(run.into_report())
     }
 
@@ -680,6 +703,10 @@ pub(crate) trait BlockFeed {
     /// Moves `slot`'s next execution into `out` (recycling `out`'s previous
     /// buffers); returns `false` once the slot's trace is exhausted.
     fn next_into(&mut self, slot: usize, out: &mut BlockExec) -> bool;
+
+    /// Where `slot`'s stream stands: reopening it there yields exactly the
+    /// executions this feed would deliver next.
+    fn position(&self, slot: usize) -> StreamPos;
 }
 
 /// The sequential feed: one block stream per slot (a
@@ -690,19 +717,91 @@ struct SeqFeed<T> {
     traces: Vec<T>,
 }
 
-impl<'s, T: crate::epoch::BlockStream> SeqFeed<T> {
-    fn new<S: TraceSource<Stream<'s> = T> + ?Sized>(source: &'s S, threads: &[ThreadId]) -> Self {
-        SeqFeed {
-            traces: threads.iter().map(|&id| source.stream(id)).collect(),
-        }
-    }
-}
-
-impl<T: crate::epoch::BlockStream> BlockFeed for SeqFeed<T> {
+impl<T: BlockStream> BlockFeed for SeqFeed<T> {
     #[inline]
     fn next_into(&mut self, slot: usize, out: &mut BlockExec) -> bool {
         self.traces[slot].next_into(out)
     }
+
+    fn position(&self, slot: usize) -> StreamPos {
+        StreamPos {
+            cursor: self.traces[slot].cursor(),
+            skip: 0,
+        }
+    }
+}
+
+/// Opens `thread`'s stream at `pos`: at the cursor, then `pos.skip`
+/// executions further (regenerated and discarded — at most one epoch batch,
+/// see [`StreamPos`]).
+fn seek<'s, S: TraceSource + ?Sized>(
+    source: &'s S,
+    thread: ThreadId,
+    pos: &StreamPos,
+) -> Result<S::Stream<'s>, SnapshotError> {
+    let mut stream = source.stream_at(thread, &pos.cursor);
+    let mut scratch = BlockExec::default();
+    for n in 0..pos.skip {
+        if !stream.next_into(&mut scratch) {
+            return Err(SnapshotError::new(
+                "SCHD",
+                0,
+                format!(
+                    "{thread}: trace exhausted {n} executions into a {}-execution skip",
+                    pos.skip
+                ),
+            ));
+        }
+    }
+    Ok(stream)
+}
+
+/// Opens every slot's stream at its state's position. A restored stashed
+/// op is checked here, against the position just past it, which is only
+/// known once the skip is regenerated.
+fn open_streams<'s, S: TraceSource + ?Sized>(
+    source: &'s S,
+    workload: &Workload,
+    states: &[ThreadState],
+) -> Result<Vec<S::Stream<'s>>, SnapshotError> {
+    states
+        .iter()
+        .map(|st| {
+            let stream = seek(source, st.id, &st.at)?;
+            if st.has_exec {
+                check_stash(stashed_op(&st.exec), &stream.cursor().counters, workload).map_err(
+                    |reason| SnapshotError::new("SCHD", 0, format!("{}: {reason}", st.id)),
+                )?;
+            }
+            Ok(stream)
+        })
+        .collect()
+}
+
+/// After a pause, records where each slot's stream stands so the snapshot
+/// can reopen it there. Positions are canonicalized to the exact cursor
+/// (`skip == 0`): the epoch feed's batch-relative positions are regenerated
+/// forward here — at most one batch per slot — so a checkpoint image is
+/// byte-identical at every worker count.
+fn record_positions<S: TraceSource + ?Sized, F: BlockFeed>(
+    source: &S,
+    feed: &F,
+    states: &mut [ThreadState],
+    status: ExecStatus,
+) -> Result<(), SnapshotError> {
+    if status == ExecStatus::Paused {
+        for (slot, st) in states.iter_mut().enumerate() {
+            let pos = feed.position(slot);
+            st.at = StreamPos {
+                cursor: match pos.skip {
+                    0 => pos.cursor,
+                    _ => seek(source, st.id, &pos)?.cursor(),
+                },
+                skip: 0,
+            };
+        }
+    }
+    Ok(())
 }
 
 /// Per-thread scheduling state.
@@ -717,11 +816,10 @@ struct ThreadState {
     /// True if `exec` holds a produced-but-unconsumed execution (a blocked
     /// synchronisation operation waiting to retry).
     has_exec: bool,
-    /// Successful feed pulls so far. Because every feed yields the same
-    /// per-slot stream (a pure function of the workload), this count is all
-    /// a snapshot needs to reposition a fresh feed on resume: re-pull this
-    /// many executions, keeping the last one when `has_exec` is set.
-    pulled: u64,
+    /// Where the slot's stream stands: its opening position when a run
+    /// starts or resumes, and — after a pause — the position the snapshot
+    /// records (just past `exec` when `has_exec` is set).
+    at: StreamPos,
 }
 
 /// How [`Run::execute`] returned.
@@ -990,13 +1088,20 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         let states = threads
             .iter()
             .zip(&sched.slots)
-            .map(|(&id, slot)| ThreadState {
-                id,
-                started: slot.started,
-                finished: slot.finished,
-                exec: BlockExec::default(),
-                has_exec: slot.has_exec,
-                pulled: slot.pulled,
+            .map(|(&id, slot)| {
+                let mut exec = BlockExec::default();
+                if let Some(op) = slot.stash {
+                    exec.block = workload.sync_block(op);
+                    exec.ops.push(Operation::Sync(op));
+                }
+                ThreadState {
+                    id,
+                    started: slot.started,
+                    finished: slot.finished,
+                    exec,
+                    has_exec: slot.stash.is_some(),
+                    at: slot.at,
+                }
             })
             .collect();
         let run = Run {
@@ -1040,7 +1145,10 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                 finished: false,
                 exec: BlockExec::default(),
                 has_exec: false,
-                pulled: 0,
+                at: StreamPos {
+                    cursor: self.workload.thread_trace(id).cursor(),
+                    skip: 0,
+                },
             })
             .collect()
     }
@@ -1079,7 +1187,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                             break;
                         }
                         st.has_exec = true;
-                        st.pulled += 1;
                     }
                     match self.classify(&states[i].exec) {
                         BlockKind::Work => {
@@ -2359,311 +2466,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     }
 }
 
-// ----------------------------------------------------------------------
-// Checkpoint/restore plumbing
-// ----------------------------------------------------------------------
-
-/// Section format versions. Bumped whenever a section's wire layout changes;
-/// restore rejects any mismatch with a structured error.
-const META_VERSION: u16 = 1;
-const SCHD_VERSION: u16 = 1;
-/// v2: the detector's spill plane moved to inline epoch lanes + ownership
-/// epochs (PR 9). The serialized payload is unchanged byte-for-byte, but
-/// restore behavior (word hints, owner tags, arena layout) is not — v1
-/// images must not silently restore into the new plane.
-const FTRK_VERSION: u16 = 2;
-const TCCH_VERSION: u16 = 1;
-const DBIE_VERSION: u16 = 1;
-const AKVM_VERSION: u16 = 1;
-const AKSD_VERSION: u16 = 1;
-
-/// The identity a snapshot was taken under, serialized as canonical JSON.
-/// Everything that must match for a resumed run to be byte-identical is in
-/// here: the full workload spec, the mode, the scheduling quantum and the
-/// cost model. Deliberately absent, because each is proven observably inert:
-/// the worker count, `sharded_analysis`, `checkpoint_every`, `scale` (the
-/// workload spec is recorded already scaled) and whether the simulator is
-/// [`Simulator::reference`]. A snapshot resumes cleanly across all of them;
-/// the FTRK section's own storage byte keeps a reference image on the
-/// reference store.
-#[derive(serde::Serialize)]
-struct SnapshotMeta {
-    format: &'static str,
-    workload: WorkloadSpec,
-    mode: &'static str,
-    quantum: u32,
-    cost: CostModel,
-}
-
-/// Renders the META payload for `(simulator, workload, mode)`. Restore
-/// validates by *string equality* against each candidate mode's rendering:
-/// `serde_json` output is deterministic for a fixed struct, so a single
-/// comparison covers every field at once.
-fn snapshot_meta_json(sim: &Simulator, workload: &Workload, mode: Mode) -> String {
-    serde_json::to_string(&SnapshotMeta {
-        format: "aikido-checkpoint",
-        workload: workload.spec().clone(),
-        mode: mode.label(),
-        quantum: sim.config.quantum,
-        cost: sim.cost.clone(),
-    })
-    .expect("snapshot metadata serializes")
-}
-
-/// One [`ThreadState`]'s serializable core (the `exec` shell is recreated by
-/// replaying the feed on resume).
-struct SlotState {
-    started: bool,
-    finished: bool,
-    has_exec: bool,
-    pulled: u64,
-}
-
-/// The scheduler's serialized state: everything [`Run`] owns that is not a
-/// component, a derived structure, or a droppable memo.
-struct SchedState {
-    cycles: u64,
-    counts: RunCounts,
-    fatal_accesses: u64,
-    last_scheduled: Option<ThreadId>,
-    barriers_done: Vec<bool>,
-    barrier_arrivals: Vec<ArrivalSet>,
-    lock_owners: Vec<Option<ThreadId>>,
-    lock_owner_spill: Vec<(LockId, ThreadId)>,
-    slots: Vec<SlotState>,
-}
-
-impl SchedState {
-    fn decode(r: &mut SectionReader, expected_slots: usize) -> Result<Self, SnapshotError> {
-        let cycles = r.get_u64()?;
-        let counts = RunCounts {
-            dynamic_instrs: r.get_u64()?,
-            mem_accesses: r.get_u64()?,
-            instrumented_accesses: r.get_u64()?,
-            shared_accesses: r.get_u64()?,
-            segfaults: r.get_u64()?,
-            sync_ops: r.get_u64()?,
-            block_execs: r.get_u64()?,
-        };
-        let fatal_accesses = r.get_u64()?;
-        let last_scheduled = match r.get_u8()? {
-            0 => None,
-            1 => Some(ThreadId::new(r.get_u32()?)),
-            tag => {
-                return Err(SnapshotError::new(
-                    r.section_name(),
-                    r.offset(),
-                    format!("unknown last-scheduled tag {tag}"),
-                ));
-            }
-        };
-        let done = r.get_usize()?;
-        let mut barriers_done = Vec::with_capacity(done.min(1 << 16));
-        for _ in 0..done {
-            barriers_done.push(r.get_bool()?);
-        }
-        let arrivals = r.get_usize()?;
-        let mut barrier_arrivals = Vec::with_capacity(arrivals.min(1 << 16));
-        for _ in 0..arrivals {
-            let len = r.get_usize()?;
-            let mut arrived = Vec::with_capacity(len.min(1 << 16));
-            for _ in 0..len {
-                arrived.push(r.get_bool()?);
-            }
-            let count = arrived.iter().filter(|&&a| a).count();
-            barrier_arrivals.push(ArrivalSet { arrived, count });
-        }
-        let owners = r.get_usize()?;
-        let mut lock_owners = Vec::with_capacity(owners.min(DENSE_LOCKS as usize));
-        for _ in 0..owners {
-            lock_owners.push(match r.get_u8()? {
-                0 => None,
-                1 => Some(ThreadId::new(r.get_u32()?)),
-                tag => {
-                    return Err(SnapshotError::new(
-                        r.section_name(),
-                        r.offset(),
-                        format!("unknown lock-owner tag {tag}"),
-                    ));
-                }
-            });
-        }
-        let spills = r.get_usize()?;
-        let mut lock_owner_spill = Vec::with_capacity(spills.min(1 << 16));
-        for _ in 0..spills {
-            let lock = LockId::new(r.get_u64()?);
-            lock_owner_spill.push((lock, ThreadId::new(r.get_u32()?)));
-        }
-        let slots = r.get_usize()?;
-        if slots != expected_slots {
-            return Err(SnapshotError::new(
-                r.section_name(),
-                r.offset(),
-                format!("snapshot holds {slots} thread slots, workload has {expected_slots}"),
-            ));
-        }
-        let mut slot_states = Vec::with_capacity(slots);
-        for _ in 0..slots {
-            let started = r.get_bool()?;
-            let finished = r.get_bool()?;
-            let has_exec = r.get_bool()?;
-            let pulled = r.get_u64()?;
-            if has_exec && pulled == 0 {
-                return Err(SnapshotError::new(
-                    r.section_name(),
-                    r.offset(),
-                    "slot claims a stashed execution but recorded zero pulls",
-                ));
-            }
-            slot_states.push(SlotState {
-                started,
-                finished,
-                has_exec,
-                pulled,
-            });
-        }
-        Ok(SchedState {
-            cycles,
-            counts,
-            fatal_accesses,
-            last_scheduled,
-            barriers_done,
-            barrier_arrivals,
-            lock_owners,
-            lock_owner_spill,
-            slots: slot_states,
-        })
-    }
-}
-
-/// Repositions a fresh feed to where a restored scheduler paused: each
-/// slot's stream re-pulls the executions the original run already consumed.
-/// When the slot had a stashed (produced-but-blocked) execution, the final
-/// re-pull lands in `st.exec` — exactly the block the resumed scheduler
-/// retries first.
-fn fast_forward_feed<F: BlockFeed>(
-    feed: &mut F,
-    states: &mut [ThreadState],
-) -> Result<(), SnapshotError> {
-    for (i, st) in states.iter_mut().enumerate() {
-        for n in 0..st.pulled {
-            if !feed.next_into(i, &mut st.exec) {
-                return Err(SnapshotError::new(
-                    "SCHD",
-                    0,
-                    format!(
-                        "slot {i}: trace exhausted after {n} of {} recorded pulls \
-                         (snapshot does not belong to this workload)",
-                        st.pulled
-                    ),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-impl<'w> Run<'_, 'w, FastTrack> {
-    /// Serializes the paused run — scheduler plus every component — into a
-    /// versioned, checksummed snapshot image. Section order is fixed:
-    /// `META`, `SCHD`, `FTRK`, `TCCH`, then `DBIE`/`AKVM`/`AKSD` as the
-    /// mode requires; restore walks the same order and rejects deviations.
-    fn encode_snapshot(&self, states: &[ThreadState]) -> Snapshot {
-        let mut builder = SnapshotBuilder::new();
-
-        let mut meta = SectionWriter::new(*b"META", META_VERSION);
-        meta.put_str(&snapshot_meta_json(self.sim, self.workload, self.mode));
-        builder.push(meta);
-
-        let mut schd = SectionWriter::new(*b"SCHD", SCHD_VERSION);
-        self.encode_sched(states, &mut schd);
-        builder.push(schd);
-
-        let mut ftrk = SectionWriter::new(*b"FTRK", FTRK_VERSION);
-        match &self.shard_plane {
-            // The plane was finalized before the pause, so its canonical
-            // detector holds the fully merged state — byte-identical to
-            // what a sequential run would serialize here.
-            Some(plane) => plane.canonical().encode_snapshot(&mut ftrk),
-            None => self.analysis.encode_snapshot(&mut ftrk),
-        }
-        builder.push(ftrk);
-
-        let mut tcch = SectionWriter::new(*b"TCCH", TCCH_VERSION);
-        self.cache.encode_snapshot(&mut tcch);
-        builder.push(tcch);
-
-        if let Some(engine) = &self.engine {
-            let mut dbie = SectionWriter::new(*b"DBIE", DBIE_VERSION);
-            engine.encode_snapshot(&mut dbie);
-            builder.push(dbie);
-        }
-        if let Some(vm) = &self.vm {
-            let mut akvm = SectionWriter::new(*b"AKVM", AKVM_VERSION);
-            vm.encode_snapshot(&mut akvm);
-            builder.push(akvm);
-        }
-        if let Some(sd) = &self.sd {
-            let mut aksd = SectionWriter::new(*b"AKSD", AKSD_VERSION);
-            sd.encode_snapshot(&mut aksd);
-            builder.push(aksd);
-        }
-        builder.finish()
-    }
-
-    fn encode_sched(&self, states: &[ThreadState], out: &mut SectionWriter) {
-        out.put_u64(self.cycles);
-        out.put_u64(self.counts.dynamic_instrs);
-        out.put_u64(self.counts.mem_accesses);
-        out.put_u64(self.counts.instrumented_accesses);
-        out.put_u64(self.counts.shared_accesses);
-        out.put_u64(self.counts.segfaults);
-        out.put_u64(self.counts.sync_ops);
-        out.put_u64(self.counts.block_execs);
-        out.put_u64(self.fatal_accesses);
-        match self.last_scheduled {
-            None => out.put_u8(0),
-            Some(thread) => {
-                out.put_u8(1);
-                out.put_u32(thread.raw());
-            }
-        }
-        out.put_usize(self.barriers_done.len());
-        for &done in &self.barriers_done {
-            out.put_bool(done);
-        }
-        out.put_usize(self.barrier_arrivals.len());
-        for set in &self.barrier_arrivals {
-            out.put_usize(set.arrived.len());
-            for &arrived in &set.arrived {
-                out.put_bool(arrived);
-            }
-        }
-        out.put_usize(self.lock_owners.len());
-        for owner in &self.lock_owners {
-            match owner {
-                None => out.put_u8(0),
-                Some(thread) => {
-                    out.put_u8(1);
-                    out.put_u32(thread.raw());
-                }
-            }
-        }
-        out.put_usize(self.lock_owner_spill.len());
-        for &(lock, owner) in &self.lock_owner_spill {
-            out.put_u64(lock.raw());
-            out.put_u32(owner.raw());
-        }
-        out.put_usize(states.len());
-        for st in states {
-            out.put_bool(st.started);
-            out.put_bool(st.finished);
-            out.put_bool(st.has_exec);
-            out.put_u64(st.pulled);
-        }
-    }
-}
-
 enum BlockKind {
     Work,
     Sync(SyncEvent),
@@ -2690,10 +2492,14 @@ mod tests {
     use std::collections::HashSet;
 
     fn small(name: &str) -> Workload {
+        scaled(name, 0.02)
+    }
+
+    fn scaled(name: &str, scale: f64) -> Workload {
         Workload::generate(
             &WorkloadSpec::parsec(name)
                 .unwrap()
-                .scaled(0.02)
+                .scaled(scale)
                 .with_threads(4),
         )
     }
@@ -2993,8 +2799,9 @@ mod tests {
     // Checkpoint/restore and fault containment
     // ------------------------------------------------------------------
 
-    use crate::epoch::{BlockStream, TraceSource};
-    use aikido_workloads::ThreadTrace;
+    use crate::epoch::EPOCH_BLOCKS;
+    use aikido_workloads::{ThreadTrace, TraceCursor};
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     /// A [`TraceSource`] that hands out the workload's real streams but makes
     /// one thread's stream panic after a fixed number of pulls — the injected
@@ -3028,9 +2835,9 @@ mod tests {
         where
             Self: 's;
 
-        fn stream(&self, thread: ThreadId) -> PanicStream<'_> {
+        fn stream_at(&self, thread: ThreadId, cursor: &TraceCursor) -> PanicStream<'_> {
             PanicStream {
-                inner: self.workload.thread_trace(thread),
+                inner: self.workload.stream_at(thread, cursor),
                 armed: thread == self.victim,
                 remaining: self.after,
             }
@@ -3047,6 +2854,128 @@ mod tests {
             self.tick();
             self.inner.next_into(out)
         }
+
+        fn cursor(&self) -> TraceCursor {
+            self.inner.cursor()
+        }
+    }
+
+    /// A [`TraceSource`] over the workload's real streams that counts every
+    /// block execution generated, across all streams it ever opens — how the
+    /// resume tests prove a restored run seeks instead of replaying.
+    struct CountingSource<'w> {
+        workload: &'w Workload,
+        /// Blocks generated one at a time (`next_into`).
+        pulled: AtomicU64,
+        /// Blocks generated in epoch batches (`fill_batch`).
+        batched: AtomicU64,
+    }
+
+    impl<'w> CountingSource<'w> {
+        fn new(workload: &'w Workload) -> Self {
+            CountingSource {
+                workload,
+                pulled: AtomicU64::new(0),
+                batched: AtomicU64::new(0),
+            }
+        }
+
+        fn generated(&self) -> u64 {
+            self.pulled.load(Relaxed) + self.batched.load(Relaxed)
+        }
+    }
+
+    struct CountingStream<'s> {
+        inner: ThreadTrace<'s>,
+        pulled: &'s AtomicU64,
+        batched: &'s AtomicU64,
+    }
+
+    impl TraceSource for CountingSource<'_> {
+        type Stream<'s>
+            = CountingStream<'s>
+        where
+            Self: 's;
+
+        fn stream_at(&self, thread: ThreadId, cursor: &TraceCursor) -> CountingStream<'_> {
+            CountingStream {
+                inner: self.workload.stream_at(thread, cursor),
+                pulled: &self.pulled,
+                batched: &self.batched,
+            }
+        }
+    }
+
+    impl BlockStream for CountingStream<'_> {
+        fn fill_batch(&mut self, batch: &mut Vec<BlockExec>, target: usize) -> bool {
+            let more = self.inner.fill_batch(batch, target);
+            self.batched.fetch_add(batch.len() as u64, Relaxed);
+            more
+        }
+
+        fn next_into(&mut self, out: &mut BlockExec) -> bool {
+            let produced = self.inner.next_into(out);
+            self.pulled.fetch_add(u64::from(produced), Relaxed);
+            produced
+        }
+
+        fn cursor(&self) -> TraceCursor {
+            self.inner.cursor()
+        }
+    }
+
+    #[test]
+    fn a_sequential_resume_generates_no_block_twice() {
+        // Every period of a checkpointed run reopens each stream at its
+        // recorded cursor, so across all periods the trace generator
+        // produces exactly the blocks of one uninterrupted run.
+        let w = scaled("blackscholes", 0.1);
+        for mode in [Mode::Native, Mode::Aikido] {
+            let plain = CountingSource::new(&w);
+            let sim = Simulator::default();
+            let mut uninterrupted = sim.try_run_with_source(&w, &plain, mode).unwrap();
+            let periodic = CountingSource::new(&w);
+            let checkpointed = sim
+                .clone()
+                .with_checkpoint_every(Some(500))
+                .run_checkpointed_from(&w, &periodic, mode)
+                .unwrap();
+            assert!(
+                uninterrupted.counts.block_execs > 4 * 500,
+                "too few periods to exercise resume"
+            );
+            assert_eq!(periodic.generated(), plain.generated(), "{mode:?}");
+            uninterrupted.fasttrack = checkpointed.fasttrack;
+            assert_eq!(checkpointed, uninterrupted, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn a_parallel_checkpoint_regenerates_at_most_one_batch_per_slot() {
+        // Under the epoch feed a slot's position is its batch head cursor
+        // plus an offset into that batch; pinning it to an exact cursor
+        // regenerates at most one batch per slot per period. The producers
+        // generate through `fill_batch`, so every `next_into` pull below is
+        // such a regeneration.
+        let w = scaled("fluidanimate", 0.1);
+        let every = 500;
+        let sim = Simulator::default()
+            .with_workers(2)
+            .with_checkpoint_every(Some(every));
+        let uninterrupted = Simulator::default().run(&w, Mode::Aikido);
+        let periodic = CountingSource::new(&w);
+        let checkpointed = sim
+            .run_checkpointed_from(&w, &periodic, Mode::Aikido)
+            .unwrap();
+        assert_eq!(checkpointed, uninterrupted);
+        let periods = uninterrupted.counts.block_execs.div_ceil(every);
+        let slots = w.threads().len() as u64;
+        assert!(periods >= 4, "too few periods to exercise resume");
+        let regenerated = periodic.pulled.load(Relaxed);
+        assert!(
+            regenerated <= periods * slots * EPOCH_BLOCKS as u64,
+            "{regenerated} blocks regenerated over {periods} periods"
+        );
     }
 
     #[test]
@@ -3181,6 +3110,44 @@ mod tests {
         let mut direct = Simulator::default().run(&w, Mode::Aikido);
         direct.fasttrack = None; // the seam helper runs without stats capture
         assert_eq!(via_seam, direct);
+    }
+
+    #[test]
+    fn a_recorded_skip_is_regenerated_on_resume() {
+        // Images written here always pin exact cursors, but the SCHD format
+        // also carries a skip: a position may be an earlier cursor plus up
+        // to one epoch batch of executions to regenerate. Re-express every
+        // slot's position that way and resume at both feeds.
+        let w = small("fluidanimate");
+        let sim = Simulator::default();
+        let uninterrupted = sim.run(&w, Mode::Aikido);
+        let mut analysis = sim.new_fasttrack();
+        let mut run = Run::new(&sim, &w, Mode::Aikido, &mut analysis);
+        let mut states = run.initial_states();
+        let midpoint = Some(uninterrupted.counts.block_execs / 2);
+        let status = sim.drive(&w, &mut run, &mut states, midpoint).unwrap();
+        assert_eq!(status, ExecStatus::Paused);
+        let mut skipped = 0;
+        for st in &mut states {
+            let mut trace = w.thread_trace(st.id);
+            let mut cursors = vec![trace.cursor()];
+            while cursors.last() != Some(&st.at.cursor) {
+                assert!(trace.next().is_some(), "recorded cursor is on the stream");
+                cursors.push(trace.cursor());
+            }
+            let skip = (cursors.len() - 1).min(EPOCH_BLOCKS);
+            st.at = StreamPos {
+                cursor: cursors[cursors.len() - 1 - skip],
+                skip: skip as u32,
+            };
+            skipped += skip;
+        }
+        assert!(skipped > 0);
+        let image = Snapshot::from_bytes(run.encode_snapshot(&states).into_bytes()).unwrap();
+        for workers in [1, 2] {
+            let resumed = sim.clone().with_workers(workers).resume(&w, &image);
+            assert_eq!(resumed.unwrap(), uninterrupted, "workers={workers}");
+        }
     }
 
     #[test]

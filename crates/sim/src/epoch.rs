@@ -45,22 +45,24 @@ use std::sync::{Arc, Mutex};
 use std::thread::Scope;
 
 use aikido_types::ThreadId;
-use aikido_workloads::{BlockExec, ThreadTrace, Workload};
+use aikido_workloads::{BlockExec, ThreadTrace, TraceCursor, Workload};
 
 use crate::engine::BlockFeed;
 
 /// Where a run's per-thread block streams come from. The production
 /// implementation is [`Workload`] (each stream is a [`ThreadTrace`]); tests
-/// inject faulty sources to prove the engine contains producer panics
-/// instead of hanging or tearing down the process.
+/// inject faulty or instrumented sources to prove the engine contains
+/// producer panics instead of hanging or tearing down the process, and that
+/// resume regenerates no trace prefix.
 pub(crate) trait TraceSource: Sync {
     /// One guest thread's block stream.
     type Stream<'s>: BlockStream + Send
     where
         Self: 's;
 
-    /// Opens `thread`'s stream from the beginning.
-    fn stream(&self, thread: ThreadId) -> Self::Stream<'_>;
+    /// Opens `thread`'s stream at `cursor`, which the caller has validated
+    /// against the workload (a fresh run passes each trace's start cursor).
+    fn stream_at(&self, thread: ThreadId, cursor: &TraceCursor) -> Self::Stream<'_>;
 }
 
 /// One guest thread's stream of block executions (the producer half of
@@ -73,13 +75,18 @@ pub(crate) trait BlockStream {
     /// Produces the next execution into `out` (recycling its buffers);
     /// returns `false` once the stream is exhausted.
     fn next_into(&mut self, out: &mut BlockExec) -> bool;
+
+    /// Where the stream stands: the cursor the next execution is generated
+    /// from.
+    fn cursor(&self) -> TraceCursor;
 }
 
 impl TraceSource for Workload {
     type Stream<'s> = ThreadTrace<'s>;
 
-    fn stream(&self, thread: ThreadId) -> ThreadTrace<'_> {
-        self.thread_trace(thread)
+    fn stream_at(&self, thread: ThreadId, cursor: &TraceCursor) -> ThreadTrace<'_> {
+        self.thread_trace_at(thread, cursor)
+            .expect("stream cursors are validated before a run opens them")
     }
 }
 
@@ -91,6 +98,22 @@ impl BlockStream for ThreadTrace<'_> {
     fn next_into(&mut self, out: &mut BlockExec) -> bool {
         ThreadTrace::next_into(self, out)
     }
+
+    fn cursor(&self) -> TraceCursor {
+        ThreadTrace::cursor(self)
+    }
+}
+
+/// Where a slot's stream stands: `skip` executions past `cursor`. The
+/// sequential feed always reports `skip == 0`; the parallel feed reports the
+/// head cursor of the batch the commit thread is consuming plus the offset
+/// into it, so `skip <= EPOCH_BLOCKS`. SCHD stores both fields; a pause
+/// writes exact cursors (`skip == 0`) so images do not depend on the worker
+/// count, and restore accepts any `skip <= EPOCH_BLOCKS`.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) struct StreamPos {
+    pub(crate) cursor: TraceCursor,
+    pub(crate) skip: u32,
 }
 
 /// Shared record of the first producer panic: the worker writes it before
@@ -118,12 +141,22 @@ pub(crate) const EPOCH_BLOCKS: usize = 1024;
 /// run-ahead (the epoch barrier) and with it peak memory.
 pub(crate) const LANE_BATCHES: usize = 4;
 
+/// One produced epoch batch and the stream cursor it was generated from.
+struct Batch {
+    head: TraceCursor,
+    execs: Vec<BlockExec>,
+}
+
 /// Commit-side view of one guest thread's lane.
 struct Lane {
-    rx: Receiver<Vec<BlockExec>>,
+    rx: Receiver<Batch>,
     recycle_tx: SyncSender<Vec<BlockExec>>,
     batch: Vec<BlockExec>,
     cursor: usize,
+    /// Head cursor of the batch being consumed (the stream's opening cursor
+    /// before the first batch arrives); `cursor` executions past it is where
+    /// the slot's stream stands.
+    head: TraceCursor,
     exhausted: bool,
 }
 
@@ -135,7 +168,6 @@ impl Lane {
             let shells = std::mem::take(&mut self.batch);
             let _ = self.recycle_tx.try_send(shells);
         }
-        self.cursor = 0;
     }
 }
 
@@ -162,14 +194,19 @@ impl BlockFeed for ParallelFeed {
     fn next_into(&mut self, slot: usize, out: &mut BlockExec) -> bool {
         let lane = &mut self.lanes[slot];
         if lane.cursor == lane.batch.len() {
-            lane.recycle_consumed();
             if lane.exhausted {
                 return false;
             }
             match lane.rx.recv() {
-                Ok(batch) => lane.batch = batch,
+                Ok(batch) => {
+                    lane.recycle_consumed();
+                    lane.batch = batch.execs;
+                    lane.head = batch.head;
+                    lane.cursor = 0;
+                }
                 Err(_) => {
                     // Producer dropped its sender: the trace is exhausted.
+                    // The position stays at the end of the last batch.
                     lane.exhausted = true;
                     return false;
                 }
@@ -179,6 +216,14 @@ impl BlockFeed for ParallelFeed {
         lane.cursor += 1;
         true
     }
+
+    fn position(&self, slot: usize) -> StreamPos {
+        let lane = &self.lanes[slot];
+        StreamPos {
+            cursor: lane.head,
+            skip: lane.cursor as u32,
+        }
+    }
 }
 
 /// Producer-side state for one owned guest thread.
@@ -186,10 +231,10 @@ struct ProducerLane<S> {
     trace: S,
     /// `None` once the trace is exhausted (dropping the sender is what tells
     /// the commit thread the lane is done).
-    tx: Option<SyncSender<Vec<BlockExec>>>,
+    tx: Option<SyncSender<Batch>>,
     recycle_rx: Receiver<Vec<BlockExec>>,
     /// A produced batch the bounded lane had no room for yet.
-    pending: Option<Vec<BlockExec>>,
+    pending: Option<Batch>,
 }
 
 /// One worker: round-robins over its owned guest threads, each round
@@ -229,9 +274,11 @@ fn producer_loop<S: BlockStream>(mut lanes: Vec<ProducerLane<S>>) {
                 }
             }
             // Produce the next epoch batch into recycled shells.
-            let mut batch = lane.recycle_rx.try_recv().unwrap_or_default();
-            let more = lane.trace.fill_batch(&mut batch, EPOCH_BLOCKS);
-            if !batch.is_empty() {
+            let head = lane.trace.cursor();
+            let mut execs = lane.recycle_rx.try_recv().unwrap_or_default();
+            let more = lane.trace.fill_batch(&mut execs, EPOCH_BLOCKS);
+            if !execs.is_empty() {
+                let batch = Batch { head, execs };
                 made_progress = true;
                 match lane.tx.as_ref().expect("lane is open").try_send(batch) {
                     Ok(()) => {}
@@ -259,19 +306,17 @@ fn producer_loop<S: BlockStream>(mut lanes: Vec<ProducerLane<S>>) {
 }
 
 /// Spawns `workers` producer threads inside `scope`, partitioning the
-/// workload's guest threads round-robin across them, and returns the commit
-/// thread's feed. `threads` must be the same slot order the scheduler uses.
-pub(crate) fn spawn_producers<'scope, 'w: 'scope, S: TraceSource + ?Sized>(
+/// guest threads' opened `streams` round-robin across them, and returns the
+/// commit thread's feed. `streams` must be in the scheduler's slot order.
+pub(crate) fn spawn_producers<'scope, T: BlockStream + Send + 'scope>(
     scope: &'scope Scope<'scope, '_>,
-    source: &'w S,
-    threads: &[ThreadId],
+    streams: Vec<T>,
     workers: usize,
 ) -> ParallelFeed {
-    let workers = workers.clamp(1, threads.len().max(1));
-    let mut commit_lanes = Vec::with_capacity(threads.len());
-    let mut producer_lanes: Vec<Vec<ProducerLane<S::Stream<'w>>>> =
-        (0..workers).map(|_| Vec::new()).collect();
-    for (slot, &thread) in threads.iter().enumerate() {
+    let workers = workers.clamp(1, streams.len().max(1));
+    let mut commit_lanes = Vec::with_capacity(streams.len());
+    let mut producer_lanes: Vec<Vec<ProducerLane<T>>> = (0..workers).map(|_| Vec::new()).collect();
+    for (slot, trace) in streams.into_iter().enumerate() {
         let (tx, rx) = sync_channel(LANE_BATCHES);
         // Recycle capacity mirrors the data lane: at most LANE_BATCHES + 1
         // batches are ever in flight per guest thread.
@@ -281,10 +326,11 @@ pub(crate) fn spawn_producers<'scope, 'w: 'scope, S: TraceSource + ?Sized>(
             recycle_tx,
             batch: Vec::new(),
             cursor: 0,
+            head: trace.cursor(),
             exhausted: false,
         });
         producer_lanes[slot % workers].push(ProducerLane {
-            trace: source.stream(thread),
+            trace,
             tx: Some(tx),
             recycle_rx,
             pending: None,

@@ -126,31 +126,37 @@ impl SectionWriter {
     }
 
     /// Appends one byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a bool as one byte (0 or 1).
+    #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.buf.push(v as u8);
     }
 
     /// Appends a little-endian u16.
+    #[inline]
     pub fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian u32.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian u64.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a usize as a little-endian u64.
+    #[inline]
     pub fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
     }
@@ -188,6 +194,7 @@ impl SectionWriter {
 #[derive(Debug)]
 pub struct SnapshotBuilder {
     bytes: Vec<u8>,
+    sections: Vec<SectionInfo>,
 }
 
 impl SnapshotBuilder {
@@ -196,24 +203,39 @@ impl SnapshotBuilder {
         let mut bytes = Vec::with_capacity(4096);
         bytes.extend_from_slice(&MAGIC);
         bytes.extend_from_slice(&CONTAINER_VERSION.to_le_bytes());
-        SnapshotBuilder { bytes }
+        SnapshotBuilder {
+            bytes,
+            sections: Vec::new(),
+        }
     }
 
-    /// Appends a finished section: header, payload, FNV-1a checksum.
+    /// Appends a finished section: header, payload, FNV-1a checksum. The
+    /// checksum is computed over the framed bytes in place and recorded in
+    /// the section table, so the finished [`Snapshot`] never re-hashes them.
     pub fn push(&mut self, section: SectionWriter) {
-        let mut framed = Vec::with_capacity(14 + section.buf.len());
-        framed.extend_from_slice(&section.tag);
-        framed.extend_from_slice(&section.version.to_le_bytes());
-        framed.extend_from_slice(&(section.buf.len() as u64).to_le_bytes());
-        framed.extend_from_slice(&section.buf);
-        let checksum = fnv1a(&framed);
-        self.bytes.extend_from_slice(&framed);
+        let offset = self.bytes.len();
+        self.bytes.extend_from_slice(&section.tag);
+        self.bytes.extend_from_slice(&section.version.to_le_bytes());
+        self.bytes
+            .extend_from_slice(&(section.buf.len() as u64).to_le_bytes());
+        self.bytes.extend_from_slice(&section.buf);
+        let checksum = fnv1a(&self.bytes[offset..]);
         self.bytes.extend_from_slice(&checksum.to_le_bytes());
+        self.sections.push(SectionInfo {
+            tag: section.tag,
+            version: section.version,
+            offset,
+            payload_len: section.buf.len(),
+            checksum,
+        });
     }
 
     /// Finishes the image.
     pub fn finish(self) -> Snapshot {
-        Snapshot { bytes: self.bytes }
+        Snapshot {
+            bytes: self.bytes,
+            sections: self.sections,
+        }
     }
 }
 
@@ -223,37 +245,57 @@ impl Default for SnapshotBuilder {
     }
 }
 
-/// One parsed section: its byte range in the image and its header fields.
-#[derive(Debug, Clone, Copy)]
-struct RawSection {
-    /// Offset of the section header (the tag) in the image.
-    start: usize,
-    /// Offset one past the trailing checksum.
-    end: usize,
-    tag: [u8; 4],
-    version: u16,
-    /// Offset of the payload in the image.
-    payload_start: usize,
-    payload_len: usize,
+/// Bytes of a section header: tag, version, payload length.
+const HEADER_LEN: usize = 14;
+
+/// One validated section of an image: its header fields, where it sits and
+/// its checksum. [`Snapshot::sections`] lists them in image order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SectionInfo {
+    /// ASCII section tag (e.g. `b"FTRK"`).
+    pub tag: [u8; 4],
+    /// Section format version.
+    pub version: u16,
+    /// Image offset of the section header (the tag).
+    pub offset: usize,
+    /// Payload length in bytes.
+    pub payload_len: usize,
+    /// FNV-1a checksum over header and payload, as stored in the image.
+    pub checksum: u64,
 }
 
-impl RawSection {
-    fn tag_string(&self) -> String {
+impl SectionInfo {
+    /// The tag as text.
+    pub fn tag_string(&self) -> String {
         String::from_utf8_lossy(&self.tag).into_owned()
+    }
+
+    /// Image offset of the payload.
+    pub fn payload_offset(&self) -> usize {
+        self.offset + HEADER_LEN
+    }
+
+    /// Image offset one past the trailing checksum.
+    pub fn end(&self) -> usize {
+        self.payload_offset() + self.payload_len + 8
     }
 }
 
 /// A validated snapshot image.
 ///
-/// Construction via [`SnapshotBuilder`] is trusted; construction via
+/// Every image is hashed once, where it crosses a trust boundary:
+/// [`SnapshotBuilder`] checksums each section as it frames it, and
 /// [`Snapshot::from_bytes`] re-validates the complete framing (magic,
 /// container version, section bounds, per-section checksums, duplicate
-/// tags, trailing bytes) and fails with a [`SnapshotError`] on any
-/// corruption. Sequence and per-section version checks happen when the
-/// consumer walks the image with [`Snapshot::reader`].
+/// tags, trailing bytes), failing with a [`SnapshotError`] on any
+/// corruption. Either way the snapshot keeps the validated section table;
+/// the bytes are immutable from then on, so [`Snapshot::reader`] walks the
+/// table instead of re-hashing. Sequence and per-section version checks
+/// happen during that walk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     bytes: Vec<u8>,
+    sections: Vec<SectionInfo>,
 }
 
 impl Snapshot {
@@ -267,6 +309,11 @@ impl Snapshot {
         self.bytes
     }
 
+    /// The validated section table, in image order.
+    pub fn sections(&self) -> &[SectionInfo] {
+        &self.sections
+    }
+
     /// Parses and structurally validates a serialized image.
     ///
     /// # Errors
@@ -275,125 +322,131 @@ impl Snapshot {
     /// wrong, a section is truncated, a checksum does not match, a tag
     /// appears twice, or bytes trail the last section.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Snapshot> {
-        let snapshot = Snapshot { bytes };
-        snapshot.parse_sections()?;
-        Ok(snapshot)
-    }
-
-    /// Walks and validates the framing, returning the section table.
-    fn parse_sections(&self) -> Result<Vec<RawSection>> {
-        let bytes = &self.bytes;
-        if bytes.len() < MAGIC.len() + 2 {
-            return Err(SnapshotError::new(
-                "container",
-                bytes.len() as u64,
-                format!(
-                    "image is {} bytes, shorter than the {}-byte header",
-                    bytes.len(),
-                    MAGIC.len() + 2
-                ),
-            ));
-        }
-        if bytes[..MAGIC.len()] != MAGIC {
-            return Err(SnapshotError::new("container", 0, "bad magic"));
-        }
-        let version = u16::from_le_bytes([bytes[8], bytes[9]]);
-        if version != CONTAINER_VERSION {
-            return Err(SnapshotError::new(
-                "container",
-                8,
-                format!("container version {version}, expected {CONTAINER_VERSION}"),
-            ));
-        }
-        let mut sections = Vec::new();
-        let mut cursor = MAGIC.len() + 2;
-        while cursor < bytes.len() {
-            let start = cursor;
-            if bytes.len() - cursor < 14 {
-                return Err(SnapshotError::new(
-                    "container",
-                    cursor as u64,
-                    "truncated section header",
-                ));
-            }
-            let tag: [u8; 4] = bytes[cursor..cursor + 4].try_into().expect("4 bytes");
-            let section_name = String::from_utf8_lossy(&tag).into_owned();
-            let version = u16::from_le_bytes([bytes[cursor + 4], bytes[cursor + 5]]);
-            let len_bytes: [u8; 8] = bytes[cursor + 6..cursor + 14].try_into().expect("8 bytes");
-            let payload_len = u64::from_le_bytes(len_bytes);
-            cursor += 14;
-            let payload_len_usize = usize::try_from(payload_len).map_err(|_| {
-                SnapshotError::new(
-                    section_name.clone(),
-                    (start + 6) as u64,
-                    format!("payload length {payload_len} does not fit in memory"),
-                )
-            })?;
-            if bytes.len() - cursor < payload_len_usize.saturating_add(8) {
-                return Err(SnapshotError::new(
-                    section_name,
-                    (start + 6) as u64,
-                    format!(
-                        "payload length {payload_len} overruns the image \
-                         ({} bytes remain)",
-                        bytes.len() - cursor
-                    ),
-                ));
-            }
-            let payload_start = cursor;
-            cursor += payload_len_usize;
-            let stored: [u8; 8] = bytes[cursor..cursor + 8].try_into().expect("8 bytes");
-            let stored = u64::from_le_bytes(stored);
-            let computed = fnv1a(&bytes[start..cursor]);
-            if stored != computed {
-                return Err(SnapshotError::new(
-                    section_name,
-                    cursor as u64,
-                    format!("checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"),
-                ));
-            }
-            cursor += 8;
-            let section = RawSection {
-                start,
-                end: cursor,
-                tag,
-                version,
-                payload_start,
-                payload_len: payload_len_usize,
-            };
-            if sections.iter().any(|s: &RawSection| s.tag == tag) {
-                return Err(SnapshotError::new(
-                    section.tag_string(),
-                    start as u64,
-                    "duplicate section tag",
-                ));
-            }
-            sections.push(section);
-        }
-        if sections.is_empty() {
-            return Err(SnapshotError::new(
-                "container",
-                cursor as u64,
-                "no sections",
-            ));
-        }
-        Ok(sections)
+        let sections = parse_sections(&bytes)?;
+        Ok(Snapshot { bytes, sections })
     }
 
     /// Starts walking the sections in order.
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapshotError`] if the framing is invalid (see
-    /// [`Snapshot::from_bytes`]).
+    /// Returns a [`SnapshotError`] if the section table holds a tag twice
+    /// (see [`Snapshot::from_bytes`] for the framing checks done when the
+    /// image was built or parsed).
     pub fn reader(&self) -> Result<SnapshotReader<'_>> {
-        let sections = self.parse_sections()?;
+        for (i, section) in self.sections.iter().enumerate() {
+            if self.sections[..i].iter().any(|s| s.tag == section.tag) {
+                return Err(SnapshotError::new(
+                    section.tag_string(),
+                    section.offset as u64,
+                    "duplicate section tag",
+                ));
+            }
+        }
         Ok(SnapshotReader {
             snapshot: self,
-            sections,
             next: 0,
         })
     }
+}
+
+/// Walks and validates the framing of `bytes`, returning the section table.
+fn parse_sections(bytes: &[u8]) -> Result<Vec<SectionInfo>> {
+    if bytes.len() < MAGIC.len() + 2 {
+        return Err(SnapshotError::new(
+            "container",
+            bytes.len() as u64,
+            format!(
+                "image is {} bytes, shorter than the {}-byte header",
+                bytes.len(),
+                MAGIC.len() + 2
+            ),
+        ));
+    }
+    if bytes[..MAGIC.len()] != MAGIC {
+        return Err(SnapshotError::new("container", 0, "bad magic"));
+    }
+    let version = u16::from_le_bytes([bytes[8], bytes[9]]);
+    if version != CONTAINER_VERSION {
+        return Err(SnapshotError::new(
+            "container",
+            8,
+            format!("container version {version}, expected {CONTAINER_VERSION}"),
+        ));
+    }
+    let mut sections = Vec::new();
+    let mut cursor = MAGIC.len() + 2;
+    while cursor < bytes.len() {
+        let start = cursor;
+        if bytes.len() - cursor < HEADER_LEN {
+            return Err(SnapshotError::new(
+                "container",
+                cursor as u64,
+                "truncated section header",
+            ));
+        }
+        let tag: [u8; 4] = bytes[cursor..cursor + 4].try_into().expect("4 bytes");
+        let section_name = String::from_utf8_lossy(&tag).into_owned();
+        let version = u16::from_le_bytes([bytes[cursor + 4], bytes[cursor + 5]]);
+        let len_bytes: [u8; 8] = bytes[cursor + 6..cursor + HEADER_LEN]
+            .try_into()
+            .expect("8 bytes");
+        let payload_len = u64::from_le_bytes(len_bytes);
+        cursor += HEADER_LEN;
+        let payload_len_usize = usize::try_from(payload_len).map_err(|_| {
+            SnapshotError::new(
+                section_name.clone(),
+                (start + 6) as u64,
+                format!("payload length {payload_len} does not fit in memory"),
+            )
+        })?;
+        if bytes.len() - cursor < payload_len_usize.saturating_add(8) {
+            return Err(SnapshotError::new(
+                section_name,
+                (start + 6) as u64,
+                format!(
+                    "payload length {payload_len} overruns the image \
+                         ({} bytes remain)",
+                    bytes.len() - cursor
+                ),
+            ));
+        }
+        cursor += payload_len_usize;
+        let stored: [u8; 8] = bytes[cursor..cursor + 8].try_into().expect("8 bytes");
+        let stored = u64::from_le_bytes(stored);
+        let computed = fnv1a(&bytes[start..cursor]);
+        if stored != computed {
+            return Err(SnapshotError::new(
+                section_name,
+                cursor as u64,
+                format!("checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"),
+            ));
+        }
+        cursor += 8;
+        let section = SectionInfo {
+            tag,
+            version,
+            offset: start,
+            payload_len: payload_len_usize,
+            checksum: stored,
+        };
+        if sections.iter().any(|s: &SectionInfo| s.tag == tag) {
+            return Err(SnapshotError::new(
+                section.tag_string(),
+                start as u64,
+                "duplicate section tag",
+            ));
+        }
+        sections.push(section);
+    }
+    if sections.is_empty() {
+        return Err(SnapshotError::new(
+            "container",
+            cursor as u64,
+            "no sections",
+        ));
+    }
+    Ok(sections)
 }
 
 /// Walks a snapshot's sections in their expected order.
@@ -404,7 +457,6 @@ impl Snapshot {
 #[derive(Debug)]
 pub struct SnapshotReader<'a> {
     snapshot: &'a Snapshot,
-    sections: Vec<RawSection>,
     next: usize,
 }
 
@@ -418,7 +470,7 @@ impl<'a> SnapshotReader<'a> {
     /// version differs from `version` (stale header).
     pub fn section(&mut self, tag: [u8; 4], version: u16) -> Result<SectionReader<'a>> {
         let expected = String::from_utf8_lossy(&tag).into_owned();
-        let Some(raw) = self.sections.get(self.next) else {
+        let Some(raw) = self.snapshot.sections.get(self.next) else {
             return Err(SnapshotError::new(
                 expected.clone(),
                 self.snapshot.bytes.len() as u64,
@@ -428,7 +480,7 @@ impl<'a> SnapshotReader<'a> {
         if raw.tag != tag {
             return Err(SnapshotError::new(
                 expected.clone(),
-                raw.start as u64,
+                raw.offset as u64,
                 format!(
                     "out-of-order section: expected `{expected}`, found `{}`",
                     raw.tag_string()
@@ -438,7 +490,7 @@ impl<'a> SnapshotReader<'a> {
         if raw.version != version {
             return Err(SnapshotError::new(
                 expected,
-                (raw.start + 4) as u64,
+                (raw.offset + 4) as u64,
                 format!(
                     "section version {} does not match expected version {version}",
                     raw.version
@@ -446,10 +498,11 @@ impl<'a> SnapshotReader<'a> {
             ));
         }
         self.next += 1;
+        let payload = raw.payload_offset();
         Ok(SectionReader {
             section: raw.tag_string(),
-            payload: &self.snapshot.bytes[raw.payload_start..raw.payload_start + raw.payload_len],
-            base: raw.payload_start as u64,
+            payload: &self.snapshot.bytes[payload..payload + raw.payload_len],
+            base: payload as u64,
             cursor: 0,
         })
     }
@@ -461,10 +514,10 @@ impl<'a> SnapshotReader<'a> {
     /// Returns a [`SnapshotError`] naming the first unconsumed section
     /// (e.g. an injected duplicate appended to the image).
     pub fn finish(self) -> Result<()> {
-        if let Some(raw) = self.sections.get(self.next) {
+        if let Some(raw) = self.snapshot.sections.get(self.next) {
             return Err(SnapshotError::new(
                 raw.tag_string(),
-                raw.start as u64,
+                raw.offset as u64,
                 "unexpected extra section after the final expected section",
             ));
         }
@@ -488,6 +541,8 @@ pub struct SectionReader<'a> {
 }
 
 impl SectionReader<'_> {
+    #[cold]
+    #[inline(never)]
     fn err(&self, reason: impl Into<String>) -> SnapshotError {
         SnapshotError::new(self.section.clone(), self.base + self.cursor as u64, reason)
     }
@@ -504,24 +559,36 @@ impl SectionReader<'_> {
         self.base + self.cursor as u64
     }
 
+    // The primitive readers and writers below sit in every component's
+    // decode/encode loop (FTRK alone reads a few hundred thousand fields
+    // per full-mode image); they inline, and the error paths stay cold.
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&[u8]> {
         if self.payload.len() - self.cursor < n {
-            return Err(self.err(format!(
-                "payload underrun: need {n} bytes, {} remain",
-                self.payload.len() - self.cursor
-            )));
+            return Err(self.underrun(n));
         }
         let slice = &self.payload[self.cursor..self.cursor + n];
         self.cursor += n;
         Ok(slice)
     }
 
+    #[cold]
+    #[inline(never)]
+    fn underrun(&self, n: usize) -> SnapshotError {
+        self.err(format!(
+            "payload underrun: need {n} bytes, {} remain",
+            self.payload.len() - self.cursor
+        ))
+    }
+
     /// Reads one byte.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a bool (must be exactly 0 or 1).
+    #[inline]
     pub fn get_bool(&mut self) -> Result<bool> {
         match self.get_u8()? {
             0 => Ok(false),
@@ -531,6 +598,7 @@ impl SectionReader<'_> {
     }
 
     /// Reads a little-endian u16.
+    #[inline]
     pub fn get_u16(&mut self) -> Result<u16> {
         Ok(u16::from_le_bytes(
             self.take(2)?.try_into().expect("2 bytes"),
@@ -538,6 +606,7 @@ impl SectionReader<'_> {
     }
 
     /// Reads a little-endian u32.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
@@ -545,6 +614,7 @@ impl SectionReader<'_> {
     }
 
     /// Reads a little-endian u64.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
@@ -552,6 +622,7 @@ impl SectionReader<'_> {
     }
 
     /// Reads a usize (stored as u64).
+    #[inline]
     pub fn get_usize(&mut self) -> Result<usize> {
         let v = self.get_u64()?;
         usize::try_from(v).map_err(|_| self.err(format!("value {v} does not fit in usize")))
@@ -692,18 +763,18 @@ impl FaultPlan {
                 let (first, second) = if a < b { (a, b) } else { (b, a) };
                 let (fa, fb) = (&sections[first], &sections[second]);
                 let mut out = Vec::with_capacity(image.len());
-                out.extend_from_slice(&image[..fa.start]);
-                out.extend_from_slice(&image[fb.start..fb.end]);
-                out.extend_from_slice(&image[fa.end..fb.start]);
-                out.extend_from_slice(&image[fa.start..fa.end]);
-                out.extend_from_slice(&image[fb.end..]);
+                out.extend_from_slice(&image[..fa.offset]);
+                out.extend_from_slice(&image[fb.offset..fb.end()]);
+                out.extend_from_slice(&image[fa.end()..fb.offset]);
+                out.extend_from_slice(&image[fa.offset..fa.end()]);
+                out.extend_from_slice(&image[fb.end()..]);
                 Some(out)
             }
             FaultPlan::DuplicateSection { index } => {
                 let sections = parse_for_injection(image)?;
                 let raw = &sections[index % sections.len()];
                 let mut out = image.to_vec();
-                out.extend_from_slice(&image[raw.start..raw.end]);
+                out.extend_from_slice(&image[raw.offset..raw.end()]);
                 Some(out)
             }
             FaultPlan::BumpVersion { index } => {
@@ -711,11 +782,12 @@ impl FaultPlan {
                 let raw = sections[index % sections.len()];
                 let mut out = image.to_vec();
                 let stale = raw.version.wrapping_add(1);
-                out[raw.start + 4..raw.start + 6].copy_from_slice(&stale.to_le_bytes());
+                out[raw.offset + 4..raw.offset + 6].copy_from_slice(&stale.to_le_bytes());
                 // Fix the checksum so only the version validation can catch
                 // this corruption.
-                let checksum = fnv1a(&out[raw.start..raw.end - 8]);
-                out[raw.end - 8..raw.end].copy_from_slice(&checksum.to_le_bytes());
+                let end = raw.end();
+                let checksum = fnv1a(&out[raw.offset..end - 8]);
+                out[end - 8..end].copy_from_slice(&checksum.to_le_bytes());
                 Some(out)
             }
         }
@@ -723,11 +795,8 @@ impl FaultPlan {
 }
 
 /// Parses the section table of a *valid* image for fault injection.
-fn parse_for_injection(image: &[u8]) -> Option<Vec<RawSection>> {
-    let snapshot = Snapshot {
-        bytes: image.to_vec(),
-    };
-    snapshot.parse_sections().ok()
+fn parse_for_injection(image: &[u8]) -> Option<Vec<SectionInfo>> {
+    parse_sections(image).ok()
 }
 
 #[cfg(test)]
@@ -768,6 +837,38 @@ mod tests {
         read_back(&snapshot).expect("clean image reads back");
         let reparsed = Snapshot::from_bytes(snapshot.as_bytes().to_vec()).expect("valid image");
         read_back(&reparsed).expect("reparsed image reads back");
+    }
+
+    #[test]
+    fn built_and_parsed_images_carry_the_same_section_table() {
+        let built = sample();
+        let parsed = Snapshot::from_bytes(built.as_bytes().to_vec()).expect("valid image");
+        assert_eq!(built.sections(), parsed.sections());
+        let tags: Vec<String> = built.sections().iter().map(|s| s.tag_string()).collect();
+        assert_eq!(tags, ["AAAA", "BBBB"]);
+        for section in built.sections() {
+            let framed = &built.as_bytes()[section.offset..section.end() - 8];
+            assert_eq!(section.checksum, fnv1a(framed));
+        }
+        assert_eq!(
+            built.sections().last().unwrap().end(),
+            built.as_bytes().len()
+        );
+    }
+
+    #[test]
+    fn the_reader_refuses_a_built_image_with_a_duplicate_tag() {
+        // A built image is trusted framing, but the walk still checks that
+        // no tag appears twice.
+        let mut builder = SnapshotBuilder::new();
+        for _ in 0..2 {
+            let mut s = SectionWriter::new(*b"TWIN", 1);
+            s.put_u8(1);
+            builder.push(s);
+        }
+        let err = builder.finish().reader().expect_err("duplicate tag");
+        assert_eq!(err.section, "TWIN");
+        assert!(err.reason.contains("duplicate"), "{err}");
     }
 
     #[test]

@@ -57,7 +57,10 @@ pub use scenarios::{
     racy_workload, read_only_sharing_workload, spill_pressure_workload,
 };
 pub use spec::{WorkloadSpec, PARSEC_BENCHMARKS};
-pub use trace::{BlockExec, BlockMeta, MemRun, ThreadTrace};
+pub use trace::{
+    BlockExec, BlockMeta, CriticalSection, CursorError, MemRun, ThreadTrace, TraceCounters,
+    TraceCursor, TracePhase,
+};
 pub use workload::Workload;
 
 // Re-exported so downstream crates can build programs without importing

@@ -1,7 +1,5 @@
 //! Per-thread trace generation.
 
-use std::collections::VecDeque;
-
 use rand::distributions::{Bernoulli, Distribution, Uniform};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -109,15 +107,113 @@ impl BlockExec {
     }
 }
 
+/// Where a [`ThreadTrace`] stands in its thread's life cycle.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum Phase {
+pub enum TracePhase {
+    /// The main thread writes the read-mostly area before forking.
     Init,
+    /// The main thread forks the workers.
     Fork,
+    /// Work blocks, critical sections and barriers.
     Work,
+    /// The main thread joins the workers.
     Join,
+    /// The final exit block is next.
     Exit,
+    /// The trace is exhausted.
     Done,
 }
+
+impl TracePhase {
+    const ALL: [TracePhase; 6] = [
+        TracePhase::Init,
+        TracePhase::Fork,
+        TracePhase::Work,
+        TracePhase::Join,
+        TracePhase::Exit,
+        TracePhase::Done,
+    ];
+
+    /// The phase's stable one-byte serialization tag.
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// The phase with serialization tag `tag`, if any.
+    pub fn from_tag(tag: u8) -> Option<TracePhase> {
+        Self::ALL.get(usize::from(tag)).copied()
+    }
+}
+
+/// An open critical section: the acquire has been emitted, the body blocks
+/// and the release are generated on demand.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct CriticalSection {
+    /// Index of the held lock (the lock id is `lock + 1`).
+    pub lock: u32,
+    /// Body blocks still to emit before the release (fewer when the thread's
+    /// access budget runs out first).
+    pub bodies_left: u32,
+}
+
+/// Every counter of a [`ThreadTrace`]: with the RNG words, the generator's
+/// whole state (see [`TraceCursor`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct TraceCounters {
+    /// Life-cycle phase.
+    pub phase: TracePhase,
+    /// Memory accesses the work phase still owes.
+    pub remaining_accesses: u64,
+    /// Read-mostly initialisation writes still owed (main thread only).
+    pub init_remaining: u64,
+    /// Next read-mostly slot the initialisation writes.
+    pub init_cursor: u64,
+    /// Next worker to fork.
+    pub fork_next: u32,
+    /// Next worker to join.
+    pub join_next: u32,
+    /// Work blocks emitted so far (drives the barrier cadence).
+    pub work_blocks_emitted: u64,
+    /// Id of the next barrier.
+    pub barrier_counter: u32,
+    /// Barriers that became due and are not emitted yet. Barriers that fall
+    /// due inside a critical section wait for its release, so no thread ever
+    /// blocks on a barrier while holding a lock.
+    pub barriers_due: u32,
+    /// The next racy-area access is forced (racy workloads make every
+    /// thread touch the racy area at least once).
+    pub forced_racy_write_pending: bool,
+    /// The open critical section, if any.
+    pub critical_section: Option<CriticalSection>,
+}
+
+/// The complete, plain-data state of a [`ThreadTrace`]: the RNG words plus
+/// the counters. [`ThreadTrace::cursor`] takes one and
+/// [`Workload::thread_trace_at`] continues the stream from it, so a
+/// checkpoint can record where each thread's stream stands in a few dozen
+/// bytes instead of re-generating the prefix on resume.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct TraceCursor {
+    /// The thread RNG's state words.
+    pub rng: [u64; 4],
+    /// The generator's counters.
+    pub counters: TraceCounters,
+}
+
+/// A [`TraceCursor`] that cannot belong to the thread it was offered for.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CursorError {
+    /// Human-readable reason.
+    pub reason: String,
+}
+
+impl std::fmt::Display for CursorError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid trace cursor: {}", self.reason)
+    }
+}
+
+impl std::error::Error for CursorError {}
 
 /// Everything the per-block generation loop would otherwise recompute from
 /// the spec and layout on every call, hoisted to trace construction: layout
@@ -202,67 +298,192 @@ impl GenParams {
 }
 
 /// A deterministic iterator over one thread's block executions.
+///
+/// The generator is a small state machine: every execution — including the
+/// body blocks and release of a critical section and any barriers that fall
+/// due — is generated on demand from the RNG and the [`TraceCounters`], in
+/// strictly sequential RNG order. Its whole state is therefore a
+/// [`TraceCursor`].
 #[derive(Debug)]
 pub struct ThreadTrace<'a> {
     workload: &'a Workload,
     thread: ThreadId,
     rng: SmallRng,
     gen: GenParams,
-    phase: Phase,
-    pending: VecDeque<BlockExec>,
+    at: TraceCounters,
     /// Recycled `(operations, runs)` buffer pairs: the simulator's scheduler
     /// returns each consumed execution's buffers through
     /// [`ThreadTrace::next_into`], so the steady-state trace loop performs no
     /// allocation.
     spare: Vec<(Vec<Operation>, Vec<MemRun>)>,
-    remaining_accesses: u64,
-    init_remaining: u64,
-    init_cursor: u64,
-    fork_next: u32,
-    join_next: u32,
-    work_blocks_emitted: u64,
-    barrier_counter: u32,
-    /// Barriers that became due while inside a critical section; emitted only
-    /// after the lock is released so no thread ever blocks on a barrier while
-    /// holding a lock.
-    barriers_due: u32,
-    forced_racy_write_pending: bool,
+}
+
+/// The read-mostly initialisation writes the main thread owes at the start.
+fn init_writes(workload: &Workload, thread: ThreadId) -> u64 {
+    if thread != ThreadId::MAIN {
+        return 0;
+    }
+    let spec = workload.spec();
+    let (_, rm_len) = workload.layout().read_mostly_area();
+    (rm_len / 64).min((spec.mem_accesses_per_thread / 10).max(64))
 }
 
 impl<'a> ThreadTrace<'a> {
     pub(crate) fn new(workload: &'a Workload, thread: ThreadId) -> Self {
         let spec = workload.spec();
         let seed = spec.seed ^ (thread.raw() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let is_main = thread == ThreadId::MAIN;
-        let (rm_base, rm_len) = workload.layout().read_mostly_area();
-        let _ = rm_base;
-        let init_writes = if is_main {
-            (rm_len / 64).min((spec.mem_accesses_per_thread / 10).max(64))
-        } else {
-            0
+        let start = TraceCursor {
+            rng: SmallRng::seed_from_u64(seed).state(),
+            counters: TraceCounters {
+                phase: if thread == ThreadId::MAIN {
+                    TracePhase::Init
+                } else {
+                    TracePhase::Work
+                },
+                remaining_accesses: spec.mem_accesses_per_thread,
+                init_remaining: init_writes(workload, thread),
+                init_cursor: 0,
+                fork_next: 1,
+                join_next: 1,
+                work_blocks_emitted: 0,
+                barrier_counter: 0,
+                barriers_due: 0,
+                forced_racy_write_pending: spec.racy_pairs > 0,
+                critical_section: None,
+            },
         };
+        Self::at(workload, thread, &start)
+    }
+
+    /// Opens `thread`'s stream at `cursor` (already validated).
+    pub(crate) fn at(workload: &'a Workload, thread: ThreadId, cursor: &TraceCursor) -> Self {
         ThreadTrace {
             workload,
             thread,
-            rng: SmallRng::seed_from_u64(seed),
+            rng: SmallRng::from_state(cursor.rng),
             gen: GenParams::new(workload, thread),
-            phase: if is_main { Phase::Init } else { Phase::Work },
-            pending: VecDeque::new(),
+            at: cursor.counters,
             spare: Vec::new(),
-            remaining_accesses: spec.mem_accesses_per_thread,
-            init_remaining: init_writes,
-            init_cursor: 0,
-            fork_next: 1,
-            join_next: 1,
-            work_blocks_emitted: 0,
-            barrier_counter: 0,
-            barriers_due: 0,
-            forced_racy_write_pending: spec.racy_pairs > 0,
         }
     }
 
-    fn spec(&self) -> &crate::WorkloadSpec {
-        self.workload.spec()
+    /// Checks that `cursor` is a state `thread`'s stream can reach: every
+    /// counter within what the workload's spec allows and consistent with
+    /// the others. [`Workload::thread_trace_at`] refuses anything else, so a
+    /// corrupt cursor can never drive the generator out of bounds.
+    pub(crate) fn check(
+        workload: &Workload,
+        thread: ThreadId,
+        cursor: &TraceCursor,
+    ) -> Result<(), CursorError> {
+        let spec = workload.spec();
+        let c = &cursor.counters;
+        let fail = |reason: String| Err(CursorError { reason });
+        if thread.raw() >= spec.threads {
+            return fail(format!(
+                "{thread} is not part of this {}-thread workload",
+                spec.threads
+            ));
+        }
+        if cursor.rng == [0; 4] {
+            return fail("all-zero RNG state".to_string());
+        }
+        let is_main = thread == ThreadId::MAIN;
+        if !is_main
+            && matches!(
+                c.phase,
+                TracePhase::Init | TracePhase::Fork | TracePhase::Join
+            )
+        {
+            return fail(format!(
+                "{thread} is not the main thread but is in {:?}",
+                c.phase
+            ));
+        }
+        if c.fork_next == 0 || c.fork_next > spec.threads {
+            return fail(format!(
+                "fork_next {} outside 1..={}",
+                c.fork_next, spec.threads
+            ));
+        }
+        if c.join_next == 0 || c.join_next > spec.threads {
+            return fail(format!(
+                "join_next {} outside 1..={}",
+                c.join_next, spec.threads
+            ));
+        }
+        // Every initialisation block writes `block_mem_instrs` consecutive
+        // read-mostly slots and charges as many writes.
+        let per_block = spec.block_mem_instrs as u64;
+        let init_total = init_writes(workload, thread);
+        if c.init_remaining > init_total {
+            return fail(format!(
+                "{} initialisation writes remain, the spec owes {init_total}",
+                c.init_remaining
+            ));
+        }
+        if !c.init_cursor.is_multiple_of(per_block)
+            || c.init_cursor > init_total.div_ceil(per_block) * per_block
+            || c.init_remaining != init_total.saturating_sub(c.init_cursor)
+        {
+            return fail(format!(
+                "initialisation cursor {} does not match {} remaining writes",
+                c.init_cursor, c.init_remaining
+            ));
+        }
+        let budget = spec.mem_accesses_per_thread;
+        if c.remaining_accesses > budget {
+            return fail(format!(
+                "remaining access budget {} exceeds the spec's {budget}",
+                c.remaining_accesses
+            ));
+        }
+        let charged = c
+            .work_blocks_emitted
+            .checked_mul(per_block)
+            .map(|used| budget.saturating_sub(used));
+        if charged != Some(c.remaining_accesses) {
+            return fail(format!(
+                "{} work blocks emitted but {} accesses remain",
+                c.work_blocks_emitted, c.remaining_accesses
+            ));
+        }
+        let barriers = match spec.barrier_every {
+            0 => 0,
+            every => c.work_blocks_emitted / every,
+        };
+        if u64::from(c.barrier_counter) + u64::from(c.barriers_due) != barriers {
+            return fail(format!(
+                "{} barriers emitted and {} due after {} work blocks",
+                c.barrier_counter, c.barriers_due, c.work_blocks_emitted
+            ));
+        }
+        if let Some(cs) = c.critical_section {
+            if c.phase != TracePhase::Work {
+                return fail(format!("critical section open in {:?}", c.phase));
+            }
+            if cs.lock >= spec.locks {
+                return fail(format!("lock index {} outside 0..{}", cs.lock, spec.locks));
+            }
+            if cs.bodies_left > spec.critical_section_blocks.max(1) {
+                return fail(format!(
+                    "{} critical-section bodies left, at most {} per section",
+                    cs.bodies_left,
+                    spec.critical_section_blocks.max(1)
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// The stream's current position: continuing from it with
+    /// [`Workload::thread_trace_at`] yields exactly the executions this
+    /// trace would yield next.
+    pub fn cursor(&self) -> TraceCursor {
+        TraceCursor {
+            rng: self.rng.state(),
+            counters: self.at,
+        }
     }
 
     /// Pops a recycled buffer pair (or allocates one on cold start).
@@ -390,15 +611,15 @@ impl<'a> ThreadTrace<'a> {
         let spec_block_mem = self.gen.block_mem_instrs;
         let (rm_base, rm_len) = (self.gen.rm_base, self.gen.rm_len);
         let block = self.workload.block_sets().init_blocks
-            [(self.init_cursor as usize) % self.workload.block_sets().init_blocks.len()];
-        let mut cursor = self.init_cursor;
+            [(self.at.init_cursor as usize) % self.workload.block_sets().init_blocks.len()];
+        let mut cursor = self.at.init_cursor;
         let exec = self.work_exec(block, |_rng| {
             let addr = rm_base.offset((cursor * 64) % rm_len.max(64));
             cursor += 1;
             (addr, AccessKind::Write)
         });
-        self.init_cursor = cursor;
-        self.init_remaining = self.init_remaining.saturating_sub(spec_block_mem);
+        self.at.init_cursor = cursor;
+        self.at.init_remaining = self.at.init_remaining.saturating_sub(spec_block_mem);
         exec
     }
 
@@ -417,85 +638,90 @@ impl<'a> ThreadTrace<'a> {
         })
     }
 
-    /// A lock-protected shared block execution: acquire, accesses within the
-    /// lock's slice, release. Pushes the tail onto the pending queue and
-    /// returns the acquire.
-    fn next_locked_shared(&mut self) -> BlockExec {
+    /// Opens a lock-protected episode: draws the lock and returns its
+    /// acquire. The body blocks and the release follow on demand
+    /// ([`ThreadTrace::next_in_critical_section`]).
+    fn next_acquire(&mut self) -> BlockExec {
+        let lock = self.gen.lock.sample(&mut self.rng);
+        self.at.critical_section = Some(CriticalSection {
+            lock,
+            bodies_left: self.gen.critical_section_blocks.max(1),
+        });
         let acquire_block = self.workload.block_sets().acquire_block;
-        let lock_index = self.gen.lock.sample(&mut self.rng);
-        let lock = LockId::new(lock_index as u64 + 1);
-        let acquire = self.sync_exec(acquire_block, Operation::Sync(SyncOp::Acquire(lock)));
+        self.sync_exec(
+            acquire_block,
+            Operation::Sync(SyncOp::Acquire(LockId::new(lock as u64 + 1))),
+        )
+    }
 
-        let (slice_base, _) = self.workload.layout().lock_slice(lock_index);
+    /// The next execution inside the open critical section `cs`: a shared
+    /// body block within the lock's slice, or the release. A critical
+    /// section amortises one acquire/release pair over several shared block
+    /// executions, but never overruns the thread's access budget (which
+    /// would desynchronise barrier cadences across threads): after the first
+    /// body, an exhausted budget releases early.
+    fn next_in_critical_section(&mut self, cs: CriticalSection) -> BlockExec {
+        let first = cs.bodies_left == self.gen.critical_section_blocks.max(1);
+        if cs.bodies_left == 0 || (!first && self.at.remaining_accesses == 0) {
+            self.at.critical_section = None;
+            let release_block = self.workload.block_sets().release_block;
+            return self.sync_exec(
+                release_block,
+                Operation::Sync(SyncOp::Release(LockId::new(cs.lock as u64 + 1))),
+            );
+        }
+        self.at.critical_section = Some(CriticalSection {
+            bodies_left: cs.bodies_left - 1,
+            ..cs
+        });
+        let (slice_base, _) = self.workload.layout().lock_slice(cs.lock);
         let (shared_within, read) = (self.gen.shared_within, self.gen.read);
         let (slice_slot, private_slot) = (self.gen.slice_slot, self.gen.private_slot);
         let private_base = self.gen.private_base;
-        // A critical section amortises one acquire/release pair over several
-        // shared block executions, but never overruns the thread's access
-        // budget (which would desynchronise barrier cadences across threads).
-        for body_index in 0..self.gen.critical_section_blocks.max(1) {
-            if body_index > 0 && self.remaining_accesses == 0 {
-                break;
-            }
-            let blocks = &self.workload.block_sets().shared_blocks;
-            let block = blocks[self.gen.shared_block.sample(&mut self.rng)];
-            let body = self.work_exec(block, |rng| {
-                if shared_within.sample(rng) {
-                    let addr = slice_base.offset(slice_slot.sample(rng) * 8);
-                    let kind = if read.sample(rng) {
-                        AccessKind::Read
-                    } else {
-                        AccessKind::Write
-                    };
-                    (addr, kind)
-                } else {
-                    let addr = private_base.offset(private_slot.sample(rng) * 8);
-                    let kind = if read.sample(rng) {
-                        AccessKind::Read
-                    } else {
-                        AccessKind::Write
-                    };
-                    (addr, kind)
-                }
-            });
-            self.pending.push_back(body);
-            self.charge_work_block();
-        }
-        let release_block = self.workload.block_sets().release_block;
-        let release = self.sync_exec(release_block, Operation::Sync(SyncOp::Release(lock)));
-        self.pending.push_back(release);
-        self.flush_due_barriers();
-        acquire
+        let blocks = &self.workload.block_sets().shared_blocks;
+        let block = blocks[self.gen.shared_block.sample(&mut self.rng)];
+        let body = self.work_exec(block, |rng| {
+            let addr = if shared_within.sample(rng) {
+                slice_base.offset(slice_slot.sample(rng) * 8)
+            } else {
+                private_base.offset(private_slot.sample(rng) * 8)
+            };
+            let kind = if read.sample(rng) {
+                AccessKind::Read
+            } else {
+                AccessKind::Write
+            };
+            (addr, kind)
+        });
+        self.charge_work_block();
+        body
     }
 
     /// Accounts one work block against the thread's access budget and barrier
-    /// cadence. Barriers are only recorded as *due* here; they are emitted by
-    /// [`ThreadTrace::flush_due_barriers`] once the thread holds no lock.
+    /// cadence. Barriers are only recorded as *due* here; [`Iterator::next`]
+    /// emits them once the thread holds no lock.
     fn charge_work_block(&mut self) {
-        self.remaining_accesses = self
+        self.at.remaining_accesses = self
+            .at
             .remaining_accesses
             .saturating_sub(self.gen.block_mem_instrs);
-        self.work_blocks_emitted += 1;
+        self.at.work_blocks_emitted += 1;
         if self.gen.barrier_every > 0
             && self
+                .at
                 .work_blocks_emitted
                 .is_multiple_of(self.gen.barrier_every)
         {
-            self.barriers_due += 1;
+            self.at.barriers_due += 1;
         }
     }
 
-    /// Emits any barriers that became due, outside of critical sections.
-    fn flush_due_barriers(&mut self) {
-        while self.barriers_due > 0 {
-            self.barriers_due -= 1;
-            let barrier = self.sync_exec(
-                self.workload.block_sets().barrier_block,
-                Operation::Sync(SyncOp::Barrier(self.barrier_counter)),
-            );
-            self.barrier_counter += 1;
-            self.pending.push_back(barrier);
-        }
+    /// Emits the oldest due barrier.
+    fn next_barrier(&mut self) -> BlockExec {
+        self.at.barriers_due -= 1;
+        let barrier = Operation::Sync(SyncOp::Barrier(self.at.barrier_counter));
+        self.at.barrier_counter += 1;
+        self.sync_exec(self.workload.block_sets().barrier_block, barrier)
     }
 
     /// An unsynchronised shared block execution: reads of read-mostly data
@@ -515,8 +741,8 @@ impl<'a> ThreadTrace<'a> {
             self.gen.half,
         );
         let racy_pair = self.gen.racy_pair;
-        let mut force_racy = self.forced_racy_write_pending && racy_len > 0;
-        self.forced_racy_write_pending = false;
+        let mut force_racy = self.at.forced_racy_write_pending && racy_len > 0;
+        self.at.forced_racy_write_pending = false;
         self.work_exec(block, |rng| {
             if shared_within.sample(rng) {
                 if racy_pairs > 0 && racy_len > 0 && (force_racy || racy.sample(rng)) {
@@ -552,17 +778,14 @@ impl<'a> ThreadTrace<'a> {
         if self.gen.choice.sample(&mut self.rng) {
             if self.gen.locked.sample(&mut self.rng) {
                 // The critical section charges its own body blocks.
-                self.next_locked_shared()
-            } else {
-                let exec = self.next_unlocked_shared();
-                self.charge_work_block();
-                self.flush_due_barriers();
-                exec
+                return self.next_acquire();
             }
+            let exec = self.next_unlocked_shared();
+            self.charge_work_block();
+            exec
         } else {
             let exec = self.next_private();
             self.charge_work_block();
-            self.flush_due_barriers();
             exec
         }
     }
@@ -580,56 +803,59 @@ impl Iterator for ThreadTrace<'_> {
     type Item = BlockExec;
 
     fn next(&mut self) -> Option<BlockExec> {
-        if let Some(exec) = self.pending.pop_front() {
-            return Some(exec);
+        if let Some(cs) = self.at.critical_section {
+            return Some(self.next_in_critical_section(cs));
+        }
+        if self.at.barriers_due > 0 {
+            return Some(self.next_barrier());
         }
         loop {
-            match self.phase {
-                Phase::Init => {
-                    if self.init_remaining > 0 {
+            match self.at.phase {
+                TracePhase::Init => {
+                    if self.at.init_remaining > 0 {
                         return Some(self.next_init());
                     }
-                    self.phase = Phase::Fork;
+                    self.at.phase = TracePhase::Fork;
                 }
-                Phase::Fork => {
-                    if self.fork_next < self.spec().threads {
-                        let child = ThreadId::new(self.fork_next);
-                        self.fork_next += 1;
+                TracePhase::Fork => {
+                    if self.at.fork_next < self.workload.spec().threads {
+                        let child = ThreadId::new(self.at.fork_next);
+                        self.at.fork_next += 1;
                         return Some(self.sync_exec(
                             self.workload.block_sets().fork_block,
                             Operation::Sync(SyncOp::Fork(child)),
                         ));
                     }
-                    self.phase = Phase::Work;
+                    self.at.phase = TracePhase::Work;
                 }
-                Phase::Work => {
-                    if self.remaining_accesses > 0 {
+                TracePhase::Work => {
+                    if self.at.remaining_accesses > 0 {
                         return Some(self.next_work());
                     }
-                    self.phase = if self.thread == ThreadId::MAIN {
-                        Phase::Join
+                    self.at.phase = if self.thread == ThreadId::MAIN {
+                        TracePhase::Join
                     } else {
-                        Phase::Exit
+                        TracePhase::Exit
                     };
                 }
-                Phase::Join => {
-                    if self.join_next < self.spec().threads {
-                        let child = ThreadId::new(self.join_next);
-                        self.join_next += 1;
+                TracePhase::Join => {
+                    if self.at.join_next < self.workload.spec().threads {
+                        let child = ThreadId::new(self.at.join_next);
+                        self.at.join_next += 1;
                         return Some(self.sync_exec(
                             self.workload.block_sets().join_block,
                             Operation::Sync(SyncOp::Join(child)),
                         ));
                     }
-                    self.phase = Phase::Exit;
+                    self.at.phase = TracePhase::Exit;
                 }
-                Phase::Exit => {
-                    self.phase = Phase::Done;
+                TracePhase::Exit => {
+                    self.at.phase = TracePhase::Done;
                     return Some(
                         self.sync_exec(self.workload.block_sets().exit_block, Operation::Exit),
                     );
                 }
-                Phase::Done => return None,
+                TracePhase::Done => return None,
             }
         }
     }

@@ -3,12 +3,12 @@
 use std::sync::Arc;
 
 use aikido_dbi::{Program, StaticInstr};
-use aikido_types::{AccessKind, Addr, AddrMode, BlockId, MemRef, Operation, ThreadId};
+use aikido_types::{AccessKind, Addr, AddrMode, BlockId, MemRef, Operation, SyncOp, ThreadId};
 
 use crate::layout::MemoryLayout;
 use crate::scenario::ScenarioModel;
 use crate::spec::WorkloadSpec;
-use crate::trace::ThreadTrace;
+use crate::trace::{CursorError, ThreadTrace, TraceCursor};
 
 /// A precomputed operation skeleton for one static block: everything about a
 /// work-block execution that does *not* depend on the per-execution random
@@ -217,6 +217,35 @@ impl Workload {
             self.spec.threads
         );
         ThreadTrace::new(self, thread)
+    }
+
+    /// `thread`'s trace continued from `cursor` (taken with
+    /// [`ThreadTrace::cursor`]): it yields exactly the executions the
+    /// original trace yielded after that point.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CursorError`] when `cursor` cannot be a state of
+    /// `thread`'s trace: an unknown thread, counters outside the spec's
+    /// bounds, or counters inconsistent with one another.
+    pub fn thread_trace_at(
+        &self,
+        thread: ThreadId,
+        cursor: &TraceCursor,
+    ) -> Result<ThreadTrace<'_>, CursorError> {
+        ThreadTrace::check(self, thread, cursor)?;
+        Ok(ThreadTrace::at(self, thread, cursor))
+    }
+
+    /// The static block a generated trace executes `op` in.
+    pub fn sync_block(&self, op: SyncOp) -> BlockId {
+        match op {
+            SyncOp::Acquire(_) => self.blocks.acquire_block,
+            SyncOp::Release(_) => self.blocks.release_block,
+            SyncOp::Fork(_) => self.blocks.fork_block,
+            SyncOp::Join(_) => self.blocks.join_block,
+            SyncOp::Barrier(_) => self.blocks.barrier_block,
+        }
     }
 
     /// The declarative scenario model: which blocks execute in which phases,

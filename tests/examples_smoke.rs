@@ -75,3 +75,8 @@ fn static_report_dump_example_runs() {
 fn snapshot_roundtrip_example_runs() {
     run_example("snapshot_roundtrip");
 }
+
+#[test]
+fn snapshot_inspect_example_runs() {
+    run_example("snapshot_inspect");
+}

@@ -7,6 +7,10 @@
 //! resume walks its sections. A single silently-accepted corruption fails
 //! the exact-count assertion.
 //!
+//! Semantic corruption gets the same guarantee: SCHD images whose checksums
+//! are fixed up but whose trace cursors are out of range, or whose section
+//! version is the retired v1, are refused with a structured SCHD error.
+//!
 //! The harness's fifth fault family — a worker thread panicking mid-run —
 //! is exercised at the engine layer (`aikido-sim`'s
 //! `a_panicking_producer_surfaces_as_a_structured_error`), where the
@@ -186,4 +190,121 @@ fn resume_identity_covers_quantum_and_cost_model() {
         };
         assert_eq!(err.section, "META");
     }
+}
+
+// SCHD v2 slot layout: the thread slots are the payload's last
+// `threads × SLOT_BYTES` bytes, each `started u8, finished u8`, the trace
+// cursor (four RNG words, phase tag u8, remaining budget u64, init
+// remaining u64, init cursor u64, fork_next u32, join_next u32, work blocks
+// u64, barrier counter u32, barriers due u32, racy flag u8, critical
+// section u8 + u32 + u32), `skip u32`, then the stash (op code u8 +
+// operand u64).
+const SLOT_BYTES: usize = 106;
+const PHASE: usize = 34;
+const REMAINING: usize = 35;
+const FORK_NEXT: usize = 59;
+const SKIP: usize = 93;
+const STASH_CODE: usize = 97;
+
+/// The SCHD entry of a valid image's section table.
+fn schd_section(image: &[u8]) -> aikido::snapshot::SectionInfo {
+    let snapshot = Snapshot::from_bytes(image.to_vec()).expect("valid image parses");
+    *snapshot
+        .sections()
+        .iter()
+        .find(|s| &s.tag == b"SCHD")
+        .expect("every image has a SCHD section")
+}
+
+/// Recomputes a section's checksum in place, so only the decoder's own
+/// validation can catch the tampering.
+fn refresh_checksum(image: &mut [u8], section: &aikido::snapshot::SectionInfo) {
+    let end = section.end();
+    let checksum = aikido::snapshot::fnv1a(&image[section.offset..end - 8]);
+    image[end - 8..end].copy_from_slice(&checksum.to_le_bytes());
+}
+
+/// Overwrites `bytes` at field offset `at` of thread slot `slot`.
+fn patch_slot(image: &[u8], threads: usize, slot: usize, at: usize, bytes: &[u8]) -> Vec<u8> {
+    let schd = schd_section(image);
+    let slot_start = schd.payload_offset() + schd.payload_len - (threads - slot) * SLOT_BYTES;
+    let mut out = image.to_vec();
+    out[slot_start + at..slot_start + at + bytes.len()].copy_from_slice(bytes);
+    refresh_checksum(&mut out, &schd);
+    out
+}
+
+/// Resumes `image` and requires a structured SCHD refusal.
+fn refused_by_schd(sim: &Simulator, w: &Workload, image: Vec<u8>, what: &str) -> String {
+    let snapshot = Snapshot::from_bytes(image).expect("the checksum was fixed up");
+    match sim.resume(w, &snapshot) {
+        Err(aikido::SimError::Snapshot(err)) => {
+            assert_eq!(err.section, "SCHD", "{what}: {err}");
+            err.reason
+        }
+        Err(other) => panic!("{what}: expected a snapshot error, got {other:?}"),
+        Ok(_) => panic!("{what}: the tampered image resumed"),
+    }
+}
+
+#[test]
+fn out_of_range_schd_cursors_are_refused_with_structured_errors() {
+    let w = small("fluidanimate");
+    let sim = Simulator::default();
+    let image = midpoint_image(&sim, &w, Mode::Aikido);
+    let threads = w.threads().len();
+    let budget = w.spec().mem_accesses_per_thread;
+    // The pristine slot fields decode as expected, so each case below
+    // tampers with exactly one of them.
+    let clean = Snapshot::from_bytes(image.clone()).unwrap();
+    assert!(sim.resume(&w, &clean).is_ok());
+
+    let cases: [(&str, usize, usize, Vec<u8>); 5] = [
+        ("unknown phase tag", 0, PHASE, vec![0xEE]),
+        (
+            "fork_next past the thread count",
+            0,
+            FORK_NEXT,
+            (threads as u32 + 1).to_le_bytes().to_vec(),
+        ),
+        (
+            "remaining budget above the spec's",
+            1,
+            REMAINING,
+            (budget + 1).to_le_bytes().to_vec(),
+        ),
+        // One past the epoch batch size (1024 executions).
+        (
+            "skip past one epoch batch",
+            2,
+            SKIP,
+            1025u32.to_le_bytes().to_vec(),
+        ),
+        (
+            "stashed op that is not a sync op",
+            3,
+            STASH_CODE,
+            vec![0xEE],
+        ),
+    ];
+    for (what, slot, at, bytes) in cases {
+        let corrupted = patch_slot(&image, threads, slot, at, &bytes);
+        assert_ne!(corrupted, image, "{what}: nothing was tampered with");
+        let reason = refused_by_schd(&sim, &w, corrupted, what);
+        assert!(!reason.is_empty(), "{what}");
+    }
+}
+
+#[test]
+fn a_v1_schd_section_is_refused_by_the_version_check() {
+    // SCHD v1 recorded pull counts to replay; v2 records stream cursors. A
+    // v1 header must never reach the v2 decoder.
+    let w = small("vips");
+    let sim = Simulator::default();
+    let mut image = midpoint_image(&sim, &w, Mode::Aikido);
+    let schd = schd_section(&image);
+    image[schd.offset + 4..schd.offset + 6].copy_from_slice(&1u16.to_le_bytes());
+    refresh_checksum(&mut image, &schd);
+    let reason = refused_by_schd(&sim, &w, image, "v1 SCHD");
+    assert!(reason.contains("version"), "{reason}");
 }
