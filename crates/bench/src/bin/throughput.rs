@@ -28,16 +28,14 @@
 //! Exit codes (see [`aikido_bench::exitcode`]): 0 on success, 3 when the
 //! output document cannot be written (read-only checkout, bad `BENCH_OUT`),
 //! 1 when `AIKIDO_REQUIRE_SCALING=1` is set and the parallel aikido geomean
-//! fails to beat the sequential one on a multi-core machine (the sharded
-//! analysis scaling gate; tolerance overridable via
+//! fails to beat the sequential one on a multi-core machine (the parallel
+//! epoch engine's scaling gate; tolerance overridable via
 //! `AIKIDO_SCALING_TOLERANCE`, skipped on single-core runners).
 
 use std::time::Instant;
 
 use aikido::staticcheck::CoverageStats;
-use aikido::{
-    Mode, RunReport, ShardOccupancy, SimConfig, Simulator, StaticReport, Workload, WorkloadSpec,
-};
+use aikido::{Mode, RunReport, SimConfig, Simulator, StaticReport, Workload, WorkloadSpec};
 use aikido_bench::scale_from_env;
 use serde::Serialize;
 
@@ -62,11 +60,6 @@ struct Sample {
     vm_exits: u64,
     shadow_misses: u64,
     races: usize,
-    /// Sharded-analysis occupancy (PR 10): how many accesses each worker
-    /// shard analysed locally and how many escalated to the commit thread.
-    /// `None` on the sequential path and in native mode, where no plane
-    /// runs.
-    occupancy: Option<ShardOccupancy>,
 }
 
 /// Static pre-analysis coverage for one benchmark (PR 6): how much of the
@@ -131,12 +124,8 @@ fn repeats() -> u32 {
 
 fn measure(workload: &Workload, mode: Mode, workers: usize, reps: u32) -> (Sample, RunReport) {
     let sim = Simulator::default().with_workers(workers);
-    // Warm-up run (untimed): page in the workload and the allocator. It
-    // also captures the shard-occupancy record — identical on every
-    // repeat, because routing is deterministic.
-    let (baseline, occupancy) = sim
-        .try_run_with_occupancy(workload, mode)
-        .expect("simulation failed");
+    // Warm-up run (untimed): page in the workload and the allocator.
+    let baseline = sim.run(workload, mode);
     let mut best = None;
     for _ in 0..reps {
         let start = Instant::now();
@@ -170,7 +159,6 @@ fn measure(workload: &Workload, mode: Mode, workers: usize, reps: u32) -> (Sampl
         vm_exits: baseline.vm.vm_exits,
         shadow_misses: baseline.vm.shadow_misses,
         races: baseline.races.len(),
-        occupancy,
     };
     (sample, baseline)
 }
@@ -306,8 +294,6 @@ fn main() {
         );
     }
 
-    print_shard_balance(&doc);
-
     let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_throughput.json".to_string());
     let json = serde_json::to_string(&doc).expect("document serialises");
     // A read-only checkout or a bad BENCH_OUT must not panic the harness
@@ -322,46 +308,7 @@ fn main() {
     enforce_scaling_gate(&doc);
 }
 
-/// Prints the per-shard occupancy table for every sample the sharded
-/// analysis plane ran under (parallel full/aikido lanes): how many accesses
-/// each worker shard analysed locally, how many escalated to the commit
-/// thread, and the resulting local fraction — the load-balance signal for
-/// the first-touch page ownership policy.
-fn print_shard_balance(doc: &Document) {
-    let occupied: Vec<&Sample> = doc
-        .samples
-        .iter()
-        .filter(|s| s.occupancy.is_some())
-        .collect();
-    if occupied.is_empty() {
-        return;
-    }
-    println!();
-    println!("shard balance (accesses analysed locally per worker shard):");
-    println!(
-        "{:<14} {:>8} {:>7} {:>12} {:>9} {:<}",
-        "benchmark", "mode", "workers", "escalated", "local%", "per-shard"
-    );
-    for s in occupied {
-        let occ = s.occupancy.as_ref().expect("filtered to Some above");
-        let per_shard = occ
-            .per_shard
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(" ");
-        println!(
-            "{:<14} {:>8} {:>7} {:>12} {:>8.1} [{per_shard}]",
-            s.benchmark,
-            s.mode,
-            s.workers,
-            occ.escalated,
-            100.0 * occ.local_fraction()
-        );
-    }
-}
-
-/// The parallel scaling gate (PR 10): with `AIKIDO_REQUIRE_SCALING=1` on a
+/// The parallel epoch engine's scaling gate: with `AIKIDO_REQUIRE_SCALING=1` on a
 /// multi-core machine, the parallel-lane aikido geomean must beat the
 /// sequential one by more than `AIKIDO_SCALING_TOLERANCE` (a ratio, default
 /// 1.0 — any speedup at all). On a single-core runner, or when no parallel
@@ -403,7 +350,7 @@ fn enforce_scaling_gate(doc: &Document) {
     );
     if ratio <= tolerance || !ratio.is_finite() {
         eprintln!(
-            "scaling gate FAILED: sharded analysis at {} workers did not outscale the \
+            "scaling gate FAILED: the parallel epoch engine at {} workers did not outscale the \
              sequential path ({:.0} vs {:.0} accesses/sec geomean) on a {cores}-core machine",
             doc.parallel_workers, par.aikido, seq.aikido
         );

@@ -54,19 +54,6 @@ pub struct FastTrack {
     /// Cycles attributable to the most recent read/write check (depends on
     /// the path taken; used by the simulator's cost model).
     last_cost: u64,
-    /// Global sequence number of the access currently being processed.
-    /// Incremented once per access at the storage entry points; a shard
-    /// plane re-bases it per delivery ([`FastTrack::set_access_seq`]) so
-    /// candidate reports from different replicas carry a total order.
-    access_seq: u64,
-    /// When true (shard replicas and the plane's canonical detector during
-    /// a sharded run), race reports that survive deduplication are buffered
-    /// as `(access_seq, report)` candidates instead of being pushed to
-    /// `reports`; the merge applies them centrally in sequence order so the
-    /// `max_reports` cap keeps its sequential semantics.
-    candidate_mode: bool,
-    /// Buffered candidate reports (candidate mode only).
-    candidates: Vec<(u64, AnalysisReport)>,
 }
 
 /// Cycle costs of the different FastTrack code paths, used to report
@@ -291,9 +278,6 @@ impl FastTrack {
             reports: Vec::new(),
             stats: FastTrackStats::new(),
             last_cost: 0,
-            access_seq: 0,
-            candidate_mode: false,
-            candidates: Vec::new(),
         }
     }
 
@@ -462,7 +446,6 @@ impl FastTrack {
         epoch: Epoch,
         threads_known: u64,
     ) {
-        self.access_seq += 1;
         let use_epochs = self.config.epoch_optimization;
         let VarStorage::Reference(store) = &mut self.vars else {
             unreachable!("caller matched the reference storage");
@@ -507,7 +490,6 @@ impl FastTrack {
         probes: Option<EpochProbes>,
         threads_known: u64,
     ) {
-        self.access_seq += 1;
         let use_epochs = self.config.epoch_optimization;
         let VarStorage::Packed(vars) = &mut self.vars else {
             unreachable!("caller matched the packed storage");
@@ -703,7 +685,6 @@ impl FastTrack {
         epoch: Epoch,
         threads_known: u64,
     ) {
-        self.access_seq += 1;
         let use_epochs = self.config.epoch_optimization;
         let VarStorage::Reference(store) = &mut self.vars else {
             unreachable!("caller matched the reference storage");
@@ -743,7 +724,6 @@ impl FastTrack {
         probes: Option<EpochProbes>,
         threads_known: u64,
     ) {
-        self.access_seq += 1;
         let use_epochs = self.config.epoch_optimization;
         let VarStorage::Packed(vars) = &mut self.vars else {
             unreachable!("caller matched the packed storage");
@@ -930,21 +910,6 @@ impl FastTrack {
         if self.config.dedup_by_block && !self.reported_blocks.insert(block) {
             return;
         }
-        if self.candidate_mode {
-            // Buffer the surviving report for the shard plane's central,
-            // sequence-ordered apply; the `max_reports` cap is global and
-            // order-dependent, so it is enforced there, not here.
-            let report = AnalysisReport {
-                kind: ReportKind::DataRace,
-                addr: Addr::new(block * self.config.granularity),
-                thread,
-                other_thread,
-                instr,
-                message: format!("{kind}: {message}"),
-            };
-            self.candidates.push((self.access_seq, report));
-            return;
-        }
         if self.reports.len() >= self.config.max_reports {
             return;
         }
@@ -956,124 +921,6 @@ impl FastTrack {
             instr,
             message: format!("{kind}: {message}"),
         });
-    }
-
-    // ---- shard-plane support ---------------------------------------------
-    //
-    // The simulator's sharded parallel analysis runs one replica detector
-    // per worker shard plus a canonical detector on the commit thread. Each
-    // replica replays the full synchronisation stream (accesses never
-    // mutate thread or lock clocks, so every replica's clock plane stays
-    // identical to the sequential detector's) and analyses only the pages
-    // its shard owns. These methods are the merge surface: they move
-    // variable states, dedup entries, buffered race candidates and counters
-    // between replicas without perturbing any statistic or report.
-
-    /// Switches candidate mode on or off. In candidate mode, race reports
-    /// that survive block deduplication are buffered with their access
-    /// sequence number ([`FastTrack::take_candidates`]) instead of being
-    /// appended to the report list; the shard plane applies them centrally
-    /// in global sequence order so the `max_reports` cap keeps the exact
-    /// semantics of a sequential run.
-    pub fn set_candidate_mode(&mut self, on: bool) {
-        self.candidate_mode = on;
-    }
-
-    /// Re-bases the access sequence counter before a replica processes a
-    /// queued delivery, so candidates from different replicas order
-    /// globally. The counter advances by exactly one per access.
-    pub fn set_access_seq(&mut self, seq: u64) {
-        self.access_seq = seq;
-    }
-
-    /// Drains the candidate reports buffered in candidate mode, as
-    /// `(access sequence, report)` pairs in local processing order.
-    pub fn take_candidates(&mut self) -> Vec<(u64, AnalysisReport)> {
-        std::mem::take(&mut self.candidates)
-    }
-
-    /// Appends a candidate report that already survived deduplication on
-    /// its replica, enforcing only the global `max_reports` cap. The shard
-    /// plane calls this on the canonical detector in ascending sequence
-    /// order.
-    pub fn admit_candidate(&mut self, report: AnalysisReport) {
-        if self.reports.len() >= self.config.max_reports {
-            return;
-        }
-        self.reports.push(report);
-    }
-
-    /// Ensures `thread`'s vector clock exists, exactly as the thread's
-    /// first access would create it. Broadcast to the replicas that do
-    /// *not* receive that first access, so every replica's known-thread
-    /// count — an input to the shared-history cost model — stays equal to
-    /// the sequential detector's at the same point in the stream.
-    pub fn ensure_thread(&mut self, thread: ThreadId) {
-        self.thread_vc(thread);
-    }
-
-    /// True if `thread` already has a vector clock. The shard plane uses
-    /// this on a restored canonical detector to seed its clocked-thread
-    /// set, so threads known before the pause are never re-broadcast.
-    pub fn knows_thread(&self, thread: ThreadId) -> bool {
-        self.threads.get(thread.index() as u64).is_some()
-    }
-
-    /// A fresh detector sharing this one's synchronisation state: the
-    /// configuration, storage representation and every thread and lock
-    /// vector clock are copied; variable metadata, dedup entries, reports,
-    /// candidates and statistics start empty. Shard replicas fork from the
-    /// canonical detector so a replica created mid-history (a resumed
-    /// snapshot) judges accesses with exactly the clocks the sequential
-    /// detector would hold; from then on the broadcast synchronisation
-    /// stream keeps every replica's clock plane identical.
-    pub fn fork_clock_plane(&self) -> FastTrack {
-        let mut ft = FastTrack::with_storage(self.config.clone(), self.packed_words());
-        ft.threads = self.threads.clone();
-        ft.locks = self.locks.clone();
-        ft
-    }
-
-    /// Overwrites the last-access cost memo. The merge sets the canonical
-    /// detector's memo from whichever replica processed the globally last
-    /// access, since the memo is part of the serialized snapshot surface.
-    pub fn set_last_cost(&mut self, cost: u64) {
-        self.last_cost = cost;
-    }
-
-    /// Inserts a variable state at `block` directly into storage, without
-    /// touching `blocks_tracked` (the block was already counted by the
-    /// replica that created it). Used to hand a page's states to the
-    /// canonical detector on escalation and at merge time.
-    pub fn insert_var_state(&mut self, block: u64, state: VarState) {
-        match &mut self.vars {
-            VarStorage::Packed(vars) => vars.insert_state(block, state),
-            VarStorage::Reference(store) => {
-                let shift = self.config.granularity.trailing_zeros();
-                store.insert(Addr::new(block << shift), state);
-            }
-        }
-    }
-
-    /// The blocks recorded in the deduplication set, in arbitrary order.
-    /// A block races in exactly one replica (pages are owned by exactly one
-    /// replica at a time), so unioning these into the canonical detector
-    /// reproduces the sequential dedup set.
-    pub fn reported_block_list(&self) -> Vec<u64> {
-        self.reported_blocks.iter().copied().collect()
-    }
-
-    /// Adds blocks to the deduplication set (set semantics: duplicates are
-    /// harmless).
-    pub fn extend_reported_blocks(&mut self, blocks: impl IntoIterator<Item = u64>) {
-        self.reported_blocks.extend(blocks);
-    }
-
-    /// Merges a shard replica's per-access counters into this detector's
-    /// statistics (see [`FastTrackStats::merge_access_plane`] for why the
-    /// synchronisation counters are excluded).
-    pub fn merge_access_stats(&mut self, other: &FastTrackStats) {
-        self.stats.merge_access_plane(other);
     }
 
     /// Serializes the detector's complete state — configuration, thread and

@@ -532,18 +532,6 @@ impl PackedVars {
         self.slabs.len()
     }
 
-    /// Installs a full state for `block` (used when converting between the
-    /// packed and the reference representations).
-    pub fn insert_state(&mut self, block: u64, state: VarState) {
-        match encode_state(&state) {
-            Some(word) => self.slabs.set(block, word),
-            None => {
-                let marker = self.spill(state);
-                self.slabs.set(block, marker);
-            }
-        }
-    }
-
     /// Installs `block`'s state during a restore that visits blocks in
     /// strictly ascending order: `slab` caches the last resolved slab, so
     /// each slab costs one directory probe instead of one per block.
@@ -669,8 +657,9 @@ mod tests {
             write: Epoch::new(4, t(0)),
             read: ReadState::Shared(Box::new(rvc)),
         };
-        vars.insert_state(10, packable.clone());
-        vars.insert_state(700, spilled.clone());
+        let mut slab = None;
+        vars.insert_ascending(&mut slab, 10, packable.clone());
+        vars.insert_ascending(&mut slab, 700, spilled.clone());
         assert_eq!(vars.len(), 2);
         assert_eq!(
             vars.states(),

@@ -56,22 +56,6 @@ impl FastTrackStats {
         self.blocks_tracked += other.blocks_tracked;
     }
 
-    /// Adds only `other`'s per-access counters — the fields a shard replica
-    /// accumulates for the accesses it analysed locally. Synchronisation
-    /// counters (`acquires`, `releases`, `forks`, `joins`, `barriers`) are
-    /// excluded: every replica replays the full synchronisation stream to
-    /// keep its clock plane current, so including them would count each
-    /// sync operation once per replica instead of once per run.
-    pub fn merge_access_plane(&mut self, other: &FastTrackStats) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.read_same_epoch += other.read_same_epoch;
-        self.write_same_epoch += other.write_same_epoch;
-        self.read_share_promotions += other.read_share_promotions;
-        self.races_detected += other.races_detected;
-        self.blocks_tracked += other.blocks_tracked;
-    }
-
     /// Fraction of memory checks (reads + writes) that took a same-epoch fast
     /// path, in `[0, 1]`.
     pub fn fast_path_rate(&self) -> f64 {

@@ -62,14 +62,6 @@ pub struct SimConfig {
     /// (`Simulator::with_workers`); 1 is the sequential reference path.
     /// Reports are byte-identical at every count. Must be ≥ 1.
     pub workers: usize,
-    /// Sharded parallel analysis (`Simulator::with_sharded_analysis`): when
-    /// running with `workers > 1` in an analysed mode, FastTrack work for
-    /// pages owned by a single worker partition is analysed on per-shard
-    /// replicas drained by pool threads, with contended pages escalated to
-    /// the commit thread and shard state merged deterministically. Reports
-    /// are byte-identical either way; `false` retains the commit-thread-only
-    /// path as the equivalence oracle. Inert at `workers == 1`.
-    pub sharded_analysis: bool,
     /// Periodic checkpoint policy for
     /// [`Simulator::run_checkpointed`](crate::Simulator::run_checkpointed):
     /// every `N` block executions the run pauses, serializes, re-validates
@@ -90,7 +82,6 @@ impl Default for SimConfig {
         SimConfig {
             quantum: 8,
             workers: 1,
-            sharded_analysis: true,
             checkpoint_every: None,
             scale: 1.0,
         }
@@ -113,13 +104,6 @@ impl SimConfig {
     /// Builder: sets the epoch-engine worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Builder: enables or disables sharded parallel analysis (`false`
-    /// retains the commit-thread-only oracle path).
-    pub fn with_sharded_analysis(mut self, sharded: bool) -> Self {
-        self.sharded_analysis = sharded;
         self
     }
 
@@ -172,7 +156,6 @@ impl SimConfig {
     /// | `AIKIDO_PARALLEL` | `workers` | integer ≥ 1; otherwise ignored |
     /// | `AIKIDO_CHECKPOINT_EVERY` | `checkpoint_every` | integer ≥ 1; 0, unset or unparsable disable the policy |
     /// | `AIKIDO_SCALE` | `scale` | float > 0; otherwise ignored |
-    /// | `AIKIDO_SHARDED` | `sharded_analysis` | `1`/`true` or `0`/`false`; otherwise ignored |
     pub fn from_env_overrides() -> Self {
         Self::default().with_env_overrides()
     }
@@ -190,15 +173,6 @@ impl SimConfig {
         if let Some(scale) = parse_env::<f64>("AIKIDO_SCALE").filter(|s| s.is_finite() && *s > 0.0)
         {
             self.scale = scale;
-        }
-        if let Some(sharded) =
-            parse_env::<String>("AIKIDO_SHARDED").and_then(|v| match v.as_str() {
-                "1" | "true" => Some(true),
-                "0" | "false" => Some(false),
-                _ => None,
-            })
-        {
-            self.sharded_analysis = sharded;
         }
         self
     }
@@ -227,9 +201,6 @@ impl SimConfig {
                     })?
                 }
                 "workers" => config.workers = json_u64(value, "workers")? as usize,
-                "sharded_analysis" => {
-                    config.sharded_analysis = json_bool(value, "sharded_analysis")?
-                }
                 "checkpoint_every" => {
                     config.checkpoint_every = match value {
                         serde_json::Value::Null => None,
@@ -277,13 +248,6 @@ fn json_u64(value: &serde_json::Value, field: &'static str) -> Result<u64, SimCo
     Ok(n as u64)
 }
 
-/// A JSON boolean, with a structured error otherwise.
-fn json_bool(value: &serde_json::Value, field: &'static str) -> Result<bool, SimConfigError> {
-    value
-        .as_bool()
-        .ok_or_else(|| SimConfigError::new(field, "must be a JSON boolean"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,7 +258,6 @@ mod tests {
         config.validate().unwrap();
         assert_eq!(config.quantum, 8);
         assert_eq!(config.workers, 1);
-        assert!(config.sharded_analysis);
         assert_eq!(config.checkpoint_every, None);
         assert_eq!(config.scale, 1.0);
     }
@@ -323,7 +286,6 @@ mod tests {
         let config = SimConfig::default()
             .with_quantum(3)
             .with_workers(4)
-            .with_sharded_analysis(false)
             .with_checkpoint_every(Some(512))
             .with_scale(0.25);
         let json = serde_json::to_string(&config).unwrap();

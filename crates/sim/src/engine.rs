@@ -23,15 +23,13 @@ use crate::config::{SimConfig, SimConfigError};
 use crate::cost::CostModel;
 use crate::epoch::{BlockStream, StreamPos, TraceSource};
 use crate::report::{RunCounts, RunReport};
-use crate::shard_plane::{ShardOccupancy, ShardPlane};
 
 /// A recoverable simulation failure surfaced by the `try_` entry points.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// A pool worker panicked — an epoch-engine block producer or an
-    /// analysis-shard worker. The commit thread drained the surviving
-    /// lanes and shut the pool down cleanly; nothing from the failed
-    /// epoch or flush is merged and the partial run is discarded.
+    /// An epoch-engine block producer panicked. The commit thread drained
+    /// the surviving lanes and shut the pool down cleanly; nothing from the
+    /// failed epoch is merged and the partial run is discarded.
     WorkerPanic {
         /// The panic payload, when it was a string.
         message: String,
@@ -71,6 +69,26 @@ pub enum CheckpointOutcome {
     /// The run paused once `counts.block_execs` reached the target; resuming
     /// the snapshot continues it byte-identically.
     Paused(Snapshot),
+}
+
+/// The record [`Simulator::try_run_with_occupancy`] pairs with a report:
+/// accesses analysed per worker shard and accesses escalated to the commit
+/// thread. Analysis always runs on the commit thread, so no run produces
+/// one; the type remains only for the benchmark's within-run parallelism
+/// probe.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ShardOccupancy {
+    /// Accesses analysed locally by each worker shard, indexed by shard.
+    pub per_shard: Vec<u64>,
+    /// Accesses analysed on the commit thread.
+    pub escalated: u64,
+}
+
+impl ShardOccupancy {
+    /// Total accesses the record covers.
+    pub fn total(&self) -> u64 {
+        self.per_shard.iter().sum::<u64>() + self.escalated
+    }
 }
 
 /// How a workload is executed.
@@ -257,17 +275,6 @@ impl Simulator {
         self
     }
 
-    /// Enables or disables sharded parallel analysis (the default is
-    /// enabled) — the simulator-level spelling of
-    /// [`SimConfig::with_sharded_analysis`]. With it off, parallel runs
-    /// retire every analysis callback on the commit thread, which is the
-    /// equivalence oracle the sharded plane is pinned against: reports are
-    /// byte-identical either way at every worker count.
-    pub fn with_sharded_analysis(mut self, enabled: bool) -> Self {
-        self.config.sharded_analysis = enabled;
-        self
-    }
-
     /// The cost model in use.
     pub fn cost_model(&self) -> &CostModel {
         &self.cost
@@ -300,56 +307,23 @@ impl Simulator {
     /// failures (such as a panicking epoch producer) as a structured
     /// [`SimError`] instead of panicking or hanging.
     pub fn try_run(&self, workload: &Workload, mode: Mode) -> Result<RunReport, SimError> {
-        self.try_run_with_occupancy(workload, mode)
-            .map(|(report, _)| report)
+        let mut analysis = self.new_fasttrack();
+        let mut report = self.try_run_with_analysis(workload, mode, &mut analysis)?;
+        report.fasttrack = Some(*analysis.stats());
+        Ok(report)
     }
 
-    /// [`Simulator::try_run`], additionally returning the sharded-analysis
-    /// occupancy record — how many accesses each worker shard analysed
-    /// locally and how many escalated to the commit thread. `None` when the
-    /// run analysed on the commit thread only (sharding disabled, a single
-    /// worker or thread, or native mode).
+    /// [`Simulator::try_run`] paired with an always-`None` occupancy
+    /// record. Analysis runs on the commit thread, so there is no shard
+    /// split to report; this method exists only for the benchmark's
+    /// within-run parallelism probe and goes when a benchmark change
+    /// removes that probe.
     pub fn try_run_with_occupancy(
         &self,
         workload: &Workload,
         mode: Mode,
     ) -> Result<(RunReport, Option<ShardOccupancy>), SimError> {
-        let mut analysis = self.new_fasttrack();
-        let mut run = Run::new(self, workload, mode, &mut analysis);
-        if self.sharded_analysis_active(workload, mode) {
-            run.shard_plane = Some(self.new_shard_plane(workload));
-        }
-        let mut states = run.initial_states();
-        self.drive(workload, &mut run, &mut states, None)?;
-        let occupancy = run.shard_plane.as_ref().map(ShardPlane::occupancy);
-        let mut report = run.into_report();
-        if report.fasttrack.is_none() {
-            report.fasttrack = Some(*analysis.stats());
-        }
-        Ok((report, occupancy))
-    }
-
-    /// True when this run analyses on the sharded worker-pool plane: the
-    /// [`SimConfig::sharded_analysis`] toggle is on, the run is parallel
-    /// (multiple workers and guest threads — the same condition that turns
-    /// on the epoch engine) and the mode delivers analysis callbacks at all.
-    fn sharded_analysis_active(&self, workload: &Workload, mode: Mode) -> bool {
-        self.config.sharded_analysis
-            && mode != Mode::Native
-            && self.config.workers > 1
-            && workload.threads().len() > 1
-    }
-
-    /// Builds the sharded-analysis plane around a fresh canonical detector.
-    fn new_shard_plane(&self, workload: &Workload) -> ShardPlane {
-        let threads = workload.threads();
-        let contention = self.cost.contention_factor(threads.len() as u32);
-        ShardPlane::new(
-            self.new_fasttrack(),
-            self.config.workers,
-            threads,
-            contention,
-        )
+        Ok((self.try_run(workload, mode)?, None))
     }
 
     /// Runs `workload` in `mode` with a caller-provided analysis tool.
@@ -452,18 +426,13 @@ impl Simulator {
     ) -> Result<CheckpointOutcome, SimError> {
         let mut analysis = self.new_fasttrack();
         let mut run = Run::new(self, workload, mode, &mut analysis);
-        if self.sharded_analysis_active(workload, mode) {
-            run.shard_plane = Some(self.new_shard_plane(workload));
-        }
         let mut states = run.initial_states();
         let status = self.drive(source, &mut run, &mut states, Some(after_blocks))?;
         Ok(match status {
             ExecStatus::Paused => CheckpointOutcome::Paused(run.encode_snapshot(&states)),
             ExecStatus::Completed => {
                 let mut report = run.into_report();
-                if report.fasttrack.is_none() {
-                    report.fasttrack = Some(*analysis.stats());
-                }
+                report.fasttrack = Some(*analysis.stats());
                 CheckpointOutcome::Completed(Box::new(report))
             }
         })
@@ -527,26 +496,6 @@ impl Simulator {
         let mut analysis = FastTrack::decode_snapshot(&mut ftrk)?;
         ftrk.finish()?;
 
-        // Under sharded analysis the restored detector becomes the plane's
-        // canonical detector (its tracked pages start commit-owned and the
-        // shard replicas fork its clock plane); the run's analysis slot
-        // holds a fresh never-delivered placeholder. The toggle is not part
-        // of the snapshot identity: images resume cleanly across sharding
-        // configurations, exactly like worker counts.
-        let shard_plane = if self.sharded_analysis_active(workload, mode) {
-            let canonical = std::mem::replace(&mut analysis, self.new_fasttrack());
-            let threads = workload.threads();
-            let contention = self.cost.contention_factor(threads.len() as u32);
-            Some(ShardPlane::new(
-                canonical,
-                self.config.workers,
-                threads,
-                contention,
-            ))
-        } else {
-            None
-        };
-
         let mut tcch = reader.section(*b"TCCH", TCCH_VERSION)?;
         let cache = TranslationCache::decode_snapshot(&mut tcch)?;
         tcch.finish()?;
@@ -583,15 +532,12 @@ impl Simulator {
             cache,
             sched,
         );
-        run.shard_plane = shard_plane;
         let status = self.drive(source, &mut run, &mut states, stop_after)?;
         Ok(match status {
             ExecStatus::Paused => CheckpointOutcome::Paused(run.encode_snapshot(&states)),
             ExecStatus::Completed => {
                 let mut report = run.into_report();
-                if report.fasttrack.is_none() {
-                    report.fasttrack = Some(*analysis.stats());
-                }
+                report.fasttrack = Some(*analysis.stats());
                 CheckpointOutcome::Completed(Box::new(report))
             }
         })
@@ -614,19 +560,15 @@ impl Simulator {
         let streams = open_streams(source, run.workload, states)?;
         if self.config.workers <= 1 || states.len() <= 1 {
             let mut feed = SeqFeed { traces: streams };
-            let status = run.execute(&mut feed, states, stop_after)?;
+            let status = run.execute(&mut feed, states, stop_after);
             record_positions(source, &feed, states, status)?;
             return Ok(status);
         }
         let (status, panic) = std::thread::scope(|scope| {
             let mut feed = crate::epoch::spawn_producers(scope, streams, self.config.workers);
             let panic = feed.panic_handle();
-            let status = run
-                .execute(&mut feed, states, stop_after)
-                .and_then(|status| {
-                    record_positions(source, &feed, states, status)?;
-                    Ok(status)
-                });
+            let status = run.execute(&mut feed, states, stop_after);
+            let status = record_positions(source, &feed, states, status).map(|()| status);
             // Dropping the feed disconnects every lane, letting any
             // producer that ran ahead of the commit clock exit before the
             // scope joins it.
@@ -642,7 +584,7 @@ impl Simulator {
         if let Some(message) = recorded {
             return Err(SimError::WorkerPanic { message });
         }
-        status
+        Ok(status?)
     }
 
     /// Test seam: runs `workload` but pulls the per-thread block streams from
@@ -659,27 +601,6 @@ impl Simulator {
         let mut run = Run::new(self, workload, mode, &mut analysis);
         let mut states = run.initial_states();
         self.drive(source, &mut run, &mut states, None)?;
-        Ok(run.into_report())
-    }
-
-    /// Test seam: runs with the sharded analysis plane forced on and a
-    /// panic injected into `shard`'s analysis worker at its first
-    /// non-empty flush — how the fault-injection tests prove a shard
-    /// panic is contained (structured error, nothing merged, no hang).
-    #[cfg(test)]
-    fn try_run_with_shard_fault(
-        &self,
-        workload: &Workload,
-        mode: Mode,
-        shard: usize,
-    ) -> Result<RunReport, SimError> {
-        let mut analysis = self.new_fasttrack();
-        let mut run = Run::new(self, workload, mode, &mut analysis);
-        let mut plane = self.new_shard_plane(workload);
-        plane.inject_panic_in_shard(shard);
-        run.shard_plane = Some(plane);
-        let mut states = run.initial_states();
-        self.drive(workload, &mut run, &mut states, None)?;
         Ok(run.into_report())
     }
 
@@ -886,12 +807,6 @@ struct Run<'a, 'w, A: SharedDataAnalysis> {
     /// lookup and one mirror translation per instrumented run with a single
     /// probe. Misses fall through to the authoritative lookups.
     shared_pages: Vec<SharedPageInfo>,
-    /// The sharded analysis plane, when active. While present it receives
-    /// every analysis delivery (accesses routed by page ownership, sync
-    /// broadcast) and `analysis` is a never-delivered placeholder; the
-    /// plane's canonical detector supplies the report, races and snapshot
-    /// bytes instead.
-    shard_plane: Option<ShardPlane>,
 }
 
 /// One [`Run::shared_pages`] entry.
@@ -1001,7 +916,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
             cx_scratch: Vec::new(),
             cost_scratch: Vec::new(),
             shared_pages: vec![SharedPageInfo::EMPTY; SHARED_PAGE_ENTRIES],
-            shard_plane: None,
         };
         run.setup();
         run
@@ -1130,7 +1044,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
             cx_scratch: Vec::new(),
             cost_scratch: Vec::new(),
             shared_pages: vec![SharedPageInfo::EMPTY; SHARED_PAGE_ENTRIES],
-            shard_plane: None,
         };
         (run, states)
     }
@@ -1159,18 +1072,12 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     /// end of the scheduling round ([`ExecStatus::Paused`]). Pausing only at
     /// round boundaries keeps the checkpoint surface small: no thread is
     /// mid-quantum, so `states` plus the components is the whole state.
-    ///
-    /// With the shard plane active, queued analysis work is flushed at round
-    /// boundaries once enough accesses accumulate, and the plane is finalized
-    /// (merged into its canonical detector, cycles charged) before either
-    /// return — so a pause snapshot and a completed report both see the fully
-    /// merged detector. A shard panic surfaces as [`SimError::WorkerPanic`].
     fn execute<F: BlockFeed>(
         &mut self,
         feed: &mut F,
         states: &mut [ThreadState],
         stop_after: Option<u64>,
-    ) -> Result<ExecStatus, SimError> {
+    ) -> ExecStatus {
         loop {
             let mut progress = false;
             for i in 0..states.len() {
@@ -1222,19 +1129,11 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
             if !progress {
                 break;
             }
-            if let Some(plane) = self.shard_plane.as_mut() {
-                if plane.should_flush() {
-                    plane
-                        .flush()
-                        .map_err(|message| SimError::WorkerPanic { message })?;
-                }
-            }
             if let Some(stop) = stop_after {
                 if self.counts.block_execs >= stop
                     && states.iter().any(|s| s.started && !s.finished)
                 {
-                    self.finalize_shard_plane()?;
-                    return Ok(ExecStatus::Paused);
+                    return ExecStatus::Paused;
                 }
             }
         }
@@ -1242,22 +1141,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
             states.iter().all(|s| !s.started || s.finished),
             "scheduler ended with runnable threads (deadlock in the generated workload?)"
         );
-        self.finalize_shard_plane()?;
-        Ok(ExecStatus::Completed)
-    }
-
-    /// Merges the shard plane (when active) into its canonical detector and
-    /// charges the plane's accumulated analysis cycles; a shard panic during
-    /// the final flush surfaces as [`SimError::WorkerPanic`] with nothing
-    /// merged.
-    fn finalize_shard_plane(&mut self) -> Result<(), SimError> {
-        if let Some(plane) = self.shard_plane.as_mut() {
-            let cycles = plane
-                .finalize()
-                .map_err(|message| SimError::WorkerPanic { message })?;
-            self.cycles += cycles;
-        }
-        Ok(())
+        ExecStatus::Completed
     }
 
     fn classify(&self, exec: &BlockExec) -> BlockKind {
@@ -1310,11 +1194,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                     self.set_lock_owner(lock, Some(thread));
                     self.charge_sync();
                     if self.mode != Mode::Native {
-                        if let Some(plane) = self.shard_plane.as_mut() {
-                            plane.enqueue_acquire(thread, lock);
-                        } else {
-                            self.analysis.on_acquire(thread, lock);
-                        }
+                        self.analysis.on_acquire(thread, lock);
                         self.cycles += self.analysis.sync_cost_cycles();
                     }
                     SyncOutcome::Done
@@ -1324,11 +1204,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                     self.set_lock_owner(lock, None);
                     self.charge_sync();
                     if self.mode != Mode::Native {
-                        if let Some(plane) = self.shard_plane.as_mut() {
-                            plane.enqueue_release(thread, lock);
-                        } else {
-                            self.analysis.on_release(thread, lock);
-                        }
+                        self.analysis.on_release(thread, lock);
                         self.cycles += self.analysis.sync_cost_cycles();
                     }
                     SyncOutcome::Done
@@ -1339,11 +1215,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                         state.started = true;
                     }
                     if self.mode != Mode::Native {
-                        if let Some(plane) = self.shard_plane.as_mut() {
-                            plane.enqueue_fork(thread, child);
-                        } else {
-                            self.analysis.on_fork(thread, child);
-                        }
+                        self.analysis.on_fork(thread, child);
                         self.cycles += self.analysis.sync_cost_cycles();
                     }
                     if let (Some(vm), Some(sd)) = (self.vm.as_mut(), self.sd.as_mut()) {
@@ -1372,11 +1244,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                     }
                     self.charge_sync();
                     if self.mode != Mode::Native {
-                        if let Some(plane) = self.shard_plane.as_mut() {
-                            plane.enqueue_join(thread, child);
-                        } else {
-                            self.analysis.on_join(thread, child);
-                        }
+                        self.analysis.on_join(thread, child);
                         self.cycles += self.analysis.sync_cost_cycles();
                     }
                     SyncOutcome::Done
@@ -1403,11 +1271,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                         self.barriers_done[slot] = true;
                         self.charge_sync();
                         if self.mode != Mode::Native {
-                            if let Some(plane) = self.shard_plane.as_mut() {
-                                plane.enqueue_barrier(id);
-                            } else {
-                                self.analysis.on_barrier(&self.threads, id);
-                            }
+                            self.analysis.on_barrier(&self.threads, id);
                             self.cycles += self.analysis.sync_cost_cycles();
                         }
                         SyncOutcome::Done
@@ -1548,22 +1412,12 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     fn work_block_sync(&mut self, thread: ThreadId, op: &SyncOp) {
         self.charge_sync();
         if self.mode != Mode::Native {
-            if let Some(plane) = self.shard_plane.as_mut() {
-                match op {
-                    SyncOp::Acquire(l) => plane.enqueue_acquire(thread, *l),
-                    SyncOp::Release(l) => plane.enqueue_release(thread, *l),
-                    SyncOp::Fork(c) => plane.enqueue_fork(thread, *c),
-                    SyncOp::Join(c) => plane.enqueue_join(thread, *c),
-                    SyncOp::Barrier(id) => plane.enqueue_barrier(*id),
-                }
-            } else {
-                match op {
-                    SyncOp::Acquire(l) => self.analysis.on_acquire(thread, *l),
-                    SyncOp::Release(l) => self.analysis.on_release(thread, *l),
-                    SyncOp::Fork(c) => self.analysis.on_fork(thread, *c),
-                    SyncOp::Join(c) => self.analysis.on_join(thread, *c),
-                    SyncOp::Barrier(id) => self.analysis.on_barrier(&self.threads, *id),
-                }
+            match op {
+                SyncOp::Acquire(l) => self.analysis.on_acquire(thread, *l),
+                SyncOp::Release(l) => self.analysis.on_release(thread, *l),
+                SyncOp::Fork(c) => self.analysis.on_fork(thread, *c),
+                SyncOp::Join(c) => self.analysis.on_join(thread, *c),
+                SyncOp::Barrier(id) => self.analysis.on_barrier(&self.threads, *id),
             }
             self.cycles += self.analysis.sync_cost_cycles();
         }
@@ -2129,10 +1983,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                 instr: m.instr,
             }
         }));
-        if let Some(plane) = self.shard_plane.as_mut() {
-            plane.enqueue_run(thread, page, kind, &self.cx_scratch, shared);
-            return;
-        }
         self.analysis
             .on_access_run(page, kind, &self.cx_scratch, &mut self.cost_scratch);
         if shared {
@@ -2219,10 +2069,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
             size: m.size,
             instr: m.instr,
         };
-        if let Some(plane) = self.shard_plane.as_mut() {
-            plane.enqueue_access(cx, shared);
-            return;
-        }
         self.analysis.on_access(cx);
         let base = self.analysis.last_access_cost_cycles();
         let cost = if shared {
@@ -2422,7 +2268,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         self.fatal_accesses += 1;
     }
 
-    fn into_report(mut self) -> RunReport {
+    fn into_report(self) -> RunReport {
         debug_assert_eq!(self.fatal_accesses, 0, "workload produced fatal accesses");
         // The engine honours instrumentation requests even when they
         // contradict the installed static plan, so an unsound claim can never
@@ -2437,16 +2283,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
             0,
             "static pre-analysis plan contradicted by an instrumentation request"
         );
-        // With the shard plane active, the merged canonical detector is the
-        // analysis of record (`self.analysis` is the never-delivered
-        // placeholder); the plane must already be finalized by `execute`.
-        let (fasttrack, races) = match self.shard_plane.take() {
-            Some(plane) => {
-                let canonical = plane.into_canonical();
-                (Some(*canonical.stats()), canonical.races().to_vec())
-            }
-            None => (None, self.analysis.reports()),
-        };
         RunReport {
             workload: self.workload.spec().name.clone(),
             mode: self.mode.label().to_string(),
@@ -2460,8 +2296,8 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                 .map(|e| *e.cache_stats())
                 .unwrap_or_default(),
             sharing: self.sd.as_ref().map(|s| *s.stats()).unwrap_or_default(),
-            fasttrack,
-            races,
+            fasttrack: None,
+            races: self.analysis.reports(),
         }
     }
 }
@@ -2682,16 +2518,26 @@ mod tests {
     }
 
     #[test]
+    fn sharded_analysis_reproduces_the_commit_thread_oracle() {
+        // Analysis now runs only on the commit thread, whatever the worker
+        // count: the analysed modes must report identically (cycles, stats,
+        // races and all) to the one-worker oracle at several worker counts.
+        let w = small("streamcluster");
+        for mode in [Mode::FullInstrumentation, Mode::Aikido] {
+            let oracle = Simulator::default().run(&w, mode);
+            for workers in [2, 4, 8] {
+                let parallel = Simulator::default().with_workers(workers).run(&w, mode);
+                assert_eq!(parallel, oracle, "workers={workers} mode={mode:?}");
+            }
+        }
+    }
+
+    #[test]
     fn env_overrides_parse_every_variable_in_one_place() {
         // The ONLY test that mutates the simulator environment variables —
         // every other path is config-driven — so mutating them here races
         // with nothing.
-        let vars = [
-            "AIKIDO_PARALLEL",
-            "AIKIDO_CHECKPOINT_EVERY",
-            "AIKIDO_SCALE",
-            "AIKIDO_SHARDED",
-        ];
+        let vars = ["AIKIDO_PARALLEL", "AIKIDO_CHECKPOINT_EVERY", "AIKIDO_SCALE"];
         for var in vars {
             std::env::remove_var(var);
         }
@@ -2700,27 +2546,22 @@ mod tests {
         std::env::set_var("AIKIDO_PARALLEL", "4");
         std::env::set_var("AIKIDO_CHECKPOINT_EVERY", "300");
         std::env::set_var("AIKIDO_SCALE", "0.25");
-        std::env::set_var("AIKIDO_SHARDED", "0");
         let config = SimConfig::from_env_overrides();
         assert_eq!(config.workers, 4);
         assert_eq!(config.checkpoint_every, Some(300));
         assert_eq!(config.scale, 0.25);
-        assert!(!config.sharded_analysis);
 
         std::env::set_var("AIKIDO_PARALLEL", "0");
         std::env::set_var("AIKIDO_CHECKPOINT_EVERY", "0");
         std::env::set_var("AIKIDO_SCALE", "-1");
-        std::env::set_var("AIKIDO_SHARDED", "true");
         let config = SimConfig::from_env_overrides();
         assert_eq!(config.workers, 1, "0 is not a worker count");
         assert_eq!(config.checkpoint_every, None, "0 disables the policy");
         assert_eq!(config.scale, 1.0, "non-positive scales are ignored");
-        assert!(config.sharded_analysis);
 
         std::env::set_var("AIKIDO_PARALLEL", "not-a-number");
         std::env::set_var("AIKIDO_CHECKPOINT_EVERY", "not-a-number");
         std::env::set_var("AIKIDO_SCALE", "not-a-number");
-        std::env::set_var("AIKIDO_SHARDED", "not-a-bool");
         assert_eq!(SimConfig::from_env_overrides(), SimConfig::default());
 
         for var in vars {
@@ -2731,15 +2572,9 @@ mod tests {
     #[test]
     fn from_config_matches_the_builder_chain_and_rejects_invalid_configs() {
         let w = small("freqmine");
-        let config = SimConfig::default()
-            .with_quantum(3)
-            .with_workers(2)
-            .with_sharded_analysis(false);
+        let config = SimConfig::default().with_quantum(3).with_workers(2);
         let from_config = Simulator::from_config(config).unwrap();
-        let chained = Simulator::default()
-            .with_quantum(3)
-            .with_workers(2)
-            .with_sharded_analysis(false);
+        let chained = Simulator::default().with_quantum(3).with_workers(2);
         assert_eq!(from_config.config(), chained.config());
         assert_eq!(
             from_config.run(&w, Mode::Aikido),
@@ -3004,94 +2839,6 @@ mod tests {
             }
             assert!(err.to_string().contains("injected producer panic"));
         }
-    }
-
-    #[test]
-    fn a_panicking_analysis_shard_surfaces_as_a_structured_error() {
-        // The sharded-analysis counterpart of the producer-panic test: a
-        // shard worker that dies mid-flush must drain the lanes, merge
-        // nothing and surface the payload — never hang or emit a partial
-        // report.
-        let w = small("blackscholes");
-        for workers in [2, 4] {
-            let sim = Simulator::default().with_workers(workers);
-            let err = sim
-                .try_run_with_shard_fault(&w, Mode::Aikido, 0)
-                .expect_err("the injected shard panic must fail the run");
-            match err {
-                SimError::WorkerPanic { ref message } => {
-                    assert!(
-                        message.contains("injected analysis shard panic"),
-                        "panic payload lost: {message:?}"
-                    );
-                }
-                ref other => panic!("expected WorkerPanic, got {other:?}"),
-            }
-            assert!(err.to_string().contains("injected analysis shard panic"));
-        }
-    }
-
-    #[test]
-    fn sharded_analysis_reproduces_the_commit_thread_oracle() {
-        // The SimConfig toggle retains the commit-thread-only path as the
-        // equivalence oracle: identical reports (cycles, stats, races and
-        // all) with sharding on vs off, at several worker counts.
-        let w = small("streamcluster");
-        for mode in [Mode::FullInstrumentation, Mode::Aikido] {
-            let oracle = Simulator::default()
-                .with_sharded_analysis(false)
-                .run(&w, mode);
-            for workers in [2, 4, 8] {
-                let sharded = Simulator::default().with_workers(workers).run(&w, mode);
-                assert_eq!(sharded, oracle, "workers={workers} mode={mode:?}");
-                let unsharded = Simulator::default()
-                    .with_workers(workers)
-                    .with_sharded_analysis(false)
-                    .run(&w, mode);
-                assert_eq!(unsharded, oracle, "workers={workers} mode={mode:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_occupancy_is_reported_for_parallel_runs_only() {
-        let w = small("bodytrack");
-        let sim = Simulator::default().with_workers(4);
-        let (report, occupancy) = sim.try_run_with_occupancy(&w, Mode::Aikido).unwrap();
-        let occupancy = occupancy.expect("parallel aikido runs shard their analysis");
-        assert_eq!(occupancy.per_shard.len(), 4);
-        assert!(occupancy.total() > 0, "the run delivered accesses");
-        // Every routed access is an instrumented access the run observed
-        // (the exact count also includes fault-path deliveries, so the
-        // plane total is bounded by the report's access counters).
-        assert!(
-            occupancy.total() <= report.counts.mem_accesses,
-            "plane routed {} accesses but the run only performed {}",
-            occupancy.total(),
-            report.counts.mem_accesses
-        );
-
-        let (_, sequential) = Simulator::default()
-            .try_run_with_occupancy(&w, Mode::Aikido)
-            .unwrap();
-        assert!(sequential.is_none(), "one worker: no plane");
-        let (_, native) = sim.try_run_with_occupancy(&w, Mode::Native).unwrap();
-        assert!(native.is_none(), "native mode: no analysis at all");
-    }
-
-    #[test]
-    fn the_shard_plane_clamps_its_replicas_to_the_guest_thread_count() {
-        // A 64-worker request on a 4-thread workload: extra replicas could
-        // only ever replay broadcast sync events, so the plane builds one
-        // per guest thread and the report is still the sequential one.
-        let w = small("bodytrack");
-        let sequential = Simulator::default().run(&w, Mode::Aikido);
-        let (report, occupancy) = Simulator::default()
-            .with_workers(64)
-            .try_run_with_occupancy(&w, Mode::Aikido)
-            .unwrap();
-        assert_eq!(occupancy.unwrap().per_shard.len(), 4);
-        assert_eq!(report, sequential);
     }
 
     #[test]

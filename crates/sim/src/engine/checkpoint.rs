@@ -36,8 +36,8 @@ pub(super) const AKSD_VERSION: u16 = 1;
 /// Everything that must match for a resumed run to be byte-identical is in
 /// here: the full workload spec, the mode, the scheduling quantum and the
 /// cost model. Deliberately absent, because each is proven observably inert:
-/// the worker count, `sharded_analysis`, `checkpoint_every`, `scale` (the
-/// workload spec is recorded already scaled) and whether the simulator is
+/// the worker count, `checkpoint_every`, `scale` (the workload spec is
+/// recorded already scaled) and whether the simulator is
 /// [`Simulator::reference`]. A snapshot resumes cleanly across all of them;
 /// the FTRK section's own storage byte keeps a reference image on the
 /// reference store.
@@ -356,13 +356,7 @@ impl<'w> Run<'_, 'w, FastTrack> {
         builder.push(schd);
 
         let mut ftrk = SectionWriter::new(*b"FTRK", FTRK_VERSION);
-        match &self.shard_plane {
-            // The plane was finalized before the pause, so its canonical
-            // detector holds the fully merged state — byte-identical to
-            // what a sequential run would serialize here.
-            Some(plane) => plane.canonical().encode_snapshot(&mut ftrk),
-            None => self.analysis.encode_snapshot(&mut ftrk),
-        }
+        self.analysis.encode_snapshot(&mut ftrk);
         builder.push(ftrk);
 
         let mut tcch = SectionWriter::new(*b"TCCH", TCCH_VERSION);

@@ -122,7 +122,7 @@ pub(crate) type PanicRecord = Arc<Mutex<Option<String>>>;
 
 /// Renders a `catch_unwind` payload into the human-readable message carried
 /// by [`SimError::WorkerPanic`](crate::SimError::WorkerPanic).
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

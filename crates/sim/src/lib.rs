@@ -48,11 +48,9 @@ mod cost;
 mod engine;
 mod epoch;
 mod report;
-mod shard_plane;
 
 pub use aikido_snapshot::{FaultPlan, Snapshot, SnapshotError};
 pub use config::{SimConfig, SimConfigError};
 pub use cost::CostModel;
-pub use engine::{CheckpointOutcome, Comparison, Mode, SimError, Simulator};
+pub use engine::{CheckpointOutcome, Comparison, Mode, ShardOccupancy, SimError, Simulator};
 pub use report::{RunCounts, RunReport};
-pub use shard_plane::ShardOccupancy;

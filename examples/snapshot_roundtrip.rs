@@ -19,10 +19,10 @@
 //! equivalence check across process boundaries.
 //!
 //! The simulator is built from [`SimConfig::from_env_overrides`], so the CI
-//! lanes can steer each *process* independently: `AIKIDO_PARALLEL=4
-//! AIKIDO_SHARDED=1` produces a sharded parallel run whose report file must
-//! `cmp` equal to a sequential process's — the cross-process spelling of the
-//! PR 10 sharded-analysis equivalence contract.
+//! lanes can steer each *process* independently: `AIKIDO_PARALLEL=4`
+//! produces a parallel run whose report file must `cmp` equal to an
+//! `AIKIDO_PARALLEL=1` process's — the cross-process spelling of the epoch
+//! engine's parallel-equals-sequential contract.
 
 use aikido::prelude::*;
 use aikido::CheckpointOutcome;
@@ -89,7 +89,7 @@ fn report_json(report: &RunReport) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    // Env-driven configuration (AIKIDO_PARALLEL, AIKIDO_SHARDED, …) so the
+    // Env-driven configuration (AIKIDO_PARALLEL, AIKIDO_SCALE, …) so the
     // CI lanes can compare differently-configured processes byte for byte.
     let sim = match Simulator::from_config(SimConfig::from_env_overrides()) {
         Ok(sim) => sim,

@@ -114,14 +114,12 @@ fn spill_pressure_workloads_stay_identical_across_the_lane_boundary() {
 }
 
 #[test]
-fn sharded_analysis_matches_the_commit_thread_oracle_at_every_worker_count() {
-    // PR 10 moves analysis onto the worker shards; the `sharded_analysis`
-    // toggle retains the commit-thread-only path as the equivalence
-    // oracle. Both paths, at every parallel worker count, must match the
-    // sequential reference byte for byte — including the spill-pressure
-    // workloads at thread counts inside, at, and past the inline-lane
-    // budget, where shard-local packed-plane state is under the most
-    // churn.
+fn analysed_modes_match_the_sequential_report_at_every_worker_count() {
+    // Analysis runs on the commit thread at every worker count, so the
+    // analysed modes must match the sequential reference byte for byte on
+    // the race-heavy presets and on the spill-pressure workloads at thread
+    // counts inside, at, and past the inline-lane budget, where the packed
+    // plane is under the most churn.
     use aikido::workloads::spill_pressure_workload;
     let mut workloads = vec![
         (
@@ -143,24 +141,8 @@ fn sharded_analysis_matches_the_commit_thread_oracle_at_every_worker_count() {
         for mode in [Mode::FullInstrumentation, Mode::Aikido] {
             let seq = run(workload, mode, 1);
             for workers in [2, 4, 8] {
-                let sharded = Simulator::default()
-                    .with_workers(workers)
-                    .with_sharded_analysis(true)
-                    .run(workload, mode);
-                assert_byte_identical(
-                    &seq,
-                    &sharded,
-                    &format!("{name}, {mode:?}, {workers} workers, sharded"),
-                );
-                let oracle = Simulator::default()
-                    .with_workers(workers)
-                    .with_sharded_analysis(false)
-                    .run(workload, mode);
-                assert_byte_identical(
-                    &seq,
-                    &oracle,
-                    &format!("{name}, {mode:?}, {workers} workers, commit-thread oracle"),
-                );
+                let par = run(workload, mode, workers);
+                assert_byte_identical(&seq, &par, &format!("{name}, {mode:?}, {workers} workers"));
             }
         }
     }

@@ -13,13 +13,11 @@ fn from_config_matches_the_equivalent_with_chain_byte_for_byte() {
     let config = SimConfig::default()
         .with_quantum(5)
         .with_workers(2)
-        .with_sharded_analysis(false)
         .with_checkpoint_every(Some(400));
     let via_config = Simulator::from_config(config).unwrap();
     let via_chain = Simulator::default()
         .with_quantum(5)
         .with_workers(2)
-        .with_sharded_analysis(false)
         .with_checkpoint_every(Some(400));
 
     assert_eq!(via_config.config(), via_chain.config());
@@ -61,7 +59,6 @@ fn the_json_wire_form_round_trips() {
     let config = SimConfig::default()
         .with_quantum(12)
         .with_workers(3)
-        .with_sharded_analysis(false)
         .with_checkpoint_every(Some(250))
         .with_scale(0.25);
     let text = serde_json::to_string(&config).unwrap();
@@ -80,13 +77,16 @@ fn the_json_wire_form_round_trips() {
 #[test]
 fn removed_fast_path_toggles_are_refused_on_the_wire() {
     // Behaviour-neutral fast paths are not configuration (their only off
-    // switch is the test-only `Simulator::reference()`): a request naming
-    // one is an unknown field, refused with a message that names it.
+    // switch is the test-only `Simulator::reference()`), and analysis always
+    // runs on the commit thread, so its sharding switch is gone too: a
+    // request naming any of them is an unknown field, refused with a message
+    // that names it.
     for field in [
         "batched_kernels",
         "inline_tlb",
         "static_precheck",
         "packed_words",
+        "sharded_analysis",
     ] {
         let value = serde_json::from_str(&format!(r#"{{"{field}": false}}"#)).unwrap();
         let err = SimConfig::from_json_value(&value).unwrap_err();

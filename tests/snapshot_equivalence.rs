@@ -95,37 +95,31 @@ fn resume_is_byte_identical_across_worker_counts() {
 }
 
 #[test]
-fn sharded_and_sequential_snapshots_cross_resume_byte_identically() {
-    // PR 10: the sharded analysis plane merges into its canonical detector
-    // before every pause, so the FTRK section a sharded-4-worker checkpoint
-    // writes is byte-identical to the sequential one — and `sharded_analysis`
-    // is deliberately not part of the snapshot identity. Both crossings must
-    // therefore reproduce the uninterrupted report: checkpoint@sharded-4w →
-    // resume@sequential, and checkpoint@sequential → resume@sharded-4w. The
-    // images themselves must match byte for byte, too.
-    let sharded_4w = || {
-        Simulator::default()
-            .with_workers(4)
-            .with_sharded_analysis(true)
-    };
+fn parallel_and_sequential_snapshots_cross_resume_byte_identically() {
+    // A 4-worker checkpoint pins every slot to its exact stream cursor and
+    // analyses on the commit thread, so the image it writes is
+    // byte-identical to the sequential one. Both crossings must therefore
+    // reproduce the uninterrupted report: checkpoint@4w → resume@sequential,
+    // and checkpoint@sequential → resume@4w.
+    let parallel_4w = || Simulator::default().with_workers(4);
     let sequential = || Simulator::default().with_workers(1);
     let w = small("fluidanimate");
     for mode in [Mode::FullInstrumentation, Mode::Aikido] {
         let uninterrupted = sequential().run(&w, mode);
         let midpoint = uninterrupted.counts.block_execs / 2;
 
-        let sharded_bytes = snapshot_at(&sharded_4w(), &w, mode, midpoint);
+        let parallel_bytes = snapshot_at(&parallel_4w(), &w, mode, midpoint);
         let sequential_bytes = snapshot_at(&sequential(), &w, mode, midpoint);
         assert_eq!(
-            sharded_bytes, sequential_bytes,
-            "{mode:?}: sharded and sequential checkpoints diverge on disk"
+            parallel_bytes, sequential_bytes,
+            "{mode:?}: parallel and sequential checkpoints diverge on disk"
         );
 
-        let resumed = resume_from_bytes(&sequential(), &w, sharded_bytes);
-        assert_eq!(resumed, uninterrupted, "{mode:?} sharded-4w → sequential");
+        let resumed = resume_from_bytes(&sequential(), &w, parallel_bytes);
+        assert_eq!(resumed, uninterrupted, "{mode:?} 4w → sequential");
 
-        let resumed = resume_from_bytes(&sharded_4w(), &w, sequential_bytes);
-        assert_eq!(resumed, uninterrupted, "{mode:?} sequential → sharded-4w");
+        let resumed = resume_from_bytes(&parallel_4w(), &w, sequential_bytes);
+        assert_eq!(resumed, uninterrupted, "{mode:?} sequential → 4w");
     }
 }
 
