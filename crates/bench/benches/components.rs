@@ -8,6 +8,7 @@ use aikido::shadow::{DualShadow, RegionKind, ShadowStore, TranslationCache};
 use aikido::types::AddrMode;
 use aikido::types::{AccessKind, Addr, BlockId, InstrId, LockId, Prot, ThreadId};
 use aikido::vm::{AikidoVm, Hypercall, VmConfig};
+use aikido::workloads::BlockExec;
 use aikido::{CheckpointOutcome, Mode, Simulator, Snapshot, Workload, WorkloadSpec};
 
 fn bench_vector_clock_detector(c: &mut Criterion) {
@@ -166,12 +167,40 @@ fn bench_checkpoint_period(c: &mut Criterion) {
     group.finish();
 }
 
+/// Trace generation on its own: drains every thread of a scale-1 preset
+/// through `ThreadTrace::next_into` with one reused execution, exactly as
+/// the scheduler pulls blocks. Returns the access count so the work cannot
+/// be optimised away.
+fn bench_trace_generation(c: &mut Criterion) {
+    let mut group = c.benchmark_group("trace_generation");
+    group.sample_size(20);
+    for name in ["raytrace", "fluidanimate"] {
+        let spec = WorkloadSpec::parsec(name).expect("known preset");
+        let workload = Workload::generate(&spec);
+        group.bench_function(name, |b| {
+            let mut exec = BlockExec::default();
+            b.iter(|| {
+                let mut accesses = 0;
+                for thread in workload.threads() {
+                    let mut trace = workload.thread_trace(thread);
+                    while trace.next_into(&mut exec) {
+                        accesses += exec.accesses.len();
+                    }
+                }
+                black_box(accesses)
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_vector_clock_detector,
     bench_shadow,
     bench_vm,
     bench_dbi,
-    bench_checkpoint_period
+    bench_checkpoint_period,
+    bench_trace_generation
 );
 criterion_main!(benches);

@@ -1,8 +1,9 @@
 //! The cycle cost model.
 //!
-//! All calibration constants live here (see DESIGN.md §5). Every experiment
-//! records the model it used, so the calibration is explicit and can be
-//! overridden — the ablation benchmark does exactly that.
+//! All calibration constants live here; the field docs of [`CostModel`]
+//! say what each one charges. Every experiment records the model it used,
+//! so the calibration is explicit and can be overridden — the ablation
+//! benchmark does exactly that.
 
 use serde::{Deserialize, Serialize};
 

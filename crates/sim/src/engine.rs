@@ -1,16 +1,16 @@
 //! The simulator: scheduler, per-mode pipelines and cycle accounting.
 
-use aikido_dbi::DbiEngine;
+use aikido_dbi::{BlockExecution, DbiEngine};
 use aikido_fasttrack::FastTrack;
 use aikido_shadow::{CacheLevel, DualShadow, RegionId, RegionKind, TranslationCache};
 use aikido_sharing::AikidoSd;
 use aikido_snapshot::{Snapshot, SnapshotError};
 use aikido_types::{
-    AccessContext, AccessKind, Addr, MemRef, Operation, Prot, SharedDataAnalysis, SyncOp, ThreadId,
-    Vpn,
+    AccessContext, AccessKind, Addr, InstrId, MemRef, Operation, Prot, SharedDataAnalysis, SyncOp,
+    ThreadId, Vpn,
 };
 use aikido_vm::{AikidoVm, TouchOutcome, VmConfig};
-use aikido_workloads::{BlockExec, Workload};
+use aikido_workloads::{AccessWord, BlockExec, BlockShape, MemSlot, Step, Workload};
 
 mod checkpoint;
 
@@ -621,8 +621,8 @@ impl Simulator {
 /// implementation must yield the exact same per-slot stream — the scheduler
 /// (and therefore every report) cannot tell the feeds apart.
 pub(crate) trait BlockFeed {
-    /// Moves `slot`'s next execution into `out` (recycling `out`'s previous
-    /// buffers); returns `false` once the slot's trace is exhausted.
+    /// Moves `slot`'s next execution into `out` (reusing `out`'s access
+    /// buffer); returns `false` once the slot's trace is exhausted.
     fn next_into(&mut self, slot: usize, out: &mut BlockExec) -> bool;
 
     /// Where `slot`'s stream stands: reopening it there yields exactly the
@@ -1006,7 +1006,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                 let mut exec = BlockExec::default();
                 if let Some(op) = slot.stash {
                     exec.block = workload.sync_block(op);
-                    exec.ops.push(Operation::Sync(op));
+                    exec.step = Step::Sync(op);
                 }
                 ThreadState {
                     id,
@@ -1095,16 +1095,16 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                         }
                         st.has_exec = true;
                     }
-                    match self.classify(&states[i].exec) {
-                        BlockKind::Work => {
+                    match states[i].exec.step {
+                        Step::Work => {
                             self.execute_work_block(states[i].id, &states[i].exec);
                             states[i].has_exec = false;
                             executed += 1;
                             progress = true;
                         }
-                        BlockKind::Sync(op) => {
+                        step => {
                             let thread = states[i].id;
-                            match self.execute_sync(thread, op, &mut *states) {
+                            match self.execute_sync(thread, step, &mut *states) {
                                 SyncOutcome::Done => {
                                     states[i].has_exec = false;
                                     executed += 1;
@@ -1144,17 +1144,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         ExecStatus::Completed
     }
 
-    fn classify(&self, exec: &BlockExec) -> BlockKind {
-        if exec.ops.len() == 1 {
-            match exec.ops[0] {
-                Operation::Sync(op) => return BlockKind::Sync(SyncEvent::Sync(op)),
-                Operation::Exit => return BlockKind::Sync(SyncEvent::Exit),
-                _ => {}
-            }
-        }
-        BlockKind::Work
-    }
-
     fn context_switch_to(&mut self, thread: ThreadId) {
         if self.last_scheduled == Some(thread) {
             return;
@@ -1171,21 +1160,23 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         self.last_scheduled = Some(thread);
     }
 
+    /// Executes a sync or exit block ([`Step::Work`] never reaches here).
     fn execute_sync(
         &mut self,
         thread: ThreadId,
-        event: SyncEvent,
+        step: Step,
         states: &mut [ThreadState],
     ) -> SyncOutcome {
-        match event {
-            SyncEvent::Exit => {
+        match step {
+            Step::Work => unreachable!("work blocks run through execute_work_block"),
+            Step::Exit => {
                 self.charge_sync();
                 if self.mode != Mode::Native {
                     self.analysis.on_thread_exit(thread);
                 }
                 SyncOutcome::Exited
             }
-            SyncEvent::Sync(op) => match op {
+            Step::Sync(op) => match op {
                 SyncOp::Acquire(lock) => {
                     match self.lock_owner(lock) {
                         Some(owner) if owner != thread => return SyncOutcome::Blocked,
@@ -1333,14 +1324,15 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
             return self.execute_work_block_scalar(thread, exec);
         }
         match self.mode {
-            Mode::Native => self.block_kernel_native(thread, exec),
+            Mode::Native => self.block_kernel_native(exec),
             Mode::FullInstrumentation => self.block_kernel_full(thread, exec),
             Mode::Aikido => self.block_kernel_aikido(thread, exec),
         }
     }
 
-    /// The scalar reference implementation: one mode dispatch, one engine
-    /// probe and one `Option` unwrap per access. Runs only under
+    /// The scalar reference implementation: decodes the execution into one
+    /// [`Operation`] per static instruction and pays one mode dispatch, one
+    /// engine probe and one `Option` unwrap per access. Runs only under
     /// [`Simulator::reference`], as the oracle the batched kernels are
     /// proven against.
     fn execute_work_block_scalar(&mut self, thread: ThreadId, exec: &BlockExec) {
@@ -1351,30 +1343,20 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
             }
         }
 
-        for op in &exec.ops {
+        for op in exec.operations(self.workload) {
             self.counts.dynamic_instrs += op.instruction_count();
             match op {
                 Operation::Compute { count } => {
-                    let n = *count as u64;
+                    let n = count as u64;
                     self.cycles += n * self.sim.cost.alu_cycles;
                     if self.mode != Mode::Native {
                         self.cycles += self.sim.cost.dbi_overhead(n);
                     }
                 }
-                Operation::Mem(m) => self.execute_mem(thread, m),
-                Operation::Sync(op) => {
-                    // Work blocks normally contain no sync ops, but handle
-                    // them for robustness (custom workloads may embed them).
-                    // Shared with the batched kernels so the two paths
-                    // cannot drift apart.
-                    self.work_block_sync(thread, op);
+                Operation::Mem(m) => self.execute_mem(thread, &m),
+                Operation::Sync(_) | Operation::Exit => {
+                    unreachable!("work blocks decode to compute and memory operations only")
                 }
-                Operation::Map { .. } => {
-                    // Dynamic mappings are set up ahead of time by the
-                    // harness; charge a native syscall-ish cost.
-                    self.cycles += self.sim.cost.sync_native_cycles;
-                }
-                Operation::Exit => self.work_block_exit(thread),
             }
         }
     }
@@ -1386,18 +1368,20 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     // The scalar loop above pays a mode dispatch, two `Option` probes, an
     // engine query and a cost-model field walk for *every* access. The
     // monomorphized kernels below hoist all of that to block entry and then
-    // process memory accesses in *runs* — maximal groups of consecutive
-    // accesses sharing `(page, kind, instrumented)` — so each run performs
+    // walk the block's [`BlockShape`] and the execution's access words
+    // together, processing memory accesses in *runs* — maximal groups of
+    // consecutive accesses sharing `(page, kind, instrumented)`; compute
+    // instructions between them do not split a run — so each run performs
     // one instrumentation-mask test, one sharing-view page-state read, one
     // inline-check probe and one batched analysis delivery. Equivalence with
     // the scalar loop is by construction, not by luck: every charge is the
     // same u64 added the same number of times, and every *stateful* call
     // (translation cache, analysis, VM touch, fault handling) happens in the
-    // same order. The soundness arguments for each hoist:
+    // same order per component. The soundness arguments for each hoist:
     //
     // * instrumentation mask: a fault can only instrument the faulting
-    //   access's own instruction, and ops carry one operation per static
-    //   instruction, so decisions for *other* ops of the block cannot change
+    //   access's own instruction, and each static instruction occupies one
+    //   slot of the block, so decisions for *other* slots cannot change
     //   mid-block — the mask snapshot at block entry stays exact;
     // * page-state read: `Shared` is sticky and transitions happen only
     //   inside fault handling, so one read covers a run until the next slow
@@ -1408,76 +1392,27 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     // * region lookup: the region table is fixed at run construction and
     //   workload regions are page-aligned, so one lookup covers a page.
 
-    /// A sync op embedded in a work block (rare; custom workloads only).
-    fn work_block_sync(&mut self, thread: ThreadId, op: &SyncOp) {
-        self.charge_sync();
-        if self.mode != Mode::Native {
-            match op {
-                SyncOp::Acquire(l) => self.analysis.on_acquire(thread, *l),
-                SyncOp::Release(l) => self.analysis.on_release(thread, *l),
-                SyncOp::Fork(c) => self.analysis.on_fork(thread, *c),
-                SyncOp::Join(c) => self.analysis.on_join(thread, *c),
-                SyncOp::Barrier(id) => self.analysis.on_barrier(&self.threads, *id),
-            }
-            self.cycles += self.analysis.sync_cost_cycles();
-        }
+    /// Native kernel: no engine, no analysis — the block's shape alone
+    /// gives the counts and native cycles.
+    fn block_kernel_native(&mut self, exec: &BlockExec) {
+        let shape = self.workload.shape(exec.block);
+        let mems = shape.slots().len() as u64;
+        let computes = u64::from(shape.computes());
+        self.counts.dynamic_instrs += u64::from(shape.instrs());
+        self.counts.mem_accesses += mems;
+        self.cycles += computes * self.sim.cost.alu_cycles + mems * self.sim.cost.mem_cycles;
     }
 
-    /// An exit op embedded in a work block (rare; custom workloads only).
-    fn work_block_exit(&mut self, thread: ThreadId) {
-        if self.mode != Mode::Native {
-            self.analysis.on_thread_exit(thread);
-        }
-    }
-
-    /// Native kernel: no engine, no analysis — count and charge native
-    /// cycles, with the per-op decode skipped entirely for plain blocks.
-    fn block_kernel_native(&mut self, thread: ThreadId, exec: &BlockExec) {
-        let alu = self.sim.cost.alu_cycles;
-        let mem = self.sim.cost.mem_cycles;
-        if exec.meta.plain {
-            self.counts.dynamic_instrs += exec.ops.len() as u64;
-            self.counts.mem_accesses += u64::from(exec.meta.mem_ops);
-            self.cycles +=
-                u64::from(exec.meta.compute_ops) * alu + u64::from(exec.meta.mem_ops) * mem;
-            return;
-        }
-        let mut dynamic = 0u64;
-        let mut accesses = 0u64;
-        let mut cycles = 0u64;
-        for op in &exec.ops {
-            match op {
-                Operation::Mem(_) => {
-                    dynamic += 1;
-                    accesses += 1;
-                    cycles += mem;
-                }
-                Operation::Compute { count } => {
-                    let n = u64::from(*count);
-                    dynamic += n;
-                    cycles += n * alu;
-                }
-                Operation::Sync(op) => {
-                    dynamic += 1;
-                    self.work_block_sync(thread, op);
-                }
-                Operation::Map { .. } => {
-                    dynamic += 1;
-                    cycles += self.sim.cost.sync_native_cycles;
-                }
-                Operation::Exit => {
-                    dynamic += 1;
-                    self.work_block_exit(thread);
-                }
-            }
-        }
-        self.counts.dynamic_instrs += dynamic;
-        self.counts.mem_accesses += accesses;
-        self.cycles += cycles;
+    /// Charges a block's compute instructions under instrumentation (one
+    /// dynamic instruction and one DBI dispatch each).
+    fn charge_computes(&mut self, shape: &BlockShape) {
+        let computes = u64::from(shape.computes());
+        self.counts.dynamic_instrs += computes;
+        self.cycles += computes * (self.sim.cost.alu_cycles + self.sim.cost.dbi_overhead(1));
     }
 
     /// Full-instrumentation kernel: every access is instrumented, so runs
-    /// need no mask — group by `(page, kind)` and batch the analysis.
+    /// need no mask — split on `(page, kind)` and batch the analysis.
     fn block_kernel_full(&mut self, thread: ThreadId, exec: &BlockExec) {
         let engine = self
             .engine
@@ -1487,50 +1422,20 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         if result.built {
             self.cycles += self.sim.cost.block_build(result.instr_count as u64);
         }
-        let ops = &exec.ops;
-        if exec.meta.plain {
-            let computes = u64::from(exec.meta.compute_ops);
-            self.counts.dynamic_instrs += computes;
-            self.cycles += computes * (self.sim.cost.alu_cycles + self.sim.cost.dbi_overhead(1));
-            for run in &exec.meta.runs {
-                let start = usize::from(run.start);
-                self.full_run(
-                    thread,
-                    &ops[start..start + usize::from(run.len)],
-                    run.page,
-                    run.kind,
-                );
-            }
-            return;
-        }
+        let shape = self.workload.shape(exec.block);
+        self.charge_computes(shape);
+        let all = AccessRun::of(shape, exec);
         let mut i = 0;
-        while i < ops.len() {
-            match &ops[i] {
-                Operation::Mem(first) => {
-                    let page = first.addr.page();
-                    let kind = first.kind;
-                    let mut j = i + 1;
-                    while j < ops.len() {
-                        match &ops[j] {
-                            Operation::Mem(m) if m.addr.page() == page && m.kind == kind => {
-                                j += 1;
-                            }
-                            _ => break,
-                        }
-                    }
-                    self.full_run(thread, &ops[i..j], page, kind);
-                    i = j;
-                }
-                op => {
-                    self.non_mem_op(thread, op);
-                    i += 1;
-                }
-            }
+        while i < all.len() {
+            let j = all.run_end(i);
+            let word = all.words[i];
+            self.full_run(thread, all.range(i, j), word.page(), word.kind());
+            i = j;
         }
     }
 
-    /// Aikido kernel: runs additionally split on the block's instrumentation
-    /// mask, and each run resolves its fast path (free / instrumented-private
+    /// Aikido kernel: runs additionally split on each slot's instrumented
+    /// bit, and each run resolves its fast path (free / instrumented-private
     /// / instrumented-shared) once instead of per access.
     fn block_kernel_aikido(&mut self, thread: ThreadId, exec: &BlockExec) {
         let engine = self.engine.as_mut().expect("aikido mode has a dbi engine");
@@ -1538,181 +1443,94 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         if result.built {
             self.cycles += self.sim.cost.block_build(result.instr_count as u64);
         }
-        let ops = &exec.ops;
-        // The mask indexes by op position, which is only meaningful while
-        // ops align one-to-one with the block's static instructions (the
-        // `BlockExec` contract); the length check rejects hand-built
-        // executions that carry run metadata but break the alignment, so
-        // `mask >> run.start` can never shift past the 64-bit mask.
-        //
+        let shape = self.workload.shape(exec.block);
+        debug_assert_eq!(shape.instrs() as usize, result.instr_count);
+        self.charge_computes(shape);
+        let all = AccessRun::of(shape, exec);
         // A block is whole-block free when its exact mask is empty, or when
         // the static pre-analysis proved it thread-private and no fault has
         // instrumented any of its memory instructions — the latter covers
         // blocks too wide for an exact mask. The instrumented-count guard
         // keeps the condition delivery-preserving even under an unsound
-        // claim: any actually-instrumented block falls back to the mask (or
-        // scalar) path, and free runs still probe and fault exactly like the
-        // fallback, so reports cannot depend on the claim being true.
+        // claim: any actually-instrumented block takes the per-slot path,
+        // and free runs still probe and fault exactly like it, so reports
+        // cannot depend on the claim being true.
         let whole_block_free = (result.mask_exact && result.instr_mask == 0)
             || (result.static_private && result.instrumented_mem_instrs == 0);
-        if exec.meta.plain
-            && exec.ops.len() == result.instr_count
-            && (result.mask_exact || whole_block_free)
-        {
-            let computes = u64::from(exec.meta.compute_ops);
-            self.counts.dynamic_instrs += computes;
-            self.cycles += computes * (self.sim.cost.alu_cycles + self.sim.cost.dbi_overhead(1));
-            let mask = result.instr_mask;
-            if whole_block_free {
-                // Whole-block free fast path — the steady state for every
-                // block no fault has ever instrumented. Charge the accesses
-                // in one batch and walk the runs with a single borrow of the
-                // thread's inline-check lane; only a missing run falls into
-                // the per-access machinery.
-                let mems = u64::from(exec.meta.mem_ops);
-                self.counts.dynamic_instrs += mems;
-                self.counts.mem_accesses += mems;
-                self.cycles += mems * (self.sim.cost.mem_cycles + self.sim.cost.dbi_overhead(1));
-                let mut first_miss = None;
-                if let Some(lane) = self.inline_tlb.get(thread.index()) {
-                    for (ri, run) in exec.meta.runs.iter().enumerate() {
-                        let (cached, kinds) =
-                            lane[(run.page.raw() as usize) & (SIM_TLB_ENTRIES - 1)];
-                        if cached != run.page || kinds & kind_bit(run.kind) == 0 {
-                            first_miss = Some(ri);
-                            break;
-                        }
-                    }
-                } else {
-                    first_miss = Some(0);
-                }
-                if let Some(first_miss) = first_miss {
-                    for run in &exec.meta.runs[first_miss..] {
-                        let start = usize::from(run.start);
-                        let run_ops = &ops[start..start + usize::from(run.len)];
-                        self.aikido_free_run_slow(thread, run_ops, run.page, run.kind);
-                    }
-                }
-                return;
-            }
-            for run in &exec.meta.runs {
-                let start = usize::from(run.start);
-                let len = usize::from(run.len);
-                let run_ops = &ops[start..start + len];
-                // Plain executions carry one op per static instruction,
-                // aligned by index, so the block mask indexes by op position.
-                let full = if len >= 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << len) - 1
-                };
-                let bits = (mask >> start) & full;
-                if bits == 0 {
-                    self.aikido_free_run(thread, run_ops, run.page, run.kind);
-                } else if bits == full {
-                    self.aikido_instrumented_run(thread, run_ops, run.page, run.kind);
-                } else {
-                    // Mixed instrumentation within one (page, kind) run:
-                    // split at the bit boundaries.
-                    let mut s = 0usize;
-                    while s < len {
-                        let instrumented = (bits >> s) & 1 != 0;
-                        let mut e = s + 1;
-                        while e < len && ((bits >> e) & 1 != 0) == instrumented {
-                            e += 1;
-                        }
-                        let sub = &run_ops[s..e];
-                        if instrumented {
-                            self.aikido_instrumented_run(thread, sub, run.page, run.kind);
-                        } else {
-                            self.aikido_free_run(thread, sub, run.page, run.kind);
-                        }
-                        s = e;
-                    }
-                }
+        if whole_block_free {
+            // The steady state for every block no fault has ever
+            // instrumented. Charge the accesses in one batch and probe them
+            // with a single borrow of the thread's inline-check lane; only
+            // from the first missing run on do runs fall into the
+            // per-access machinery. A miss is always at a run start: every
+            // access of a run probes the same `(page, kind)`.
+            let mems = all.len() as u64;
+            self.counts.dynamic_instrs += mems;
+            self.counts.mem_accesses += mems;
+            self.cycles += mems * (self.sim.cost.mem_cycles + self.sim.cost.dbi_overhead(1));
+            let first_miss = match self.inline_tlb.get(thread.index()) {
+                Some(lane) => all.words.iter().position(|word| {
+                    let page = word.page();
+                    let (cached, kinds) = lane[(page.raw() as usize) & (SIM_TLB_ENTRIES - 1)];
+                    cached != page || kinds & kind_bit(word.kind()) == 0
+                }),
+                None => Some(0),
+            };
+            let mut i = first_miss.unwrap_or(all.len());
+            while i < all.len() {
+                let j = all.run_end(i);
+                let word = all.words[i];
+                self.aikido_free_run_slow(thread, all.range(i, j), word.page(), word.kind());
+                i = j;
             }
             return;
         }
         let mut i = 0;
-        while i < ops.len() {
-            match &ops[i] {
-                Operation::Mem(first) => {
-                    let page = first.addr.page();
-                    let kind = first.kind;
-                    let instrumented = self
-                        .engine
-                        .as_ref()
-                        .expect("aikido mode has a dbi engine")
-                        .is_instrumented(first.instr);
-                    let mut j = i + 1;
-                    while j < ops.len() {
-                        match &ops[j] {
-                            Operation::Mem(m)
-                                if m.addr.page() == page
-                                    && m.kind == kind
-                                    && self
-                                        .engine
-                                        .as_ref()
-                                        .expect("aikido mode has a dbi engine")
-                                        .is_instrumented(m.instr)
-                                        == instrumented =>
-                            {
-                                j += 1;
-                            }
-                            _ => break,
-                        }
-                    }
-                    let run_ops = &ops[i..j];
-                    if instrumented {
-                        self.aikido_instrumented_run(thread, run_ops, page, kind);
-                    } else {
-                        self.aikido_free_run(thread, run_ops, page, kind);
-                    }
-                    i = j;
-                }
-                op => {
-                    self.non_mem_op(thread, op);
-                    i += 1;
-                }
+        while i < all.len() {
+            let key = all.words[i].run_key();
+            let instrumented = self.slot_instrumented(&result, all.slots[i].instr);
+            let mut j = i + 1;
+            while j < all.len()
+                && all.words[j].run_key() == key
+                && self.slot_instrumented(&result, all.slots[j].instr) == instrumented
+            {
+                j += 1;
             }
+            let word = all.words[i];
+            let run = all.range(i, j);
+            if instrumented {
+                self.aikido_instrumented_run(thread, run, word.page(), word.kind());
+            } else {
+                self.aikido_free_run(thread, run, word.page(), word.kind());
+            }
+            i = j;
         }
     }
 
-    /// A non-memory op inside an instrumented-mode work block.
-    fn non_mem_op(&mut self, thread: ThreadId, op: &Operation) {
-        match op {
-            Operation::Compute { count } => {
-                let n = u64::from(*count);
-                self.counts.dynamic_instrs += n;
-                self.cycles += n * self.sim.cost.alu_cycles + self.sim.cost.dbi_overhead(n);
-            }
-            Operation::Sync(op) => {
-                self.counts.dynamic_instrs += 1;
-                self.work_block_sync(thread, op);
-            }
-            Operation::Map { .. } => {
-                self.counts.dynamic_instrs += 1;
-                self.cycles += self.sim.cost.sync_native_cycles;
-            }
-            Operation::Exit => {
-                self.counts.dynamic_instrs += 1;
-                self.work_block_exit(thread);
-            }
-            Operation::Mem(_) => unreachable!("memory ops are grouped into runs"),
+    /// Whether `instr` of the block `result` describes runs instrumented:
+    /// one shift of the block-entry mask when it is exact, the engine's
+    /// decision set otherwise (blocks wider than the mask).
+    #[inline]
+    fn slot_instrumented(&self, result: &BlockExecution, instr: InstrId) -> bool {
+        if result.mask_exact {
+            (result.instr_mask >> instr.index()) & 1 != 0
+        } else {
+            self.engine
+                .as_ref()
+                .expect("aikido mode has a dbi engine")
+                .is_instrumented(instr)
         }
     }
 
     /// One `(page, kind)` run under full instrumentation.
-    fn full_run(&mut self, thread: ThreadId, run: &[Operation], page: Vpn, kind: AccessKind) {
+    fn full_run(&mut self, thread: ThreadId, run: AccessRun<'_>, page: Vpn, kind: AccessKind) {
         let n = run.len() as u64;
         self.counts.dynamic_instrs += n;
         self.counts.mem_accesses += n;
         self.counts.instrumented_accesses += n;
         self.cycles += n * (self.sim.cost.mem_cycles + self.sim.cost.dbi_overhead(1));
-        let first = run[0]
-            .as_mem()
-            .expect("runs contain only memory operations");
-        let shared = self.in_shared_region(first.addr);
+        let first = run.words[0].addr();
+        let shared = self.in_shared_region(first);
         if shared {
             self.counts.shared_accesses += n;
         }
@@ -1720,7 +1538,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         // batched cache pass prices the per-instruction translation levels,
         // and one run delivery lets the analysis resolve its metadata slab
         // once for the whole page.
-        let region = self.region_lookup.region_id_of(first.addr);
+        let region = self.region_lookup.region_id_of(first);
         self.charge_translation_run(thread, region, run);
         self.charge_analysis_run(thread, run, shared, page, kind);
     }
@@ -1731,7 +1549,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     fn aikido_free_run(
         &mut self,
         thread: ThreadId,
-        run: &[Operation],
+        run: AccessRun<'_>,
         page: Vpn,
         kind: AccessKind,
     ) {
@@ -1747,22 +1565,17 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     fn aikido_free_run_slow(
         &mut self,
         thread: ThreadId,
-        run: &[Operation],
+        run: AccessRun<'_>,
         page: Vpn,
         kind: AccessKind,
     ) {
         let mut rest = run.iter();
         while !self.inline_tlb_hit(thread, page, kind) {
-            let Some(op) = rest.next() else { return };
-            let m = op.as_mem().expect("runs contain only memory operations");
-            self.access_with_fault_handling(thread, m);
+            let Some(m) = rest.next() else { return };
+            self.access_with_fault_handling(thread, &m);
         }
     }
 
-    /// One instrumented run in Aikido mode. The page-state read happens once
-    /// per slow step instead of once per access: a `Shared` answer covers the
-    /// whole remaining run (shared is sticky), an unshared answer stays valid
-    /// until the next VM interaction.
     /// Probes the shared-page memo for `page`.
     #[inline]
     fn shared_page_probe(&self, page: Vpn) -> Option<SharedPageInfo> {
@@ -1770,10 +1583,14 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         (entry.page == page).then_some(entry)
     }
 
+    /// One instrumented run in Aikido mode. The page-state read happens once
+    /// per slow step instead of once per access: a `Shared` answer covers the
+    /// whole remaining run (shared is sticky), an unshared answer stays valid
+    /// until the next VM interaction.
     fn aikido_instrumented_run(
         &mut self,
         thread: ThreadId,
-        run: &[Operation],
+        run: AccessRun<'_>,
         page: Vpn,
         kind: AccessKind,
     ) {
@@ -1790,12 +1607,9 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
             self.aikido_shared_tail(thread, run, kind, info);
             return;
         }
-        let first = run[0]
-            .as_mem()
-            .expect("runs contain only memory operations");
-        let region = self.region_lookup.region_id_of(first.addr);
-        let mut idx = 0;
-        while idx < run.len() {
+        let first = run.words[0].addr();
+        let region = self.region_lookup.region_id_of(first);
+        for idx in 0..run.len() {
             let shared = self
                 .sd
                 .as_ref()
@@ -1803,13 +1617,11 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                 .read_view()
                 .is_shared_page(page);
             if shared {
-                let info = self.resolve_shared_page(page, region, first.addr);
-                self.aikido_shared_tail(thread, &run[idx..], kind, info);
+                let info = self.resolve_shared_page(page, region, first);
+                self.aikido_shared_tail(thread, run.range(idx, run.len()), kind, info);
                 return;
             }
-            let m = run[idx]
-                .as_mem()
-                .expect("runs contain only memory operations");
+            let m = run.mem(idx);
             self.charge_translation_resolved(thread, m.instr, region);
             if m.mode.is_indirect() {
                 self.cycles += self.sim.cost.indirect_check_cycles;
@@ -1818,18 +1630,13 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                 // Proven free for (page, kind): the rest of the run charges
                 // only its translations and indirect checks — the page cannot
                 // become shared without a VM interaction the hit skips.
-                let rest = &run[idx + 1..];
+                let rest = run.range(idx + 1, run.len());
                 self.charge_translation_run(thread, region, rest);
-                for op in rest {
-                    let m = op.as_mem().expect("runs contain only memory operations");
-                    if m.mode.is_indirect() {
-                        self.cycles += self.sim.cost.indirect_check_cycles;
-                    }
-                }
+                let indirect = rest.slots.iter().filter(|s| s.mode.is_indirect()).count();
+                self.cycles += indirect as u64 * self.sim.cost.indirect_check_cycles;
                 return;
             }
-            self.access_with_fault_handling(thread, m);
-            idx += 1;
+            self.access_with_fault_handling(thread, &m);
         }
     }
 
@@ -1872,7 +1679,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     fn aikido_shared_tail(
         &mut self,
         thread: ThreadId,
-        tail: &[Operation],
+        tail: AccessRun<'_>,
         kind: AccessKind,
         info: SharedPageInfo,
     ) {
@@ -1889,9 +1696,8 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         }
         let mut rest = tail.iter();
         while !self.inline_tlb_hit(thread, info.mirror, kind) {
-            let Some(op) = rest.next() else { return };
-            let m = op.as_mem().expect("runs contain only memory operations");
-            self.access_via_mirror(thread, m);
+            let Some(m) = rest.next() else { return };
+            self.access_via_mirror(thread, &m);
         }
     }
 
@@ -1900,7 +1706,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     fn charge_translation_resolved(
         &mut self,
         thread: ThreadId,
-        instr: aikido_types::InstrId,
+        instr: InstrId,
         region: Option<RegionId>,
     ) {
         match region {
@@ -1921,7 +1727,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         &mut self,
         thread: ThreadId,
         region: Option<RegionId>,
-        run: &[Operation],
+        run: AccessRun<'_>,
     ) {
         let Some(region) = region else {
             self.cycles += run.len() as u64 * self.sim.cost.shadow_full_cycles;
@@ -1930,22 +1736,15 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         if run.len() < TRANSLATION_BATCH_MIN {
             // Short runs dominate these access patterns; the scalar calls
             // beat the batch setup until the lane hoist amortizes.
-            for op in run {
-                let m = op.as_mem().expect("runs contain only memory operations");
-                let level = self.cache.access(thread, m.instr, region);
+            for slot in run.slots {
+                let level = self.cache.access(thread, slot.instr, region);
                 self.cycles += self.sim.cost.shadow_translation(level);
             }
             return;
         }
-        let levels = self.cache.access_run(
-            thread,
-            region,
-            run.iter().map(|op| {
-                op.as_mem()
-                    .expect("runs contain only memory operations")
-                    .instr
-            }),
-        );
+        let levels = self
+            .cache
+            .access_run(thread, region, run.slots.iter().map(|slot| slot.instr));
         self.cycles += levels.inline * self.sim.cost.shadow_translation(CacheLevel::Inline)
             + levels.thread_local * self.sim.cost.shadow_translation(CacheLevel::ThreadLocal)
             + levels.full * self.sim.cost.shadow_translation(CacheLevel::Full);
@@ -1958,7 +1757,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     fn charge_analysis_run(
         &mut self,
         thread: ThreadId,
-        run: &[Operation],
+        run: AccessRun<'_>,
         shared: bool,
         page: Vpn,
         kind: AccessKind,
@@ -1967,21 +1766,17 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         // delivers its first element through `on_access`); skip the scratch
         // round-trip. This is the common case — consecutive accesses rarely
         // share a page.
-        if let [op] = run {
-            let m = op.as_mem().expect("runs contain only memory operations");
-            self.charge_analysis_access(thread, m, shared);
+        if run.len() == 1 {
+            self.charge_analysis_access(thread, &run.mem(0), shared);
             return;
         }
         self.cx_scratch.clear();
-        self.cx_scratch.extend(run.iter().map(|op| {
-            let m = op.as_mem().expect("runs contain only memory operations");
-            AccessContext {
-                thread,
-                addr: m.addr,
-                kind: m.kind,
-                size: m.size,
-                instr: m.instr,
-            }
+        self.cx_scratch.extend(run.iter().map(|m| AccessContext {
+            thread,
+            addr: m.addr,
+            kind: m.kind,
+            size: m.size,
+            instr: m.instr,
         }));
         self.analysis
             .on_access_run(page, kind, &self.cx_scratch, &mut self.cost_scratch);
@@ -2302,15 +2097,55 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     }
 }
 
-enum BlockKind {
-    Work,
-    Sync(SyncEvent),
+/// A slot range of one work-block execution: the shape's memory slots and
+/// the execution's access words over the same range, walked together.
+#[derive(Copy, Clone)]
+struct AccessRun<'e> {
+    slots: &'e [MemSlot],
+    words: &'e [AccessWord],
 }
 
-#[derive(Copy, Clone)]
-enum SyncEvent {
-    Sync(SyncOp),
-    Exit,
+impl<'e> AccessRun<'e> {
+    /// Every access of `exec`, a work execution of the block `shape`
+    /// describes.
+    fn of(shape: &'e BlockShape, exec: &'e BlockExec) -> Self {
+        debug_assert_eq!(shape.slots().len(), exec.accesses.len());
+        AccessRun {
+            slots: shape.slots(),
+            words: &exec.accesses,
+        }
+    }
+
+    fn len(self) -> usize {
+        self.words.len()
+    }
+
+    /// Slots `start..end`.
+    fn range(self, start: usize, end: usize) -> Self {
+        AccessRun {
+            slots: &self.slots[start..end],
+            words: &self.words[start..end],
+        }
+    }
+
+    /// The end of the maximal `(page, kind)` run starting at `start`.
+    fn run_end(self, start: usize) -> usize {
+        let key = self.words[start].run_key();
+        self.words[start + 1..]
+            .iter()
+            .position(|word| word.run_key() != key)
+            .map_or(self.len(), |offset| start + 1 + offset)
+    }
+
+    /// The access at `idx` as a [`MemRef`].
+    fn mem(self, idx: usize) -> MemRef {
+        let (slot, word) = (self.slots[idx], self.words[idx]);
+        MemRef::new(slot.instr, word.addr(), word.kind(), slot.mode)
+    }
+
+    fn iter(self) -> impl Iterator<Item = MemRef> + 'e {
+        (0..self.len()).map(move |idx| self.mem(idx))
+    }
 }
 
 enum SyncOutcome {
@@ -2611,6 +2446,54 @@ mod tests {
         assert!(null.accesses() > 0);
         assert_eq!(report.race_count(), 0);
         assert!(report.fasttrack.is_none());
+    }
+
+    /// An analysis that checks the caller's side of the `on_access_run`
+    /// contract: every access of a run targets the run's page and performs
+    /// its kind.
+    #[derive(Default)]
+    struct RunContract {
+        runs: u64,
+        longest: usize,
+    }
+
+    impl SharedDataAnalysis for RunContract {
+        fn name(&self) -> &'static str {
+            "run-contract"
+        }
+
+        fn on_access(&mut self, _cx: AccessContext) {}
+
+        fn on_access_run(
+            &mut self,
+            page: Vpn,
+            kind: AccessKind,
+            run: &[AccessContext],
+            costs: &mut Vec<u64>,
+        ) {
+            for cx in run {
+                assert_eq!((cx.addr.page(), cx.kind), (page, kind), "run {run:?}");
+            }
+            self.runs += 1;
+            self.longest = self.longest.max(run.len());
+            self.on_access_batch(run, costs);
+        }
+
+        fn reports(&self) -> Vec<aikido_types::AnalysisReport> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn access_runs_carry_one_page_and_kind() {
+        for name in ["fluidanimate", "canneal"] {
+            let w = small(name);
+            for mode in [Mode::FullInstrumentation, Mode::Aikido] {
+                let mut check = RunContract::default();
+                Simulator::default().run_with_analysis(&w, mode, &mut check);
+                assert!(check.runs > 0 && check.longest > 1, "{name} {mode:?}");
+            }
+        }
     }
 
     #[test]

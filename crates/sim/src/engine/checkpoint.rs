@@ -6,9 +6,10 @@
 
 use aikido_fasttrack::FastTrack;
 use aikido_snapshot::{SectionReader, SectionWriter, Snapshot, SnapshotBuilder, SnapshotError};
-use aikido_types::{LockId, Operation, SyncOp, ThreadId};
+use aikido_types::{LockId, SyncOp, ThreadId};
 use aikido_workloads::{
-    BlockExec, CriticalSection, TraceCounters, TraceCursor, TracePhase, Workload, WorkloadSpec,
+    BlockExec, CriticalSection, Step, TraceCounters, TraceCursor, TracePhase, Workload,
+    WorkloadSpec,
 };
 
 use super::{ArrivalSet, Mode, Run, Simulator, ThreadState, DENSE_LOCKS};
@@ -307,9 +308,11 @@ fn get_stash(r: &mut SectionReader) -> Result<Option<SyncOp>, SnapshotError> {
 /// The sync op of a stashed execution. Only a blocked sync op stays stashed
 /// across a scheduling round (work blocks and exits always complete).
 pub(super) fn stashed_op(exec: &BlockExec) -> SyncOp {
-    match exec.ops.as_slice() {
-        [Operation::Sync(op)] => *op,
-        _ => unreachable!("only a blocked sync op stays stashed across a round"),
+    match exec.step {
+        Step::Sync(op) => op,
+        Step::Work | Step::Exit => {
+            unreachable!("only a blocked sync op stays stashed across a round")
+        }
     }
 }
 

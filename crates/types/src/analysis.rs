@@ -107,9 +107,8 @@ pub trait SharedDataAnalysis {
     fn on_access(&mut self, cx: AccessContext);
 
     /// Called with a *run* of instrumented accesses delivered back-to-back by
-    /// the same thread (the simulator groups consecutive accesses that share
-    /// a page and an access kind into runs and delivers each run with one
-    /// call). Pushes the per-access cost — what
+    /// the same thread (the simulator delivers each run with one call; see
+    /// [`SharedDataAnalysis::on_access_run`] for how it groups them). Pushes the per-access cost — what
     /// [`SharedDataAnalysis::last_access_cost_cycles`] would have returned
     /// after each access — into `costs` (cleared first), in access order.
     ///
@@ -132,7 +131,12 @@ pub trait SharedDataAnalysis {
 
     /// Like [`SharedDataAnalysis::on_access_batch`], with two extra
     /// guarantees the caller vouches for: every access of the run targets
-    /// `page` and performs `kind`. Analyses that keep page-indexed metadata
+    /// `page` and performs `kind`. The simulator's block kernels deliver
+    /// maximal runs within one block execution: consecutive memory accesses
+    /// of the block with one page and kind, even when compute instructions
+    /// sit between them (Aikido mode also ends a run where the
+    /// instrumentation decision changes). No run spans two block
+    /// executions. Analyses that keep page-indexed metadata
     /// (packed shadow slabs) override this to resolve their slab once per run
     /// instead of once per access; the default simply forwards to the batch
     /// entry point. Overrides carry the same contract: observably identical

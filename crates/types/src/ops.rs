@@ -142,15 +142,6 @@ pub enum Operation {
     },
     /// A synchronisation operation.
     Sync(SyncOp),
-    /// The thread maps `pages` new pages starting at `base` (models `mmap`).
-    Map {
-        /// First address of the new mapping.
-        base: Addr,
-        /// Number of pages mapped.
-        pages: u64,
-        /// Whether the mapping is writable.
-        writable: bool,
-    },
     /// The thread finishes execution.
     Exit,
 }
@@ -174,7 +165,6 @@ impl Operation {
         match self {
             Operation::Mem(_) | Operation::Sync(_) | Operation::Exit => 1,
             Operation::Compute { count } => *count as u64,
-            Operation::Map { .. } => 1,
         }
     }
 }
@@ -185,7 +175,6 @@ impl fmt::Display for Operation {
             Operation::Mem(m) => write!(f, "{m}"),
             Operation::Compute { count } => write!(f, "{count} compute instrs"),
             Operation::Sync(s) => write!(f, "{s}"),
-            Operation::Map { base, pages, .. } => write!(f, "map {pages} pages at {base}"),
             Operation::Exit => write!(f, "exit"),
         }
     }

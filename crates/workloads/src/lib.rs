@@ -18,10 +18,12 @@
 //!   read/write mix and compute density.
 //!
 //! A workload is a static [`Program`] (basic blocks over the synthetic ISA)
-//! plus one deterministic, seeded operation trace per thread
-//! ([`Workload::thread_trace`]). Threads other than the main thread begin
-//! only after the main thread's `fork`, every lock-protected access uses the
-//! lock that owns that slice of shared memory, and read-mostly shared data is
+//! plus one deterministic, seeded trace per thread
+//! ([`Workload::thread_trace`]): per block execution, the block, its
+//! [`Step`] and one packed [`AccessWord`] per memory slot of the block's
+//! [`BlockShape`]. Threads other than the main thread begin only after the
+//! main thread's `fork`, every lock-protected access uses the lock that owns
+//! that slice of shared memory, and read-mostly shared data is
 //! written only before the fork — so the generated histories are race-free
 //! unless a preset deliberately injects racy accesses (`racy_pairs`), which is
 //! how the canneal RNG race and the adversarial scenarios are modelled.
@@ -58,10 +60,10 @@ pub use scenarios::{
 };
 pub use spec::{WorkloadSpec, PARSEC_BENCHMARKS};
 pub use trace::{
-    BlockExec, BlockMeta, CriticalSection, CursorError, MemRun, ThreadTrace, TraceCounters,
+    AccessWord, BlockExec, CriticalSection, CursorError, Step, ThreadTrace, TraceCounters,
     TraceCursor, TracePhase,
 };
-pub use workload::Workload;
+pub use workload::{BlockShape, MemSlot, Workload};
 
 // Re-exported so downstream crates can build programs without importing
 // aikido-dbi directly.

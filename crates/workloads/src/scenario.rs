@@ -276,7 +276,7 @@ mod tests {
                 let mut held: Option<u32> = None;
                 let mut forked = thread != ThreadId::MAIN;
                 for exec in w.thread_trace(thread) {
-                    for op in &exec.ops {
+                    for op in exec.operations(&w) {
                         match op {
                             Operation::Sync(SyncOp::Acquire(l)) => {
                                 held = Some((l.raw() - 1) as u32)

@@ -1,109 +1,120 @@
 //! Per-thread trace generation.
+//!
+//! A generated execution carries only what the random draws decide: the
+//! block, its [`Step`], and one packed [`AccessWord`] per memory slot of the
+//! block. Everything static about a work block lives once per workload in
+//! its [`BlockShape`](crate::BlockShape).
 
 use rand::distributions::{Bernoulli, Distribution, Uniform};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use aikido_types::{AccessKind, Addr, BlockId, LockId, Operation, SyncOp, ThreadId, Vpn};
+use aikido_types::{
+    AccessKind, Addr, BlockId, LockId, MemRef, Operation, SyncOp, ThreadId, Vpn, PAGE_SHIFT,
+};
 
 use crate::workload::Workload;
 
-/// A maximal run of consecutive memory operations within one [`BlockExec`]
-/// that share their target page and access kind — the unit the simulator's
-/// batched block kernels process with one page-state read and one
-/// inline-check probe instead of one per access.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct MemRun {
-    /// Index of the run's first operation in [`BlockExec::ops`].
-    pub start: u16,
-    /// Number of consecutive memory operations in the run.
-    pub len: u16,
-    /// Page every access of the run targets.
-    pub page: Vpn,
-    /// Kind (read or write) of every access in the run.
-    pub kind: AccessKind,
-}
+/// One memory access packed into a word: the effective address in the low
+/// 63 bits, the write flag in the top bit.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+pub struct AccessWord(u64);
 
-/// Per-operation metadata precomputed when a [`BlockExec`] is generated, so
-/// the simulator's hot loop never has to re-derive it per access.
-///
-/// `plain == false` is always safe: consumers must fall back to decoding
-/// [`BlockExec::ops`] directly (which is what happens for hand-built
-/// executions that never call [`BlockMeta::rebuild`]).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BlockMeta {
-    /// True when the operation list contains only memory operations and
-    /// single-instruction compute operations, **and** `runs`/`mem_ops`/
-    /// `compute_ops` faithfully describe it. Kernels may then skip the
-    /// per-operation decode entirely.
-    pub plain: bool,
-    /// Maximal `(page, kind)` runs over the memory operations, in order.
-    /// Complete only when `plain` is true.
-    pub runs: Vec<MemRun>,
-    /// Number of memory operations (valid only when `plain` is true).
-    pub mem_ops: u32,
-    /// Number of compute operations, each representing exactly one dynamic
-    /// instruction (valid only when `plain` is true).
-    pub compute_ops: u32,
-}
+impl AccessWord {
+    const WRITE: u64 = 1 << 63;
 
-impl BlockMeta {
-    /// Recomputes the metadata from `ops`, reusing the `runs` allocation.
-    pub fn rebuild(&mut self, ops: &[Operation]) {
-        self.runs.clear();
-        self.mem_ops = 0;
-        self.compute_ops = 0;
-        self.plain = ops.len() <= usize::from(u16::MAX);
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                Operation::Mem(m) => {
-                    self.mem_ops += 1;
-                    let page = m.addr.page();
-                    match self.runs.last_mut() {
-                        Some(run)
-                            if run.page == page
-                                && run.kind == m.kind
-                                && usize::from(run.start) + usize::from(run.len) == i =>
-                        {
-                            run.len += 1;
-                        }
-                        _ => self.runs.push(MemRun {
-                            start: i as u16,
-                            len: 1,
-                            page,
-                            kind: m.kind,
-                        }),
-                    }
-                }
-                Operation::Compute { count: 1 } => self.compute_ops += 1,
-                _ => self.plain = false,
-            }
+    /// Addresses must stay below this bound to fit beside the write flag
+    /// ([`Workload::generate`] checks the layout against it once).
+    pub(crate) const ADDR_LIMIT: u64 = Self::WRITE;
+
+    /// Packs `addr` and `kind`.
+    #[inline]
+    pub(crate) const fn new(addr: Addr, kind: AccessKind) -> Self {
+        debug_assert!(addr.raw() < Self::ADDR_LIMIT);
+        AccessWord(addr.raw() | (kind.is_write() as u64) << 63)
+    }
+
+    /// The effective address.
+    #[inline]
+    pub const fn addr(self) -> Addr {
+        Addr::new(self.0 & !Self::WRITE)
+    }
+
+    /// Read or write.
+    #[inline]
+    pub const fn kind(self) -> AccessKind {
+        if self.0 & Self::WRITE != 0 {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
         }
+    }
+
+    /// The page the access targets.
+    #[inline]
+    pub const fn page(self) -> Vpn {
+        self.addr().page()
+    }
+
+    /// Equal for two words exactly when they target the same page with the
+    /// same kind: the key the simulator's block kernels split runs on.
+    #[inline]
+    pub const fn run_key(self) -> u64 {
+        self.0 >> PAGE_SHIFT
     }
 }
 
-/// One dynamic execution of a static basic block: the block id plus one
-/// [`Operation`] per static instruction (aligned by index).
+/// What a [`BlockExec`] does besides its memory accesses.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub enum Step {
+    /// A work block: its accesses, interleaved with the block's compute
+    /// instructions as its [`BlockShape`](crate::BlockShape) lays them out.
+    Work,
+    /// A synchronisation block performing one sync op (no accesses).
+    Sync(SyncOp),
+    /// The thread's final exit block (no accesses).
+    #[default]
+    Exit,
+}
+
+/// One dynamic execution of a static basic block.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BlockExec {
     /// The static block being executed.
     pub block: BlockId,
-    /// One operation per static instruction of the block.
-    pub ops: Vec<Operation>,
-    /// Precomputed decode of `ops` (see [`BlockMeta`]); generated traces fill
-    /// this in, hand-built executions may leave it defaulted.
-    pub meta: BlockMeta,
+    /// What the execution does.
+    pub step: Step,
+    /// One word per memory slot of the block's shape, in program order
+    /// (empty unless `step` is [`Step::Work`]).
+    pub accesses: Vec<AccessWord>,
 }
 
 impl BlockExec {
-    /// Number of memory accesses in this execution.
-    pub fn mem_accesses(&self) -> usize {
-        self.ops.iter().filter(|o| o.is_mem()).count()
-    }
-
-    /// Total dynamic instructions represented.
-    pub fn instruction_count(&self) -> u64 {
-        self.ops.iter().map(Operation::instruction_count).sum()
+    /// The execution as one [`Operation`] per static instruction of its
+    /// block — the decoded form the simulator's scalar reference executor
+    /// and tests consume. Work blocks yield `Compute { count: 1 }` for every
+    /// non-memory instruction; sync and exit blocks yield their one op.
+    pub fn operations<'a>(
+        &'a self,
+        workload: &'a Workload,
+    ) -> impl Iterator<Item = Operation> + 'a {
+        let shape = workload.shape(self.block);
+        let (body, tail) = match self.step {
+            Step::Work => (shape.instrs(), None),
+            Step::Sync(op) => (0, Some(Operation::Sync(op))),
+            Step::Exit => (0, Some(Operation::Exit)),
+        };
+        let mut mems = shape.slots().iter().zip(&self.accesses).peekable();
+        (0..body)
+            .map(
+                move |i| match mems.next_if(|(slot, _)| u32::from(slot.instr.index()) == i) {
+                    Some((slot, word)) => {
+                        Operation::Mem(MemRef::new(slot.instr, word.addr(), word.kind(), slot.mode))
+                    }
+                    None => Operation::Compute { count: 1 },
+                },
+            )
+            .chain(tail)
     }
 }
 
@@ -311,11 +322,6 @@ pub struct ThreadTrace<'a> {
     rng: SmallRng,
     gen: GenParams,
     at: TraceCounters,
-    /// Recycled `(operations, runs)` buffer pairs: the simulator's scheduler
-    /// returns each consumed execution's buffers through
-    /// [`ThreadTrace::next_into`], so the steady-state trace loop performs no
-    /// allocation.
-    spare: Vec<(Vec<Operation>, Vec<MemRun>)>,
 }
 
 /// The read-mostly initialisation writes the main thread owes at the start.
@@ -326,6 +332,18 @@ fn init_writes(workload: &Workload, thread: ThreadId) -> u64 {
     let spec = workload.spec();
     let (_, rm_len) = workload.layout().read_mostly_area();
     (rm_len / 64).min((spec.mem_accesses_per_thread / 10).max(64))
+}
+
+/// The packed access word of a private-area or lock-slice access whose kind
+/// comes from the read/write draw.
+#[inline]
+fn with_drawn_kind(addr: Addr, read: Bernoulli, rng: &mut SmallRng) -> AccessWord {
+    let kind = if read.sample(rng) {
+        AccessKind::Read
+    } else {
+        AccessKind::Write
+    };
+    AccessWord::new(addr, kind)
 }
 
 impl<'a> ThreadTrace<'a> {
@@ -363,7 +381,6 @@ impl<'a> ThreadTrace<'a> {
             rng: SmallRng::from_state(cursor.rng),
             gen: GenParams::new(workload, thread),
             at: cursor.counters,
-            spare: Vec::new(),
         }
     }
 
@@ -486,41 +503,74 @@ impl<'a> ThreadTrace<'a> {
         }
     }
 
-    /// Pops a recycled buffer pair (or allocates one on cold start).
-    fn grab_buf(&mut self) -> (Vec<Operation>, Vec<MemRun>) {
-        self.spare.pop().unwrap_or_default()
-    }
-
-    /// Returns an exhausted execution's buffers to the pool.
-    fn recycle(&mut self, mut ops: Vec<Operation>, mut runs: Vec<MemRun>) {
-        const MAX_SPARE: usize = 32;
-        if self.spare.len() < MAX_SPARE {
-            ops.clear();
-            runs.clear();
-            self.spare.push((ops, runs));
-        }
-    }
-
-    /// Produces the next execution into `out`, reusing `out`'s operation
-    /// buffer; returns `false` when the trace is exhausted. This is the
-    /// allocation-free interface the simulator's scheduler uses.
+    /// Produces the next execution into `out`, overwriting its block and
+    /// step and refilling its access vector in place; returns `false` (and
+    /// leaves `out` untouched) when the trace is exhausted. Reusing one
+    /// `out` keeps the steady-state trace loop free of allocation: this is
+    /// the interface the simulator's scheduler drains.
     pub fn next_into(&mut self, out: &mut BlockExec) -> bool {
-        let ops = std::mem::take(&mut out.ops);
-        let runs = std::mem::take(&mut out.meta.runs);
-        self.recycle(ops, runs);
-        match self.next() {
-            Some(exec) => {
-                *out = exec;
-                true
+        if let Some(cs) = self.at.critical_section {
+            self.next_in_critical_section(cs, out);
+            return true;
+        }
+        if self.at.barriers_due > 0 {
+            self.next_barrier(out);
+            return true;
+        }
+        let sets = self.workload.block_sets();
+        loop {
+            match self.at.phase {
+                TracePhase::Init => {
+                    if self.at.init_remaining > 0 {
+                        self.next_init(out);
+                        return true;
+                    }
+                    self.at.phase = TracePhase::Fork;
+                }
+                TracePhase::Fork => {
+                    if self.at.fork_next < self.workload.spec().threads {
+                        let child = ThreadId::new(self.at.fork_next);
+                        self.at.fork_next += 1;
+                        sync_exec(out, sets.fork_block, Step::Sync(SyncOp::Fork(child)));
+                        return true;
+                    }
+                    self.at.phase = TracePhase::Work;
+                }
+                TracePhase::Work => {
+                    if self.at.remaining_accesses > 0 {
+                        self.next_work(out);
+                        return true;
+                    }
+                    self.at.phase = if self.thread == ThreadId::MAIN {
+                        TracePhase::Join
+                    } else {
+                        TracePhase::Exit
+                    };
+                }
+                TracePhase::Join => {
+                    if self.at.join_next < self.workload.spec().threads {
+                        let child = ThreadId::new(self.at.join_next);
+                        self.at.join_next += 1;
+                        sync_exec(out, sets.join_block, Step::Sync(SyncOp::Join(child)));
+                        return true;
+                    }
+                    self.at.phase = TracePhase::Exit;
+                }
+                TracePhase::Exit => {
+                    self.at.phase = TracePhase::Done;
+                    sync_exec(out, sets.exit_block, Step::Exit);
+                    return true;
+                }
+                TracePhase::Done => return false,
             }
-            None => false,
         }
     }
 
     /// Fills `batch` with up to `target` executions, reusing the shells
-    /// already in `batch` (their operation buffers are recycled in place) and
-    /// truncating it to the number actually produced. Returns `false` once
-    /// the trace is exhausted (the batch may still hold a final partial run).
+    /// already in `batch` (each one's access vector is refilled in place)
+    /// and truncating it to the number actually produced. Returns `false`
+    /// once the trace is exhausted (the batch may still hold a final partial
+    /// run).
     ///
     /// This is the bulk interface the parallel epoch scheduler's producer
     /// workers use: each epoch a worker refills one batch per guest thread it
@@ -542,116 +592,56 @@ impl<'a> ThreadTrace<'a> {
         true
     }
 
-    fn sync_exec(&mut self, block: BlockId, op: Operation) -> BlockExec {
-        let (mut ops, runs) = self.grab_buf();
-        ops.push(op);
-        // Sync executions never reach the batched work-block kernels (the
-        // scheduler classifies them first), so `plain` stays false.
-        BlockExec {
-            block,
-            ops,
-            meta: BlockMeta {
-                plain: false,
-                runs,
-                mem_ops: 0,
-                compute_ops: 0,
-            },
-        }
-    }
-
-    /// Fills a work block with operations; `pick` chooses the address and
-    /// access kind for each memory instruction.
-    ///
-    /// The block's operation skeleton is precomputed once per workload
-    /// ([`crate::workload::BlockTemplate`]): this copies it wholesale and
-    /// patches only each memory op's address and kind, building the per-op
-    /// run metadata in the same pass.
-    fn work_exec<F>(&mut self, block: BlockId, mut pick: F) -> BlockExec
+    /// Fills `out` with one execution of work block `block`: one access word
+    /// per memory slot of its shape, each drawn by `pick` in slot order.
+    #[inline]
+    fn work_exec<F>(&mut self, out: &mut BlockExec, block: BlockId, mut pick: F)
     where
-        F: FnMut(&mut SmallRng) -> (Addr, AccessKind),
+        F: FnMut(&mut SmallRng) -> AccessWord,
     {
-        let (mut ops, runs) = self.grab_buf();
-        let tmpl = self.workload.template(block);
-        let mut meta = BlockMeta {
-            plain: tmpl.plain,
-            runs,
-            mem_ops: tmpl.mem_ops,
-            compute_ops: tmpl.compute_ops,
-        };
-        ops.extend_from_slice(&tmpl.ops);
-        for (i, op) in ops.iter_mut().enumerate() {
-            if let Operation::Mem(m) = op {
-                let (addr, kind) = pick(&mut self.rng);
-                m.addr = addr;
-                m.kind = kind;
-                if meta.plain {
-                    let page = addr.page();
-                    match meta.runs.last_mut() {
-                        Some(run)
-                            if run.page == page
-                                && run.kind == kind
-                                && usize::from(run.start) + usize::from(run.len) == i =>
-                        {
-                            run.len += 1;
-                        }
-                        _ => meta.runs.push(MemRun {
-                            start: i as u16,
-                            len: 1,
-                            page,
-                            kind,
-                        }),
-                    }
-                }
-            }
-        }
-        BlockExec { block, ops, meta }
+        let slots = self.workload.shape(block).slots().len();
+        out.block = block;
+        out.step = Step::Work;
+        out.accesses.clear();
+        let rng = &mut self.rng;
+        out.accesses.extend((0..slots).map(|_| pick(rng)));
     }
 
-    fn next_init(&mut self) -> BlockExec {
+    fn next_init(&mut self, out: &mut BlockExec) {
         let spec_block_mem = self.gen.block_mem_instrs;
         let (rm_base, rm_len) = (self.gen.rm_base, self.gen.rm_len);
         let block = self.workload.block_sets().init_blocks
             [(self.at.init_cursor as usize) % self.workload.block_sets().init_blocks.len()];
         let mut cursor = self.at.init_cursor;
-        let exec = self.work_exec(block, |_rng| {
+        self.work_exec(out, block, |_rng| {
             let addr = rm_base.offset((cursor * 64) % rm_len.max(64));
             cursor += 1;
-            (addr, AccessKind::Write)
+            AccessWord::new(addr, AccessKind::Write)
         });
         self.at.init_cursor = cursor;
         self.at.init_remaining = self.at.init_remaining.saturating_sub(spec_block_mem);
-        exec
     }
 
-    fn next_private(&mut self) -> BlockExec {
+    fn next_private(&mut self, out: &mut BlockExec) {
         let blocks = &self.workload.block_sets().private_blocks;
         let block = blocks[self.gen.private_block.sample(&mut self.rng)];
         let (base, slot, read) = (self.gen.private_base, self.gen.private_slot, self.gen.read);
-        self.work_exec(block, |rng| {
-            let addr = base.offset(slot.sample(rng) * 8);
-            let kind = if read.sample(rng) {
-                AccessKind::Read
-            } else {
-                AccessKind::Write
-            };
-            (addr, kind)
-        })
+        self.work_exec(out, block, |rng| {
+            with_drawn_kind(base.offset(slot.sample(rng) * 8), read, rng)
+        });
     }
 
-    /// Opens a lock-protected episode: draws the lock and returns its
+    /// Opens a lock-protected episode: draws the lock and emits its
     /// acquire. The body blocks and the release follow on demand
     /// ([`ThreadTrace::next_in_critical_section`]).
-    fn next_acquire(&mut self) -> BlockExec {
+    fn next_acquire(&mut self, out: &mut BlockExec) {
         let lock = self.gen.lock.sample(&mut self.rng);
         self.at.critical_section = Some(CriticalSection {
             lock,
             bodies_left: self.gen.critical_section_blocks.max(1),
         });
-        let acquire_block = self.workload.block_sets().acquire_block;
-        self.sync_exec(
-            acquire_block,
-            Operation::Sync(SyncOp::Acquire(LockId::new(lock as u64 + 1))),
-        )
+        let acquire = Step::Sync(SyncOp::Acquire(LockId::new(lock as u64 + 1)));
+        sync_exec(out, self.workload.block_sets().acquire_block, acquire);
     }
 
     /// The next execution inside the open critical section `cs`: a shared
@@ -660,15 +650,13 @@ impl<'a> ThreadTrace<'a> {
     /// executions, but never overruns the thread's access budget (which
     /// would desynchronise barrier cadences across threads): after the first
     /// body, an exhausted budget releases early.
-    fn next_in_critical_section(&mut self, cs: CriticalSection) -> BlockExec {
+    fn next_in_critical_section(&mut self, cs: CriticalSection, out: &mut BlockExec) {
         let first = cs.bodies_left == self.gen.critical_section_blocks.max(1);
         if cs.bodies_left == 0 || (!first && self.at.remaining_accesses == 0) {
             self.at.critical_section = None;
-            let release_block = self.workload.block_sets().release_block;
-            return self.sync_exec(
-                release_block,
-                Operation::Sync(SyncOp::Release(LockId::new(cs.lock as u64 + 1))),
-            );
+            let release = Step::Sync(SyncOp::Release(LockId::new(cs.lock as u64 + 1)));
+            sync_exec(out, self.workload.block_sets().release_block, release);
+            return;
         }
         self.at.critical_section = Some(CriticalSection {
             bodies_left: cs.bodies_left - 1,
@@ -680,26 +668,20 @@ impl<'a> ThreadTrace<'a> {
         let private_base = self.gen.private_base;
         let blocks = &self.workload.block_sets().shared_blocks;
         let block = blocks[self.gen.shared_block.sample(&mut self.rng)];
-        let body = self.work_exec(block, |rng| {
+        self.work_exec(out, block, |rng| {
             let addr = if shared_within.sample(rng) {
                 slice_base.offset(slice_slot.sample(rng) * 8)
             } else {
                 private_base.offset(private_slot.sample(rng) * 8)
             };
-            let kind = if read.sample(rng) {
-                AccessKind::Read
-            } else {
-                AccessKind::Write
-            };
-            (addr, kind)
+            with_drawn_kind(addr, read, rng)
         });
         self.charge_work_block();
-        body
     }
 
     /// Accounts one work block against the thread's access budget and barrier
-    /// cadence. Barriers are only recorded as *due* here; [`Iterator::next`]
-    /// emits them once the thread holds no lock.
+    /// cadence. Barriers are only recorded as *due* here;
+    /// [`ThreadTrace::next_into`] emits them once the thread holds no lock.
     fn charge_work_block(&mut self) {
         self.at.remaining_accesses = self
             .at
@@ -717,17 +699,17 @@ impl<'a> ThreadTrace<'a> {
     }
 
     /// Emits the oldest due barrier.
-    fn next_barrier(&mut self) -> BlockExec {
+    fn next_barrier(&mut self, out: &mut BlockExec) {
         self.at.barriers_due -= 1;
-        let barrier = Operation::Sync(SyncOp::Barrier(self.at.barrier_counter));
+        let barrier = Step::Sync(SyncOp::Barrier(self.at.barrier_counter));
         self.at.barrier_counter += 1;
-        self.sync_exec(self.workload.block_sets().barrier_block, barrier)
+        sync_exec(out, self.workload.block_sets().barrier_block, barrier);
     }
 
     /// An unsynchronised shared block execution: reads of read-mostly data
     /// (race-free because it was written before the fork) plus, for racy
     /// workloads, occasional unprotected accesses to the racy area.
-    fn next_unlocked_shared(&mut self) -> BlockExec {
+    fn next_unlocked_shared(&mut self, out: &mut BlockExec) {
         let blocks = &self.workload.block_sets().shared_blocks;
         let block = blocks[self.gen.shared_block.sample(&mut self.rng)];
         let (racy_pairs, racy_base, racy_len) =
@@ -743,7 +725,7 @@ impl<'a> ThreadTrace<'a> {
         let racy_pair = self.gen.racy_pair;
         let mut force_racy = self.at.forced_racy_write_pending && racy_len > 0;
         self.at.forced_racy_write_pending = false;
-        self.work_exec(block, |rng| {
+        self.work_exec(out, block, |rng| {
             if shared_within.sample(rng) {
                 if racy_pairs > 0 && racy_len > 0 && (force_racy || racy.sample(rng)) {
                     force_racy = false;
@@ -754,23 +736,17 @@ impl<'a> ThreadTrace<'a> {
                     } else {
                         AccessKind::Read
                     };
-                    (addr, kind)
+                    AccessWord::new(addr, kind)
                 } else {
-                    (rm_base.offset(rm_slot.sample(rng) * 8), AccessKind::Read)
+                    AccessWord::new(rm_base.offset(rm_slot.sample(rng) * 8), AccessKind::Read)
                 }
             } else {
-                let addr = private_base.offset(private_slot.sample(rng) * 8);
-                let kind = if read.sample(rng) {
-                    AccessKind::Read
-                } else {
-                    AccessKind::Write
-                };
-                (addr, kind)
+                with_drawn_kind(private_base.offset(private_slot.sample(rng) * 8), read, rng)
             }
-        })
+        });
     }
 
-    fn next_work(&mut self) -> BlockExec {
+    fn next_work(&mut self, out: &mut BlockExec) {
         // A locked episode emits `critical_section_blocks` shared blocks while
         // a private/unlocked choice emits one, so the per-decision probability
         // is corrected for the spec's *access-level* fraction — precomputed in
@@ -778,17 +754,21 @@ impl<'a> ThreadTrace<'a> {
         if self.gen.choice.sample(&mut self.rng) {
             if self.gen.locked.sample(&mut self.rng) {
                 // The critical section charges its own body blocks.
-                return self.next_acquire();
+                return self.next_acquire(out);
             }
-            let exec = self.next_unlocked_shared();
-            self.charge_work_block();
-            exec
+            self.next_unlocked_shared(out);
         } else {
-            let exec = self.next_private();
-            self.charge_work_block();
-            exec
+            self.next_private(out);
         }
+        self.charge_work_block();
     }
+}
+
+/// Fills `out` with a sync or exit execution of `block` (no accesses).
+fn sync_exec(out: &mut BlockExec, block: BlockId, step: Step) {
+    out.block = block;
+    out.step = step;
+    out.accesses.clear();
 }
 
 // The parallel epoch scheduler ships each thread's trace to a producer
@@ -802,62 +782,11 @@ const _: fn() = || {
 impl Iterator for ThreadTrace<'_> {
     type Item = BlockExec;
 
+    /// The next execution in a fresh allocation; [`ThreadTrace::next_into`]
+    /// is the allocation-free form.
     fn next(&mut self) -> Option<BlockExec> {
-        if let Some(cs) = self.at.critical_section {
-            return Some(self.next_in_critical_section(cs));
-        }
-        if self.at.barriers_due > 0 {
-            return Some(self.next_barrier());
-        }
-        loop {
-            match self.at.phase {
-                TracePhase::Init => {
-                    if self.at.init_remaining > 0 {
-                        return Some(self.next_init());
-                    }
-                    self.at.phase = TracePhase::Fork;
-                }
-                TracePhase::Fork => {
-                    if self.at.fork_next < self.workload.spec().threads {
-                        let child = ThreadId::new(self.at.fork_next);
-                        self.at.fork_next += 1;
-                        return Some(self.sync_exec(
-                            self.workload.block_sets().fork_block,
-                            Operation::Sync(SyncOp::Fork(child)),
-                        ));
-                    }
-                    self.at.phase = TracePhase::Work;
-                }
-                TracePhase::Work => {
-                    if self.at.remaining_accesses > 0 {
-                        return Some(self.next_work());
-                    }
-                    self.at.phase = if self.thread == ThreadId::MAIN {
-                        TracePhase::Join
-                    } else {
-                        TracePhase::Exit
-                    };
-                }
-                TracePhase::Join => {
-                    if self.at.join_next < self.workload.spec().threads {
-                        let child = ThreadId::new(self.at.join_next);
-                        self.at.join_next += 1;
-                        return Some(self.sync_exec(
-                            self.workload.block_sets().join_block,
-                            Operation::Sync(SyncOp::Join(child)),
-                        ));
-                    }
-                    self.at.phase = TracePhase::Exit;
-                }
-                TracePhase::Exit => {
-                    self.at.phase = TracePhase::Done;
-                    return Some(
-                        self.sync_exec(self.workload.block_sets().exit_block, Operation::Exit),
-                    );
-                }
-                TracePhase::Done => return None,
-            }
-        }
+        let mut exec = BlockExec::default();
+        self.next_into(&mut exec).then_some(exec)
     }
 }
 
@@ -865,7 +794,6 @@ impl Iterator for ThreadTrace<'_> {
 mod tests {
     use super::*;
     use crate::{Workload, WorkloadSpec};
-    use aikido_types::MemRef;
 
     fn small_spec() -> WorkloadSpec {
         WorkloadSpec {
@@ -902,74 +830,65 @@ mod tests {
     }
 
     #[test]
-    fn block_meta_faithfully_describes_generated_work_blocks() {
+    fn work_executions_carry_one_access_word_per_shape_slot() {
         let spec = small_spec();
         let w = Workload::generate(&spec);
         let mut work_blocks = 0;
         for exec in w.thread_trace(ThreadId::new(1)) {
-            if exec.ops.len() == 1 && !exec.ops[0].is_mem() {
-                assert!(!exec.meta.plain, "sync executions are never plain");
+            let block = w.program().block(exec.block).expect("block exists");
+            let ops: Vec<Operation> = exec.operations(&w).collect();
+            if exec.step != Step::Work {
+                assert!(
+                    exec.accesses.is_empty(),
+                    "sync executions carry no accesses"
+                );
+                assert_eq!(ops.len(), 1);
                 continue;
             }
             work_blocks += 1;
-            assert!(exec.meta.plain);
-            assert_eq!(exec.meta.mem_ops as usize, exec.mem_accesses());
-            assert_eq!(
-                exec.meta.compute_ops as usize,
-                exec.ops.len() - exec.mem_accesses()
-            );
-            // Runs tile the memory ops exactly, in order, with uniform
-            // (page, kind) and maximal length.
-            let mut covered = vec![false; exec.ops.len()];
-            for (r, run) in exec.meta.runs.iter().enumerate() {
-                assert!(run.len >= 1);
-                for i in run.start..run.start + run.len {
-                    let m = exec.ops[usize::from(i)]
-                        .as_mem()
-                        .expect("run covers mem op");
-                    assert_eq!(m.addr.page(), run.page);
-                    assert_eq!(m.kind, run.kind);
-                    covered[usize::from(i)] = true;
-                }
-                if r > 0 {
-                    let prev = exec.meta.runs[r - 1];
-                    let adjacent =
-                        usize::from(prev.start) + usize::from(prev.len) == usize::from(run.start);
-                    assert!(
-                        !adjacent || prev.page != run.page || prev.kind != run.kind,
-                        "adjacent runs with equal keys must have been merged"
-                    );
-                }
+            let shape = w.shape(exec.block);
+            assert_eq!(exec.accesses.len(), shape.slots().len());
+            assert_eq!(shape.instrs() as usize, block.len());
+            assert_eq!(shape.computes() as usize, block.len() - shape.slots().len());
+            // The adapter decodes one op per static instruction, aligned by
+            // index, and round-trips every word in slot order.
+            assert_eq!(ops.len(), block.len());
+            let mems: Vec<MemRef> = ops.iter().filter_map(|op| op.as_mem().copied()).collect();
+            assert_eq!(mems.len(), exec.accesses.len());
+            for ((m, slot), word) in mems.iter().zip(shape.slots()).zip(&exec.accesses) {
+                assert_eq!(m.instr, slot.instr);
+                assert_eq!(m.mode, slot.mode);
+                assert!(matches!(
+                    ops[usize::from(slot.instr.index())],
+                    Operation::Mem(_)
+                ));
+                assert_eq!(AccessWord::new(m.addr, m.kind), *word);
+                assert_eq!((word.addr(), word.kind()), (m.addr, m.kind));
+                assert_eq!(word.page(), m.addr.page());
             }
-            for (i, op) in exec.ops.iter().enumerate() {
-                assert_eq!(covered[i], op.is_mem(), "op {i} coverage");
-            }
-            // The fused single-pass construction must agree with the
-            // reference rebuild.
-            let mut reference = BlockMeta::default();
-            reference.rebuild(&exec.ops);
-            assert_eq!(exec.meta, reference);
         }
         assert!(work_blocks > 0);
     }
 
     #[test]
-    fn block_meta_rebuild_flags_non_plain_operation_lists() {
-        let mut meta = BlockMeta::default();
-        meta.rebuild(&[
-            Operation::Compute { count: 2 },
-            Operation::Mem(MemRef::new(
-                aikido_types::InstrId::new(BlockId::new(0), 1),
-                Addr::new(0x1000),
-                AccessKind::Read,
-                aikido_types::AddrMode::Direct,
-            )),
-        ]);
-        assert!(!meta.plain, "multi-instruction compute ops are not plain");
-        assert_eq!(meta.runs.len(), 1);
-        meta.rebuild(&[Operation::Exit]);
-        assert!(!meta.plain);
-        assert!(meta.runs.is_empty());
+    fn access_words_split_runs_on_page_and_kind() {
+        let base = Addr::new(7 * aikido_types::PAGE_SIZE);
+        let read = AccessWord::new(base, AccessKind::Read);
+        assert_eq!(
+            read.run_key(),
+            AccessWord::new(base.offset(4088), AccessKind::Read).run_key()
+        );
+        assert_ne!(
+            read.run_key(),
+            AccessWord::new(base, AccessKind::Write).run_key()
+        );
+        assert_ne!(
+            read.run_key(),
+            AccessWord::new(base.offset(4096), AccessKind::Read).run_key()
+        );
+        let top = Addr::new(AccessWord::ADDR_LIMIT - 8);
+        let write = AccessWord::new(top, AccessKind::Write);
+        assert_eq!((write.addr(), write.kind()), (top, AccessKind::Write));
     }
 
     #[test]
@@ -978,17 +897,15 @@ mod tests {
         let trace = trace_of(&spec, 0);
         let forks: Vec<_> = trace
             .iter()
-            .flat_map(|b| &b.ops)
-            .filter_map(|op| match op {
-                Operation::Sync(SyncOp::Fork(t)) => Some(*t),
+            .filter_map(|b| match b.step {
+                Step::Sync(SyncOp::Fork(t)) => Some(t),
                 _ => None,
             })
             .collect();
         let joins: Vec<_> = trace
             .iter()
-            .flat_map(|b| &b.ops)
-            .filter_map(|op| match op {
-                Operation::Sync(SyncOp::Join(t)) => Some(*t),
+            .filter_map(|b| match b.step {
+                Step::Sync(SyncOp::Join(t)) => Some(t),
                 _ => None,
             })
             .collect();
@@ -1003,9 +920,9 @@ mod tests {
     fn workers_do_not_fork_or_join() {
         let spec = small_spec();
         let trace = trace_of(&spec, 2);
-        assert!(!trace.iter().flat_map(|b| &b.ops).any(|op| matches!(
-            op,
-            Operation::Sync(SyncOp::Fork(_)) | Operation::Sync(SyncOp::Join(_))
+        assert!(!trace.iter().any(|b| matches!(
+            b.step,
+            Step::Sync(SyncOp::Fork(_)) | Step::Sync(SyncOp::Join(_))
         )));
     }
 
@@ -1016,15 +933,15 @@ mod tests {
             let trace = trace_of(&spec, thread);
             let mut held: Option<LockId> = None;
             let mut acquires = 0;
-            for op in trace.iter().flat_map(|b| &b.ops) {
-                match op {
-                    Operation::Sync(SyncOp::Acquire(l)) => {
+            for exec in &trace {
+                match exec.step {
+                    Step::Sync(SyncOp::Acquire(l)) => {
                         assert!(held.is_none(), "nested acquire in generated trace");
-                        held = Some(*l);
+                        held = Some(l);
                         acquires += 1;
                     }
-                    Operation::Sync(SyncOp::Release(l)) => {
-                        assert_eq!(held, Some(*l), "release of a lock not held");
+                    Step::Sync(SyncOp::Release(l)) => {
+                        assert_eq!(held, Some(l), "release of a lock not held");
                         held = None;
                     }
                     _ => {}
@@ -1041,7 +958,7 @@ mod tests {
     fn per_thread_access_budget_is_respected() {
         let spec = small_spec();
         let trace = trace_of(&spec, 1);
-        let accesses: usize = trace.iter().map(BlockExec::mem_accesses).sum();
+        let accesses: usize = trace.iter().map(|b| b.accesses.len()).sum();
         let budget = spec.mem_accesses_per_thread as usize;
         assert!(
             accesses >= budget,
@@ -1068,12 +985,10 @@ mod tests {
         let mut total = 0u64;
         let mut shared = 0u64;
         for exec in w.thread_trace(ThreadId::new(1)) {
-            for op in &exec.ops {
-                if let Operation::Mem(m) = op {
-                    total += 1;
-                    if m.addr.raw() >= shared_base && m.addr.raw() < shared_end {
-                        shared += 1;
-                    }
+            for word in &exec.accesses {
+                total += 1;
+                if word.addr().raw() >= shared_base && word.addr().raw() < shared_end {
+                    shared += 1;
                 }
             }
         }
@@ -1093,7 +1008,7 @@ mod tests {
         for thread in 0..spec.threads {
             let mut held: Option<u32> = None;
             for exec in w.thread_trace(ThreadId::new(thread)) {
-                for op in &exec.ops {
+                for op in exec.operations(&w) {
                     match op {
                         Operation::Sync(SyncOp::Acquire(l)) => held = Some((l.raw() - 1) as u32),
                         Operation::Sync(SyncOp::Release(_)) => held = None,
@@ -1126,8 +1041,7 @@ mod tests {
         let w = Workload::generate(&spec);
         let barrier_count = |t: u32| {
             w.thread_trace(ThreadId::new(t))
-                .flat_map(|b| b.ops)
-                .filter(|op| matches!(op, Operation::Sync(SyncOp::Barrier(_))))
+                .filter(|b| matches!(b.step, Step::Sync(SyncOp::Barrier(_))))
                 .count()
         };
         let counts: Vec<_> = (0..spec.threads).map(barrier_count).collect();
@@ -1146,12 +1060,10 @@ mod tests {
         for t in 0..spec.threads {
             let touches = w
                 .thread_trace(ThreadId::new(t))
-                .flat_map(|b| b.ops)
-                .any(|op| match op {
-                    Operation::Mem(m) => {
-                        m.addr.raw() >= racy_base.raw() && m.addr.raw() < racy_base.raw() + racy_len
-                    }
-                    _ => false,
+                .flat_map(|b| b.accesses)
+                .any(|word| {
+                    let addr = word.addr().raw();
+                    addr >= racy_base.raw() && addr < racy_base.raw() + racy_len
                 });
             if touches {
                 threads_touching += 1;
@@ -1171,7 +1083,7 @@ mod tests {
         for t in 0..spec.threads {
             let mut forked = t != 0; // workers run entirely after the fork
             for exec in w.thread_trace(ThreadId::new(t)) {
-                for op in &exec.ops {
+                for op in exec.operations(&w) {
                     match op {
                         Operation::Sync(SyncOp::Fork(_)) => forked = true,
                         Operation::Mem(m)

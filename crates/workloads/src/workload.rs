@@ -3,30 +3,52 @@
 use std::sync::Arc;
 
 use aikido_dbi::{Program, StaticInstr};
-use aikido_types::{AccessKind, Addr, AddrMode, BlockId, MemRef, Operation, SyncOp, ThreadId};
+use aikido_types::{AccessKind, AddrMode, BlockId, InstrId, SyncOp, ThreadId, PAGE_SIZE};
 
 use crate::layout::MemoryLayout;
 use crate::scenario::ScenarioModel;
 use crate::spec::WorkloadSpec;
-use crate::trace::{CursorError, ThreadTrace, TraceCursor};
+use crate::trace::{AccessWord, CursorError, ThreadTrace, TraceCursor};
 
-/// A precomputed operation skeleton for one static block: everything about a
-/// work-block execution that does *not* depend on the per-execution random
-/// draws. Trace generation copies the skeleton in one `memcpy` and patches
-/// only each memory operation's address and kind, instead of re-walking the
-/// static block and rebuilding the operation list push by push.
-#[derive(Clone, Debug)]
-pub(crate) struct BlockTemplate {
-    /// One operation per static instruction: `Compute { count: 1 }` for
-    /// compute/sync instructions, a placeholder [`MemRef`] (correct `instr`
-    /// and `mode`, zero address) for memory instructions.
-    pub(crate) ops: Vec<Operation>,
-    /// Number of memory operations in the block.
-    pub(crate) mem_ops: u32,
-    /// Number of compute operations in the block.
-    pub(crate) compute_ops: u32,
-    /// True when run metadata can index the block's operations with `u16`.
-    pub(crate) plain: bool,
+/// One memory instruction of a [`BlockShape`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct MemSlot {
+    /// The static instruction (its index is its position in the block).
+    pub instr: InstrId,
+    /// Its addressing mode.
+    pub mode: AddrMode,
+}
+
+/// The static skeleton of one block: everything about an execution that
+/// does *not* depend on the random draws. A generated [`BlockExec`]
+/// carries one access word per slot, in slot order; the simulator's block
+/// kernels walk the slots and the words together.
+///
+/// [`BlockExec`]: crate::BlockExec
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BlockShape {
+    slots: Vec<MemSlot>,
+    instrs: u32,
+}
+
+impl BlockShape {
+    /// The block's memory instructions, in program order.
+    #[inline]
+    pub fn slots(&self) -> &[MemSlot] {
+        &self.slots
+    }
+
+    /// Number of instructions in the block.
+    #[inline]
+    pub fn instrs(&self) -> u32 {
+        self.instrs
+    }
+
+    /// Number of non-memory instructions, each one dynamic instruction.
+    #[inline]
+    pub fn computes(&self) -> u32 {
+        self.instrs - self.slots.len() as u32
+    }
 }
 
 /// The static blocks a workload's threads execute, grouped by role.
@@ -52,8 +74,8 @@ pub struct Workload {
     /// Shared so DBI engines can reference the program without cloning it.
     program: Arc<Program>,
     blocks: BlockSets,
-    /// One operation skeleton per static block, indexed by raw block id.
-    templates: Vec<BlockTemplate>,
+    /// One skeleton per static block, indexed by raw block id.
+    shapes: Vec<BlockShape>,
     /// The declarative episode model implied by the spec (see
     /// [`crate::scenario`]); the input of the static pre-analysis.
     scenario: ScenarioModel,
@@ -132,39 +154,31 @@ impl Workload {
             exit_block: sync_block(&mut program),
         };
 
-        let templates = program
+        let shapes = program
             .iter()
             .map(|block| {
-                let mut mem_ops = 0u32;
-                let mut compute_ops = 0u32;
-                let ops: Vec<Operation> = block
+                let slots: Vec<MemSlot> = block
                     .iter_ids()
-                    .map(|(id, instr)| match instr {
-                        StaticInstr::Compute | StaticInstr::Sync => {
-                            compute_ops += 1;
-                            Operation::Compute { count: 1 }
-                        }
-                        StaticInstr::Mem { mode, .. } => {
-                            mem_ops += 1;
-                            Operation::Mem(MemRef {
-                                instr: id,
-                                addr: Addr::new(0),
-                                kind: AccessKind::Read,
-                                size: 8,
-                                mode: *mode,
-                            })
-                        }
+                    .filter_map(|(instr, static_instr)| match static_instr {
+                        StaticInstr::Mem { mode, .. } => Some(MemSlot { instr, mode: *mode }),
+                        StaticInstr::Compute | StaticInstr::Sync => None,
                     })
                     .collect();
-                let plain = ops.len() <= usize::from(u16::MAX);
-                BlockTemplate {
-                    ops,
-                    mem_ops,
-                    compute_ops,
-                    plain,
+                BlockShape {
+                    slots,
+                    instrs: block.len() as u32,
                 }
             })
             .collect();
+        // Every generated address lies inside a mapped region, and access
+        // words keep the top bit for the access kind.
+        assert!(
+            layout.regions().iter().all(|&(base, pages)| pages
+                .checked_mul(PAGE_SIZE)
+                .and_then(|len| base.raw().checked_add(len))
+                .is_some_and(|end| end <= AccessWord::ADDR_LIMIT)),
+            "workload layout exceeds the access-word address range"
+        );
 
         let scenario = crate::scenario::build_model(spec, &layout, &blocks);
 
@@ -173,7 +187,7 @@ impl Workload {
             layout,
             program: Arc::new(program),
             blocks,
-            templates,
+            shapes,
             scenario,
         }
     }
@@ -204,7 +218,7 @@ impl Workload {
         (0..self.spec.threads).map(ThreadId::new).collect()
     }
 
-    /// The deterministic operation trace of `thread`. Iterating it twice
+    /// The deterministic trace of `thread`. Iterating it twice
     /// yields identical block executions.
     ///
     /// # Panics
@@ -274,13 +288,14 @@ impl Workload {
         &self.blocks
     }
 
-    /// The precomputed operation skeleton of `block`.
+    /// The static skeleton of `block`.
     ///
     /// # Panics
     ///
     /// Panics if `block` is not part of the program.
-    pub(crate) fn template(&self, block: BlockId) -> &BlockTemplate {
-        &self.templates[block.raw() as usize]
+    #[inline]
+    pub fn shape(&self, block: BlockId) -> &BlockShape {
+        &self.shapes[block.raw() as usize]
     }
 }
 
@@ -295,7 +310,7 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aikido_types::Operation;
+    use crate::Step;
 
     #[test]
     fn generated_program_contains_all_block_groups() {
@@ -348,7 +363,7 @@ mod tests {
         for t in w.threads() {
             let trace: Vec<_> = w.thread_trace(t).collect();
             let last = trace.last().expect("trace is non-empty");
-            assert!(matches!(last.ops.last(), Some(Operation::Exit)));
+            assert_eq!(last.step, Step::Exit);
         }
     }
 

@@ -6,9 +6,10 @@
 //! thread's Init, Fork and Join phases — on all ten presets, the racy
 //! scenario and a barrier preset.
 
-use aikido_types::{Operation, SyncOp, ThreadId};
+use aikido_types::{SyncOp, ThreadId};
 use aikido_workloads::{
-    racy_workload, BlockExec, TraceCursor, TracePhase, Workload, WorkloadSpec, PARSEC_BENCHMARKS,
+    racy_workload, BlockExec, Step, TraceCursor, TracePhase, Workload, WorkloadSpec,
+    PARSEC_BENCHMARKS,
 };
 
 /// Which delicate states a sweep visited.
@@ -41,11 +42,8 @@ fn check_workload(w: &Workload, seen: &mut Seen) {
         let (execs, cursors) = stream_with_cursors(w, thread);
         for (i, cursor) in cursors.iter().enumerate() {
             let c = &cursor.counters;
-            let after_acquire = i > 0
-                && matches!(
-                    execs[i - 1].ops.as_slice(),
-                    [Operation::Sync(SyncOp::Acquire(_))]
-                );
+            let after_acquire =
+                i > 0 && matches!(execs[i - 1].step, Step::Sync(SyncOp::Acquire(_)));
             let mid_section = c
                 .critical_section
                 .is_some_and(|cs| cs.bodies_left > 0 && cs.bodies_left < full_section);
