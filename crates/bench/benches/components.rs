@@ -167,6 +167,37 @@ fn bench_checkpoint_period(c: &mut Criterion) {
     group.finish();
 }
 
+/// The checkpoint codec on its own: validate a scale-1 midpoint image from
+/// its bytes, then resume it with the midpoint itself as the target, which
+/// decodes every section, runs at most one scheduling round and encodes
+/// the image again.
+fn bench_checkpoint_codec(c: &mut Criterion) {
+    let spec = WorkloadSpec::parsec("blackscholes").expect("known preset");
+    let workload = Workload::generate(&spec);
+    let sim = Simulator::default();
+    let mut group = c.benchmark_group("checkpoint_codec");
+    group.sample_size(20);
+    for (name, mode) in [
+        ("blackscholes_full", Mode::FullInstrumentation),
+        ("blackscholes_aikido", Mode::Aikido),
+    ] {
+        let midpoint = sim.run(&workload, mode).counts.block_execs / 2;
+        let CheckpointOutcome::Paused(snapshot) =
+            sim.checkpoint(&workload, mode, midpoint).unwrap()
+        else {
+            panic!("the midpoint checkpoint must pause");
+        };
+        let bytes = snapshot.into_bytes();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let snapshot = Snapshot::from_bytes(bytes.clone()).unwrap();
+                black_box(sim.resume_until(&workload, &snapshot, midpoint).unwrap())
+            });
+        });
+    }
+    group.finish();
+}
+
 /// Trace generation on its own: drains every thread of a scale-1 preset
 /// through `ThreadTrace::next_into` with one reused execution, exactly as
 /// the scheduler pulls blocks. Returns the access count so the work cannot
@@ -201,6 +232,7 @@ criterion_group!(
     bench_vm,
     bench_dbi,
     bench_checkpoint_period,
+    bench_checkpoint_codec,
     bench_trace_generation
 );
 criterion_main!(benches);

@@ -6,13 +6,16 @@ use aikido_shadow::ShadowStore;
 use aikido_snapshot::{SectionReader, SectionWriter, SnapshotError};
 use aikido_types::{
     AccessContext, AccessKind, Addr, AnalysisReport, InstrId, LockId, ReportKind, ShadowWord,
-    SharedDataAnalysis, SlabHandle, ThreadId, Vpn,
+    SharedDataAnalysis, SlabDirectory, SlabHandle, ThreadId, Vpn, SLAB_BITS, SLAB_WORDS,
 };
 
 use crate::clock::{Epoch, VectorClock};
 use crate::config::FastTrackConfig;
 use crate::dense::DenseMap;
-use crate::packed::{decode_word, encode_state, pack_epoch, PackedVars, INLINE_LANES};
+use crate::packed::{
+    decode_word, encode_state, is_canonical_word, pack_epoch, PackedVars, INLINE_LANES,
+    SPILLED_RECORD,
+};
 use crate::state::{ReadState, VarState};
 use crate::stats::{FastTrackStats, SpillStats};
 
@@ -924,10 +927,27 @@ impl FastTrack {
     }
 
     /// Serializes the detector's complete state — configuration, thread and
-    /// lock clocks, every tracked variable state (storage-independent, in
-    /// ascending block order, written straight from the active storage),
-    /// dedup set, reports, statistics and the last-cost memo — into one
-    /// snapshot section.
+    /// lock clocks, every tracked variable state (storage-independent,
+    /// written straight from the active storage), dedup set, reports,
+    /// statistics and the last-cost memo — into one snapshot section.
+    ///
+    /// Tracked states follow their count (`u64`) as one record per
+    /// non-empty slab of [`SLAB_WORDS`] blocks, slabs in ascending order:
+    ///
+    /// ```text
+    /// chunk  u64   slab index (block >> SLAB_BITS)
+    /// count  u16   tracked blocks in the slab (1..=512)
+    /// count × (ascending slot order):
+    ///   slot   u16   block - (chunk << SLAB_BITS)
+    ///   word   u64   the state's canonical packed word, or u64::MAX for a
+    ///                spilled state, followed by its explicit record:
+    ///                write epoch, read tag (0 epoch | 1 clock), read epoch
+    ///                or clock
+    /// ```
+    ///
+    /// An unspilled state costs 10 bytes. Both storages write identical
+    /// bytes: the packed plane copies its words, the reference store
+    /// encodes each state with `encode_state`.
     pub fn encode_snapshot(&self, out: &mut SectionWriter) {
         out.put_u64(self.config.granularity);
         out.put_bool(self.config.epoch_optimization);
@@ -948,8 +968,24 @@ impl FastTrack {
             VarStorage::Packed(vars) => vars.encode_states(out),
             VarStorage::Reference(store) => {
                 let shift = self.config.granularity.trailing_zeros();
-                for (addr, state) in store.iter() {
-                    put_var_state(out, addr.raw() >> shift, state);
+                let states: Vec<(u64, &VarState)> = store
+                    .iter()
+                    .map(|(addr, state)| (addr.raw() >> shift, state))
+                    .collect();
+                let chunk = |block: u64| SlabDirectory::split(block).0;
+                for slab in states.chunk_by(|a, b| chunk(a.0) == chunk(b.0)) {
+                    out.put_u64(chunk(slab[0].0));
+                    out.put_u16(slab.len() as u16);
+                    for (block, state) in slab {
+                        out.put_u16(SlabDirectory::split(*block).1 as u16);
+                        match encode_state(state) {
+                            Some(word) => out.put_u64(word.raw()),
+                            None => {
+                                out.put_u64(SPILLED_RECORD);
+                                put_spilled_state(out, state);
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -1051,46 +1087,85 @@ impl FastTrack {
             }
         }
 
-        // States arrive in ascending block order, so the packed plane fills
-        // each slab with one directory probe.
-        let var_count = r.get_usize()?;
-        let mut previous: Option<u64> = None;
-        let mut slab = None;
-        for _ in 0..var_count {
-            let block = r.get_u64()?;
-            if previous.is_some_and(|p| p >= block) {
+        // Tracked states, slab by slab: each slab resolves once and takes
+        // its words as they are, after checking they are canonical.
+        let tracked = r.get_usize()?;
+        let shift = granularity.trailing_zeros();
+        let last_chunk = SlabDirectory::split(u64::MAX >> shift).0;
+        let mut remaining = tracked;
+        let mut previous_chunk = None;
+        while remaining > 0 {
+            let chunk = r.get_u64()?;
+            if previous_chunk.is_some_and(|p| p >= chunk) || chunk > last_chunk {
                 return Err(SnapshotError::new(
                     r.section_name(),
                     r.offset(),
-                    format!("variable state for block {block} is out of ascending order"),
+                    format!("slab {chunk} is out of ascending order or past the address space"),
                 ));
             }
-            previous = Some(block);
-            let write = get_epoch(r)?;
-            let read = match r.get_u8()? {
-                0 => ReadState::Exclusive(get_epoch(r)?),
-                1 => ReadState::Shared(Box::new(get_clock(r)?)),
-                other => {
+            previous_chunk = Some(chunk);
+            let count = usize::from(r.get_u16()?);
+            if count == 0 || count > remaining {
+                return Err(SnapshotError::new(
+                    r.section_name(),
+                    r.offset(),
+                    format!(
+                        "slab {chunk} holds {count} blocks, but {remaining} of the \
+                         {tracked} tracked blocks remain"
+                    ),
+                ));
+            }
+            remaining -= count;
+            let mut handle = None;
+            let mut previous_slot = None;
+            for _ in 0..count {
+                let slot = usize::from(r.get_u16()?);
+                if previous_slot.is_some_and(|p| p >= slot) || slot >= SLAB_WORDS {
                     return Err(SnapshotError::new(
                         r.section_name(),
                         r.offset(),
-                        format!("invalid read-state tag {other}"),
-                    ))
+                        format!("slot {slot} of slab {chunk} is out of ascending order or range"),
+                    ));
                 }
-            };
-            let state = VarState { write, read };
-            match &mut ft.vars {
-                VarStorage::Packed(vars) => vars.insert_ascending(&mut slab, block, state),
-                VarStorage::Reference(store) => {
-                    let shift = granularity.trailing_zeros();
-                    store.insert(Addr::new(block << shift), state);
+                previous_slot = Some(slot);
+                let entry = get_var_entry(r)?;
+                match &mut ft.vars {
+                    VarStorage::Packed(vars) => {
+                        let handle =
+                            *handle.get_or_insert_with(|| vars.resolve_block(chunk << SLAB_BITS));
+                        let word = match entry {
+                            VarEntry::Word(word) => word,
+                            VarEntry::Spilled(state) => vars.spill(state),
+                        };
+                        vars.set_word_at(handle, slot, word);
+                    }
+                    VarStorage::Reference(store) => {
+                        let state = match entry {
+                            VarEntry::Word(word) => decode_word(word),
+                            VarEntry::Spilled(state) => state,
+                        };
+                        let block = (chunk << SLAB_BITS) + slot as u64;
+                        store.insert(Addr::new(block << shift), state);
+                    }
                 }
             }
         }
 
+        // The encoder writes the dedup set sorted and unique; anything else
+        // is not a canonical image.
         let reported_count = r.get_usize()?;
+        let mut previous_reported = None;
         for _ in 0..reported_count {
-            ft.reported_blocks.insert(r.get_u64()?);
+            let block = r.get_u64()?;
+            if previous_reported.is_some_and(|p| p >= block) {
+                return Err(SnapshotError::new(
+                    r.section_name(),
+                    r.offset(),
+                    format!("reported block {block} is duplicated or out of ascending order"),
+                ));
+            }
+            previous_reported = Some(block);
+            ft.reported_blocks.insert(block);
         }
 
         let report_count = r.get_usize()?;
@@ -1182,9 +1257,9 @@ pub(crate) fn put_epoch(out: &mut SectionWriter, e: Epoch) {
     out.put_u32(e.thread().raw());
 }
 
-/// Writes one `(block, state)` record (FTRK wire layout).
-fn put_var_state(out: &mut SectionWriter, block: u64, state: &VarState) {
-    out.put_u64(block);
+/// Writes a spilled state's explicit record (FTRK wire layout): write
+/// epoch, then read tag 0 + epoch or tag 1 + clock.
+fn put_spilled_state(out: &mut SectionWriter, state: &VarState) {
     put_epoch(out, state.write);
     match &state.read {
         ReadState::Exclusive(e) => {
@@ -1196,6 +1271,52 @@ fn put_var_state(out: &mut SectionWriter, block: u64, state: &VarState) {
             put_clock(out, rvc.raw_clocks());
         }
     }
+}
+
+/// One decoded block of the FTRK slab layout.
+enum VarEntry {
+    /// A canonical unspilled word.
+    Word(ShadowWord),
+    /// A state that does not fit a word.
+    Spilled(VarState),
+}
+
+/// Reads one block's word (and explicit record, for a spilled state),
+/// refusing anything the encoder would not have written: a word that is
+/// not canonical, a bad read tag, or a "spilled" state that fits a word.
+fn get_var_entry(r: &mut SectionReader<'_>) -> Result<VarEntry, SnapshotError> {
+    let raw = r.get_u64()?;
+    if raw != SPILLED_RECORD {
+        if !is_canonical_word(raw) {
+            return Err(SnapshotError::new(
+                r.section_name(),
+                r.offset(),
+                format!("{raw:#018x} is not a canonical packed word"),
+            ));
+        }
+        return Ok(VarEntry::Word(ShadowWord::from_raw(raw)));
+    }
+    let write = get_epoch(r)?;
+    let read = match r.get_u8()? {
+        0 => ReadState::Exclusive(get_epoch(r)?),
+        1 => ReadState::Shared(Box::new(get_clock(r)?)),
+        other => {
+            return Err(SnapshotError::new(
+                r.section_name(),
+                r.offset(),
+                format!("invalid read-state tag {other}"),
+            ))
+        }
+    };
+    let state = VarState { write, read };
+    if encode_state(&state).is_some() {
+        return Err(SnapshotError::new(
+            r.section_name(),
+            r.offset(),
+            "a spilled record holds a state that fits a packed word",
+        ));
+    }
+    Ok(VarEntry::Spilled(state))
 }
 
 fn get_clock(r: &mut SectionReader<'_>) -> Result<VectorClock, SnapshotError> {
@@ -1765,14 +1886,14 @@ mod tests {
             ft.write(t(1), addr(0x500));
             assert!(!ft.races().is_empty());
 
-            let mut w = SectionWriter::new(*b"FTRK", 2);
+            let mut w = SectionWriter::new(*b"FTRK", 3);
             ft.encode_snapshot(&mut w);
             let section_len = w.len();
             let mut snap = aikido_snapshot::SnapshotBuilder::new();
             snap.push(w);
             let snap = snap.finish();
             let mut reader = snap.reader().expect("valid image");
-            let mut section = reader.section(*b"FTRK", 2).expect("section present");
+            let mut section = reader.section(*b"FTRK", 3).expect("section present");
             let mut restored = FastTrack::decode_snapshot(&mut section).expect("decodes");
             section.finish().expect("payload fully consumed");
             reader.finish().expect("no trailing sections");
@@ -1796,9 +1917,9 @@ mod tests {
             assert_eq!(restored.stats(), ft.stats());
 
             // Re-encoding the restored detector is byte-stable.
-            let mut w2 = SectionWriter::new(*b"FTRK", 2);
+            let mut w2 = SectionWriter::new(*b"FTRK", 3);
             restored.encode_snapshot(&mut w2);
-            let mut w3 = SectionWriter::new(*b"FTRK", 2);
+            let mut w3 = SectionWriter::new(*b"FTRK", 3);
             ft.encode_snapshot(&mut w3);
             assert_eq!(w2.len(), w3.len());
             assert!(section_len > 0);
@@ -1827,7 +1948,7 @@ mod tests {
             }
             ft.write(t(200), addr(0x2_0008)); // wide thread id spills
             ft.read(t(3), addr(0x2_0010));
-            let mut w = SectionWriter::new(*b"FTRK", 2);
+            let mut w = SectionWriter::new(*b"FTRK", 3);
             ft.encode_snapshot(&mut w);
             let mut builder = aikido_snapshot::SnapshotBuilder::new();
             builder.push(w);

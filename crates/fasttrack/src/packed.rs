@@ -22,7 +22,7 @@
 
 use aikido_shadow::ShadowSlabs;
 use aikido_snapshot::SectionWriter;
-use aikido_types::{Addr, ShadowWord, SlabDirectory, SlabHandle, ThreadId};
+use aikido_types::{Addr, ShadowWord, SlabHandle, ThreadId, SLAB_WORDS};
 
 use crate::clock::{Epoch, VectorClock};
 use crate::detector::{cost, put_clock, put_epoch, ReadOutcome, WriteOutcome};
@@ -67,6 +67,19 @@ pub(crate) fn decode_word(word: ShadowWord) -> VarState {
         write: unpack_epoch(word.write_field()),
         read: ReadState::Exclusive(unpack_epoch(word.read_field())),
     }
+}
+
+/// The FTRK word written in place of a spilled state, whose explicit record
+/// follows it. Never a canonical word: its spill bit is set.
+pub(crate) const SPILLED_RECORD: u64 = u64::MAX;
+
+/// True if `raw` is exactly what [`encode_state`] produces for some tracked
+/// state: non-zero, spill bit clear, and fixed by a decode/encode round trip
+/// (which also rejects stray tag bits outside the two epoch fields).
+#[inline]
+pub(crate) fn is_canonical_word(raw: u64) -> bool {
+    let word = ShadowWord::from_raw(raw);
+    !word.is_empty() && !word.is_spilled() && encode_state(&decode_word(word)) == Some(word)
 }
 
 /// Thread indices whose read clock is kept inline in a spill slot's epoch
@@ -532,58 +545,63 @@ impl PackedVars {
         self.slabs.len()
     }
 
-    /// Installs `block`'s state during a restore that visits blocks in
-    /// strictly ascending order: `slab` caches the last resolved slab, so
-    /// each slab costs one directory probe instead of one per block.
-    pub fn insert_ascending(
-        &mut self,
-        slab: &mut Option<(u64, SlabHandle)>,
-        block: u64,
-        state: VarState,
-    ) {
-        let (chunk, slot) = SlabDirectory::split(block);
-        let handle = match *slab {
-            Some((cached, handle)) if cached == chunk => handle,
-            _ => {
-                let handle = self.slabs.resolve(block).0;
-                *slab = Some((chunk, handle));
-                handle
-            }
-        };
-        let word = match encode_state(&state) {
-            Some(word) => word,
-            None => self.spill(state),
-        };
-        self.slabs.set_word_at(handle, slot, word);
-    }
-
-    /// Writes every tracked state in the FTRK wire layout, ascending by
-    /// block, straight from the slabs and spill slots — the same bytes
-    /// [`PackedVars::states`] would encode to, without materializing them.
+    /// Writes every tracked state in the FTRK slab layout (see
+    /// [`crate::FastTrack::encode_snapshot`]): each non-empty slab in
+    /// ascending order, its unspilled words copied verbatim (an unspilled
+    /// word is exactly [`encode_state`] of its state), its spilled states as
+    /// [`SPILLED_RECORD`] plus the explicit record. The same bytes the
+    /// reference store writes for the same states.
     pub fn encode_states(&self, out: &mut SectionWriter) {
-        for (block, word) in self.slabs.iter() {
-            out.put_u64(block);
-            if !word.is_spilled() {
-                put_epoch(out, unpack_epoch(word.write_field()));
-                out.put_u8(0);
-                put_epoch(out, unpack_epoch(word.read_field()));
+        for (chunk, words) in self.slabs.slabs() {
+            // One occupancy bit per slot, built without branching on the
+            // words, so a half-full slab costs no branch mispredictions.
+            let mut occupied = [0u64; SLAB_WORDS / 64];
+            for (mask, group) in occupied.iter_mut().zip(words.chunks_exact(64)) {
+                for (i, &w) in group.iter().enumerate() {
+                    *mask |= u64::from(w != 0) << i;
+                }
+            }
+            let count: u32 = occupied.iter().map(|m| m.count_ones()).sum();
+            if count == 0 {
                 continue;
             }
-            let slot = self.spill_slot(word);
-            put_epoch(out, slot.write);
-            match &slot.read {
-                SpillRead::Exclusive(e) => {
-                    out.put_u8(0);
-                    put_epoch(out, *e);
+            out.reserve(10 + 10 * count as usize);
+            out.put_u64(chunk);
+            out.put_u16(count as u16);
+            for (group, mut mask) in occupied.into_iter().enumerate() {
+                while mask != 0 {
+                    let slot = group * 64 + mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    out.put_u16(slot as u16);
+                    self.put_word(out, ShadowWord::from_raw(words[slot]));
                 }
-                SpillRead::Inline { width } => {
-                    out.put_u8(1);
-                    put_clock(out, &slot.lanes[..*width as usize]);
-                }
-                SpillRead::Boxed(rvc) => {
-                    out.put_u8(1);
-                    put_clock(out, rvc.raw_clocks());
-                }
+            }
+        }
+    }
+
+    /// Writes one tracked block's word: the word itself when unspilled,
+    /// else [`SPILLED_RECORD`] and the spilled state's explicit record.
+    fn put_word(&self, out: &mut SectionWriter, word: ShadowWord) {
+        if !word.is_spilled() {
+            out.put_u64(word.raw());
+            return;
+        }
+        let spilled = self.spill_slot(word);
+        debug_assert!(spilled.repack().is_none(), "a spilled state that fits");
+        out.put_u64(SPILLED_RECORD);
+        put_epoch(out, spilled.write);
+        match &spilled.read {
+            SpillRead::Exclusive(e) => {
+                out.put_u8(0);
+                put_epoch(out, *e);
+            }
+            SpillRead::Inline { width } => {
+                out.put_u8(1);
+                put_clock(out, &spilled.lanes[..*width as usize]);
+            }
+            SpillRead::Boxed(rvc) => {
+                out.put_u8(1);
+                put_clock(out, rvc.raw_clocks());
             }
         }
     }
@@ -657,9 +675,11 @@ mod tests {
             write: Epoch::new(4, t(0)),
             read: ReadState::Shared(Box::new(rvc)),
         };
-        let mut slab = None;
-        vars.insert_ascending(&mut slab, 10, packable.clone());
-        vars.insert_ascending(&mut slab, 700, spilled.clone());
+        let (handle, slot, _) = vars.locate(Addr::new(10 * 8));
+        vars.set_word_at(handle, slot, encode_state(&packable).expect("fits"));
+        let (handle, slot, _) = vars.locate(Addr::new(700 * 8));
+        let marker = vars.spill(spilled.clone());
+        vars.set_word_at(handle, slot, marker);
         assert_eq!(vars.len(), 2);
         assert_eq!(
             vars.states(),

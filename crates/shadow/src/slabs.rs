@@ -16,7 +16,7 @@
 //! the sharing fast path and the analysis slow path agree on one
 //! page-indexed layout.
 
-use aikido_types::{Addr, ShadowWord, SlabDirectory, SlabHandle};
+use aikido_types::{Addr, ShadowWord, SlabDirectory, SlabHandle, SLAB_WORDS};
 
 /// Block-keyed packed-word storage: a [`SlabDirectory`] plus the
 /// granularity arithmetic that turns application addresses into
@@ -85,6 +85,12 @@ impl ShadowSlabs {
     #[inline]
     pub fn set(&mut self, block: u64, word: ShadowWord) {
         self.dir.set(block, word);
+    }
+
+    /// Every allocated slab as `(slab index, words)`, in ascending slab
+    /// order; block `(index << SLAB_BITS) + slot` holds `words[slot]`.
+    pub fn slabs(&self) -> Vec<(u64, &[u64; SLAB_WORDS])> {
+        self.dir.slabs()
     }
 
     /// Iterates over `(block, word)` pairs with non-empty words in ascending

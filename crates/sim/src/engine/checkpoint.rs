@@ -23,11 +23,11 @@ pub(super) const META_VERSION: u16 = 1;
 /// v2: each slot records its stream position (`TraceCursor` + skip) and its
 /// stashed blocked sync op instead of a pull count to replay.
 pub(super) const SCHD_VERSION: u16 = 2;
-/// v2: the detector's spill plane moved to inline epoch lanes + ownership
-/// epochs. The serialized payload is unchanged byte-for-byte, but
-/// restore behavior (word hints, owner tags, arena layout) is not — v1
-/// images must not silently restore into the new plane.
-pub(super) const FTRK_VERSION: u16 = 2;
+/// v3: tracked states are written one record per shadow slab, each block
+/// as its slot and canonical packed word (spilled states as a sentinel plus
+/// the explicit record), instead of one `(block, epochs)` record per block.
+/// v2 images are refused.
+pub(super) const FTRK_VERSION: u16 = 3;
 pub(super) const TCCH_VERSION: u16 = 1;
 pub(super) const DBIE_VERSION: u16 = 1;
 pub(super) const AKVM_VERSION: u16 = 1;

@@ -490,19 +490,25 @@ impl SlabDirectory {
         self.set_word_at(h, slot, word);
     }
 
-    /// Iterates over `(key, word)` pairs with non-zero words, in ascending
-    /// key order.
-    pub fn iter_nonempty(&self) -> impl Iterator<Item = (u64, ShadowWord)> + '_ {
-        let mut order: Vec<(u64, &ShadowSlab)> = self
+    /// Every allocated slab as `(slab index, words)`, in ascending slab
+    /// order (a slab's words are its slots' raw values, zero = absent).
+    pub fn slabs(&self) -> Vec<(u64, &[u64; SLAB_WORDS])> {
+        let mut order: Vec<(u64, &[u64; SLAB_WORDS])> = self
             .tags
             .iter()
             .zip(&self.slabs)
-            .filter_map(|(&tag, slab)| slab.as_deref().map(|s| (tag, s)))
+            .filter_map(|(&tag, slab)| slab.as_deref().map(|s| (tag, &s.words)))
             .collect();
-        order.sort_by_key(|&(tag, _)| tag);
-        order.into_iter().flat_map(|(tag, slab)| {
+        order.sort_unstable_by_key(|&(tag, _)| tag);
+        order
+    }
+
+    /// Iterates over `(key, word)` pairs with non-zero words, in ascending
+    /// key order.
+    pub fn iter_nonempty(&self) -> impl Iterator<Item = (u64, ShadowWord)> + '_ {
+        self.slabs().into_iter().flat_map(|(tag, words)| {
             let base = tag << SLAB_BITS;
-            slab.words
+            words
                 .iter()
                 .enumerate()
                 .filter(|(_, &w)| w != 0)

@@ -1,5 +1,7 @@
 //! Snapshot inspector: prints the validated section table of a checkpoint
-//! image — tag, version, offset, payload length and checksum per section.
+//! image — tag, version, offset, payload length and checksum per section —
+//! and the density of its FTRK section: tracked blocks, shadow slabs and
+//! payload bytes per tracked block.
 //!
 //! ```bash
 //! # The vips Aikido-mode midpoint image (what the smoke test pins):
@@ -16,7 +18,9 @@
 //! `snapshot_roundtrip save` writes. A file that fails validation prints
 //! the structured error and exits 1.
 
+use aikido::fasttrack::FastTrack;
 use aikido::prelude::*;
+use aikido::types::SLAB_BITS;
 use aikido::CheckpointOutcome;
 
 fn scale() -> f64 {
@@ -86,6 +90,33 @@ fn main() {
             section.offset,
             section.payload_len,
             section.checksum
+        );
+    }
+
+    // Walk the sections in order to decode the detector state.
+    let mut reader = snapshot
+        .reader()
+        .unwrap_or_else(|err| fail(format!("{origin}: {err}")));
+    for section in sections {
+        let mut payload = reader
+            .section(section.tag, section.version)
+            .unwrap_or_else(|err| fail(format!("{origin}: {err}")));
+        if &section.tag != b"FTRK" {
+            continue;
+        }
+        let ft = FastTrack::decode_snapshot(&mut payload)
+            .unwrap_or_else(|err| fail(format!("{origin}: {err}")));
+        let tracked = ft.tracked_blocks();
+        let mut slabs: Vec<u64> = ft
+            .var_states()
+            .iter()
+            .map(|(block, _)| block >> SLAB_BITS)
+            .collect();
+        slabs.dedup();
+        println!(
+            "FTRK density: {tracked} tracked blocks in {} slabs, {:.2} payload bytes per block",
+            slabs.len(),
+            section.payload_len as f64 / tracked.max(1) as f64
         );
     }
 }

@@ -69,8 +69,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Any single bit flip, anywhere in the image, must be detected: every
-    /// byte of every section is under an FNV-1a checksum and the container
-    /// header is validated field by field.
+    /// byte of every section is under the word-wise section checksum, which
+    /// always changes on a single-bit flip, and the container header is
+    /// validated field by field.
     #[test]
     fn a_random_bit_flip_is_always_detected(offset in 0usize..1_000_000, bit in 0u8..8) {
         let fx = fixture();

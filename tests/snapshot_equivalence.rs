@@ -9,6 +9,8 @@
 //! contents), so byte equality here proves the serialization captured all of
 //! it and the restore rebuilt all of it.
 
+use aikido::fasttrack::FastTrack;
+use aikido::types::SLAB_BITS;
 use aikido::{CheckpointOutcome, Mode, RunReport, Simulator, Snapshot, Workload, WorkloadSpec};
 
 const BENCHMARKS: [&str; 6] = [
@@ -179,11 +181,10 @@ fn early_and_late_checkpoints_both_round_trip() {
 
 #[test]
 fn stale_ftrk_section_versions_are_rejected_with_a_structured_error() {
-    // PR 9 rebuilt the detector's spill plane (inline epoch lanes +
-    // ownership epochs) and bumped the FTRK section to v2; a v1 image must
-    // be refused by the version validation, not silently restored into the
-    // new plane. Hand-patch a valid image's FTRK header back to v1 and fix
-    // its checksum, so only the version check can catch the mismatch.
+    // FTRK v3 groups tracked states by shadow slab; a v2 image must be
+    // refused by the version validation, not misread as slab records.
+    // Hand-patch a valid image's FTRK header back to v2 and fix its
+    // checksum, so only the version check can catch the mismatch.
     use aikido::SimError;
 
     let w = small("raytrace");
@@ -206,24 +207,115 @@ fn stale_ftrk_section_versions_are_rejected_with_a_structured_error() {
     };
     assert_eq!(
         u16::from_le_bytes(bytes[start + 4..start + 6].try_into().unwrap()),
-        2,
-        "the detector writes FTRK v2 since the spill-plane rebuild"
+        3,
+        "the detector writes FTRK v3 since the slab-grouped layout"
     );
-    bytes[start + 4..start + 6].copy_from_slice(&1u16.to_le_bytes());
-    let checksum = aikido::snapshot::fnv1a(&bytes[start..end - 8]);
+    bytes[start + 4..start + 6].copy_from_slice(&2u16.to_le_bytes());
+    let checksum = aikido::snapshot::checksum(&bytes[start..end - 8]);
     bytes[end - 8..end].copy_from_slice(&checksum.to_le_bytes());
 
     let snapshot = Snapshot::from_bytes(bytes).expect("checksum-valid image");
     let err = sim
         .resume(&w, &snapshot)
-        .expect_err("a v1 FTRK section must not restore");
+        .expect_err("a v2 FTRK section must not restore");
     let SimError::Snapshot(err) = err else {
         panic!("expected a structured snapshot error, got {err:?}");
     };
     assert_eq!(err.section, "FTRK", "{err}");
     assert_eq!(err.offset, (start + 4) as u64, "{err}");
-    assert!(err.reason.contains("version 1"), "{err}");
-    assert!(err.reason.contains("expected version 2"), "{err}");
+    assert!(err.reason.contains("version 2"), "{err}");
+    assert!(err.reason.contains("expected version 3"), "{err}");
+}
+
+#[test]
+fn ftrk_stores_ten_bytes_per_tracked_block_plus_ten_per_slab() {
+    // The blackscholes full-mode midpoint image: walked record by record,
+    // its tracked states cost exactly 10 bytes per block (slot + word) and
+    // 10 per slab (chunk + count); the rest of the payload is clocks —
+    // thread and lock clocks, and the explicit records of the few spilled
+    // states — reports and statistics.
+    let spec = WorkloadSpec::parsec("blackscholes")
+        .expect("known PARSEC preset")
+        .scaled(0.05);
+    let w = Workload::generate(&spec);
+    let sim = Simulator::default();
+    let mode = Mode::FullInstrumentation;
+    let midpoint = sim.run(&w, mode).counts.block_execs / 2;
+    let snapshot = Snapshot::from_bytes(snapshot_at(&sim, &w, mode, midpoint)).expect("valid");
+
+    // Decode the detector through the ordinary section walk.
+    let mut reader = snapshot.reader().expect("valid image");
+    let (info, ft) = snapshot
+        .sections()
+        .iter()
+        .find_map(|info| {
+            let mut section = reader.section(info.tag, info.version).expect("in order");
+            (&info.tag == b"FTRK").then(|| {
+                let ft = FastTrack::decode_snapshot(&mut section).expect("FTRK decodes");
+                section.finish().expect("fully consumed");
+                (*info, ft)
+            })
+        })
+        .expect("every image has an FTRK section");
+    let tracked = ft.tracked_blocks();
+    let mut chunks: Vec<u64> = ft
+        .var_states()
+        .iter()
+        .map(|(b, _)| b >> SLAB_BITS)
+        .collect();
+    chunks.dedup();
+    let slabs = chunks.len();
+
+    // Walk the payload to the tracked-state records: config (19 bytes),
+    // then the thread and lock clock maps (count, then key + length +
+    // 4-byte entries each), then the tracked count.
+    let payload = &snapshot.as_bytes()[info.payload_offset()..][..info.payload_len];
+    let u64_at = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+    let u16_at = |at: usize| u16::from_le_bytes(payload[at..at + 2].try_into().unwrap());
+    let mut at = 19;
+    for _map in 0..2 {
+        let entries = u64_at(at);
+        at += 8;
+        for _ in 0..entries {
+            at += 16 + 4 * u64_at(at + 8) as usize;
+        }
+    }
+    assert_eq!(u64_at(at), tracked as u64, "tracked count read back");
+    at += 8;
+    let records_start = at;
+    let (mut walked, mut explicit) = (0, 0);
+    while walked < tracked {
+        let count = u16_at(at + 8) as usize;
+        at += 10;
+        for _ in 0..count {
+            at += 10;
+            if u64_at(at - 8) == u64::MAX {
+                // Write epoch, read tag, then an epoch or a clock.
+                let read = if payload[at + 8] == 0 {
+                    8
+                } else {
+                    8 + 4 * u64_at(at + 9) as usize
+                };
+                explicit += 9 + read;
+                at += 9 + read;
+            }
+        }
+        walked += count;
+    }
+    let records = at - records_start;
+    assert!(
+        tracked > 1000,
+        "the image tracks a real heap ({tracked} blocks)"
+    );
+    assert!(
+        explicit < records / 50,
+        "spilled states are rare in full mode"
+    );
+    assert_eq!(
+        records - explicit,
+        10 * tracked + 10 * slabs,
+        "{records} record bytes ({explicit} explicit) for {tracked} blocks in {slabs} slabs"
+    );
 }
 
 #[test]

@@ -220,7 +220,7 @@ fn schd_section(image: &[u8]) -> aikido::snapshot::SectionInfo {
 /// validation can catch the tampering.
 fn refresh_checksum(image: &mut [u8], section: &aikido::snapshot::SectionInfo) {
     let end = section.end();
-    let checksum = aikido::snapshot::fnv1a(&image[section.offset..end - 8]);
+    let checksum = aikido::snapshot::checksum(&image[section.offset..end - 8]);
     image[end - 8..end].copy_from_slice(&checksum.to_le_bytes());
 }
 
