@@ -1,10 +1,12 @@
 //! Microbenchmark of the per-access metadata probe: the packed shadow-word
 //! slab plane versus the enum-based `ShadowStore`/`ChunkMap` store it
-//! replaced, at access distributions shaped like the two ends of the
-//! analysis-bound spectrum (raytrace: few hot pages, long same-page runs;
-//! vips: many pages, short runs). This isolates the micro-level claim —
-//! "the hot path reads one packed word from a slab resolved once per run" —
-//! from end-to-end throughput, which mixes in everything else.
+//! replaced. Two synthetic single-region streams bracket the spectrum (few
+//! hot pages in long same-page runs; many pages in short runs), and a
+//! two-region stream uses the workloads' shared and private bases, whose
+//! page numbers are multiples of every directory size. This isolates the
+//! micro-level claim — "the hot path reads one packed word from a slab
+//! found in one directory probe" — from end-to-end throughput, which mixes
+//! in everything else.
 //!
 //! ```bash
 //! cargo bench -p aikido-bench --bench shadow_words
@@ -30,14 +32,15 @@ impl XorShift {
     }
 }
 
-/// An address stream over `pages` pages with runs of `run_len` consecutive
-/// same-page accesses — raytrace probes ~48 hot pages in long runs, vips
-/// sprays ~512 pages in short ones.
-fn access_stream(pages: u64, run_len: usize, accesses: usize) -> Vec<u64> {
-    let base = 0x40_0000u64;
+/// An address stream over `pages` pages from each base in `bases`, with
+/// runs of `run_len` consecutive same-page accesses. The streams are
+/// synthetic: the measured full-mode raytrace stream touches 336 pages, and
+/// only 2.5% of its accesses hit the thread's previous page.
+fn access_stream(bases: &[u64], pages: u64, run_len: usize, accesses: usize) -> Vec<u64> {
     let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
     let mut out = Vec::with_capacity(accesses);
     while out.len() < accesses {
+        let base = bases[(rng.next() % bases.len() as u64) as usize];
         let page = rng.next() % pages;
         for i in 0..run_len {
             let block_in_page = (rng.next().wrapping_add(i as u64 * 3)) % 512;
@@ -50,9 +53,9 @@ fn access_stream(pages: u64, run_len: usize, accesses: usize) -> Vec<u64> {
     out
 }
 
-fn bench_distribution(c: &mut Criterion, label: &str, pages: u64, run_len: usize) {
+fn bench_distribution(c: &mut Criterion, label: &str, bases: &[u64], pages: u64, run_len: usize) {
     const ACCESSES: usize = 4096;
-    let addrs = access_stream(pages, run_len, ACCESSES);
+    let addrs = access_stream(bases, pages, run_len, ACCESSES);
     let epoch = Epoch::new(3, ThreadId::new(1));
     let probe = ShadowWord::write_probe(ShadowWord::pack_field(3, 1).expect("packs"));
 
@@ -151,10 +154,13 @@ fn bench_spill_clocks(c: &mut Criterion) {
 }
 
 fn bench_shadow_words(c: &mut Criterion) {
-    // raytrace-shaped: a small hot page set, long same-page runs.
-    bench_distribution(c, "raytrace", 48, 24);
-    // vips-shaped: a wide page set, short runs.
-    bench_distribution(c, "vips", 512, 3);
+    // One contiguous region at 0x40_0000: a small hot page set in long
+    // same-page runs, then a wide page set in short runs.
+    bench_distribution(c, "raytrace", &[0x40_0000], 48, 24);
+    bench_distribution(c, "vips", &[0x40_0000], 512, 3);
+    // The workload layout: 64 pages at the shared base and 64 at the
+    // private base, one access per page visit, as in full mode.
+    bench_distribution(c, "two_regions", &[0x1000_0000, 0x20_0000_0000], 64, 1);
     bench_spill_clocks(c);
 }
 

@@ -6,7 +6,7 @@ use aikido_shadow::ShadowStore;
 use aikido_snapshot::{SectionReader, SectionWriter, SnapshotError};
 use aikido_types::{
     AccessContext, AccessKind, Addr, AnalysisReport, InstrId, LockId, ReportKind, ShadowWord,
-    SharedDataAnalysis, SlabDirectory, SlabHandle, ThreadId, Vpn, SLAB_BITS, SLAB_WORDS,
+    SharedDataAnalysis, SlabDirectory, SlabHandle, ThreadId, SLAB_BITS, SLAB_WORDS,
 };
 
 use crate::clock::{Epoch, VectorClock};
@@ -94,9 +94,8 @@ fn read_fast_path(state: &VarState, thread: ThreadId, epoch: Epoch) -> bool {
 /// A thread epoch pre-positioned for every packed fast path: one probe for
 /// the unspilled read lane, one for the spilled same-epoch hint, one for
 /// the unspilled write lane and one for the spilled *owned*-write check —
-/// each a single masked compare. Packed once per access (and, in
-/// [`FastTrack::on_access_run`], hoisted once per run, so the ownership
-/// check is batched along with everything else). `None` when the epoch
+/// each a single masked compare. Packed once per scalar access, and once
+/// per batch in [`FastTrack::on_access_batch`]. `None` when the epoch
 /// exceeds the packing budget — exactly when no packed word can match it.
 #[derive(Copy, Clone)]
 struct EpochProbes {
@@ -401,14 +400,16 @@ impl FastTrack {
         self.stats.reads += 1;
         let threads_known = self.threads.len().max(1) as u64;
         let epoch = self.thread_vc(thread).epoch_of(thread);
-        self.read_with_epoch(thread, addr, instr, epoch, threads_known);
+        let probes = EpochProbes::pack(epoch);
+        self.read_with_epoch(thread, addr, instr, epoch, probes, threads_known);
     }
 
     /// The body of [`FastTrack::read_at`] with the per-access prolog (thread
-    /// clock ensure + epoch extraction + known-thread count) hoisted out, so
-    /// [`FastTrack::on_access_batch`] can snapshot it once per run. Reads and
-    /// writes never create thread clocks or advance epochs, so the hoisted
-    /// values stay exactly what the scalar path would recompute per access.
+    /// clock ensure + epoch extraction + probe packing + known-thread count)
+    /// hoisted out, so [`FastTrack::on_access_batch`] can snapshot it once
+    /// per batch. Reads and writes never create thread clocks or advance
+    /// epochs, so the hoisted values stay exactly what the scalar path would
+    /// recompute per access.
     #[inline]
     fn read_with_epoch(
         &mut self,
@@ -416,6 +417,7 @@ impl FastTrack {
         addr: Addr,
         instr: Option<InstrId>,
         epoch: Epoch,
+        probes: Option<EpochProbes>,
         threads_known: u64,
     ) {
         match &mut self.vars {
@@ -424,7 +426,6 @@ impl FastTrack {
             }
             VarStorage::Packed(vars) => {
                 let (handle, slot, _block) = vars.locate(addr);
-                let probes = EpochProbes::pack(epoch);
                 self.read_packed(
                     handle,
                     slot,
@@ -643,7 +644,8 @@ impl FastTrack {
         self.stats.writes += 1;
         let threads_known = self.threads.len().max(1) as u64;
         let epoch = self.thread_vc(thread).epoch_of(thread);
-        self.write_with_epoch(thread, addr, instr, epoch, threads_known);
+        let probes = EpochProbes::pack(epoch);
+        self.write_with_epoch(thread, addr, instr, epoch, probes, threads_known);
     }
 
     /// The body of [`FastTrack::write_at`] with the per-access prolog hoisted
@@ -655,6 +657,7 @@ impl FastTrack {
         addr: Addr,
         instr: Option<InstrId>,
         epoch: Epoch,
+        probes: Option<EpochProbes>,
         threads_known: u64,
     ) {
         match &mut self.vars {
@@ -663,7 +666,6 @@ impl FastTrack {
             }
             VarStorage::Packed(vars) => {
                 let (handle, slot, _block) = vars.locate(addr);
-                let probes = EpochProbes::pack(epoch);
                 self.write_packed(
                     handle,
                     slot,
@@ -1362,8 +1364,9 @@ impl SharedDataAnalysis for FastTrack {
         }
         // Snapshot the per-access prolog once: accesses never create thread
         // clocks for an already-known thread, never advance its epoch, and a
-        // run contains no synchronisation, so every remaining access would
-        // recompute exactly these values.
+        // batch contains no synchronisation, so every remaining access would
+        // recompute exactly these values. Each access still locates its own
+        // slab: a batch may span pages (full mode delivers whole blocks).
         let thread = first.thread;
         let threads_known = self.threads.len().max(1) as u64;
         let epoch = self
@@ -1371,113 +1374,21 @@ impl SharedDataAnalysis for FastTrack {
             .get(thread.index() as u64)
             .expect("first access ensured the thread clock")
             .epoch_of(thread);
+        let probes = EpochProbes::pack(epoch);
         for cx in rest {
-            debug_assert_eq!(cx.thread, thread, "a run belongs to one thread");
+            debug_assert_eq!(cx.thread, thread, "a batch belongs to one thread");
+            let instr = Some(cx.instr);
             match cx.kind {
                 AccessKind::Read => {
                     self.stats.reads += 1;
-                    self.read_with_epoch(cx.thread, cx.addr, Some(cx.instr), epoch, threads_known);
+                    self.read_with_epoch(thread, cx.addr, instr, epoch, probes, threads_known);
                 }
                 AccessKind::Write => {
                     self.stats.writes += 1;
-                    self.write_with_epoch(cx.thread, cx.addr, Some(cx.instr), epoch, threads_known);
+                    self.write_with_epoch(thread, cx.addr, instr, epoch, probes, threads_known);
                 }
             }
             costs.push(self.last_access_cost_cycles());
-        }
-    }
-
-    fn on_access_run(
-        &mut self,
-        page: Vpn,
-        kind: AccessKind,
-        run: &[AccessContext],
-        costs: &mut Vec<u64>,
-    ) {
-        let _ = kind;
-        // The slab hoist below pays a handle resolution and probe packing up
-        // front; short runs (and non-slab configurations) are cheaper
-        // through the batch entry point, which hoists the per-access prolog
-        // but dispatches storage per access. Delegating keeps the scalar
-        // contract in exactly one place.
-        const SLAB_RUN_MIN: usize = 4;
-        let slab_run = run.len() >= SLAB_RUN_MIN
-            && self.config.granularity >= 8
-            && matches!(self.vars, VarStorage::Packed(_));
-        if !slab_run {
-            return self.on_access_batch(run, costs);
-        }
-        costs.clear();
-        let Some((first, rest)) = run.split_first() else {
-            return;
-        };
-        costs.reserve(run.len());
-        // The first access runs the full scalar path (it may create the
-        // thread's clock and it allocates the page's slab), exactly like
-        // `on_access_batch`.
-        self.on_access(*first);
-        costs.push(self.last_access_cost_cycles());
-        // Hoist the per-access prolog once per run (see `on_access_batch`),
-        // and — the packed plane's whole point — resolve the page's slab and
-        // pack the thread's epoch probes once: every access of the run lands
-        // in the same slab (the caller guarantees one page per run, and at
-        // granularity ≥ 8 a page maps into exactly one slab), so the
-        // remaining accesses index words by slot with no directory probe and
-        // no per-access `block_of` arithmetic beyond a shift.
-        let thread = first.thread;
-        let threads_known = self.threads.len().max(1) as u64;
-        let epoch = self
-            .threads
-            .get(thread.index() as u64)
-            .expect("first access ensured the thread clock")
-            .epoch_of(thread);
-        {
-            let shift = self.config.granularity.trailing_zeros();
-            let handle = {
-                let VarStorage::Packed(vars) = &mut self.vars else {
-                    unreachable!("just matched the packed storage");
-                };
-                vars.resolve_block(first.addr.raw() >> shift)
-            };
-            // One probe pack covers all four fast-path compares of the run —
-            // read lane, spill hint, write lane and the ownership-epoch
-            // owned-write check — so the per-access ownership test is a
-            // single masked compare against a hoisted constant.
-            let probes = EpochProbes::pack(epoch);
-            for cx in rest {
-                debug_assert_eq!(cx.thread, thread, "a run belongs to one thread");
-                debug_assert_eq!(cx.addr.page(), page, "a run stays on one page");
-                let slot = aikido_types::SlabDirectory::split(cx.addr.raw() >> shift).1;
-                match cx.kind {
-                    AccessKind::Read => {
-                        self.stats.reads += 1;
-                        self.read_packed(
-                            handle,
-                            slot,
-                            thread,
-                            cx.addr,
-                            Some(cx.instr),
-                            epoch,
-                            probes,
-                            threads_known,
-                        );
-                    }
-                    AccessKind::Write => {
-                        self.stats.writes += 1;
-                        self.write_packed(
-                            handle,
-                            slot,
-                            thread,
-                            cx.addr,
-                            Some(cx.instr),
-                            epoch,
-                            probes,
-                            threads_known,
-                        );
-                    }
-                }
-                costs.push(self.last_access_cost_cycles());
-            }
         }
     }
 
@@ -1796,6 +1707,57 @@ mod tests {
         batched.on_access_batch(&run, &mut batched_costs);
         assert_eq!(batched_costs, scalar_costs);
         assert_eq!(batched.stats(), scalar.stats());
+    }
+
+    #[test]
+    fn batches_spanning_pages_match_scalar_delivery() {
+        use aikido_types::{BlockId, InstrId};
+        let cx = |thread: u32, a: u64, kind, i: u16| AccessContext {
+            thread: t(thread),
+            addr: Addr::new(a),
+            kind,
+            size: 8,
+            instr: InstrId::new(BlockId::new(6), i),
+        };
+        // One block's worth of accesses over three pages and both kinds,
+        // after a cross-thread prefix so some of them race. At granularity 4
+        // a page spans two slabs, so the batch also crosses slabs in-page.
+        let prefix = [
+            cx(0, 0x1_0000, AccessKind::Write, 0),
+            cx(0, 0x2_0ff8, AccessKind::Read, 1),
+        ];
+        let batch = [
+            cx(1, 0x1_0000, AccessKind::Read, 0),
+            cx(1, 0x2_0ff8, AccessKind::Write, 1),
+            cx(1, 0x1_0008, AccessKind::Write, 2),
+            cx(1, 0x1_0800, AccessKind::Read, 3),
+            cx(1, 0x200_0000, AccessKind::Write, 4),
+            cx(1, 0x1_0000, AccessKind::Read, 5),
+        ];
+        for (granularity, packed) in [(8, true), (4, true), (8, false)] {
+            let config = FastTrackConfig {
+                granularity,
+                ..FastTrackConfig::default()
+            };
+            let mut scalar = FastTrack::with_storage(config.clone(), packed);
+            let mut batched = FastTrack::with_storage(config, packed);
+            for &p in &prefix {
+                scalar.on_access(p);
+                batched.on_access(p);
+            }
+            let mut scalar_costs = Vec::new();
+            for &a in &batch {
+                scalar.on_access(a);
+                scalar_costs.push(scalar.last_access_cost_cycles());
+            }
+            let mut batched_costs = Vec::new();
+            batched.on_access_batch(&batch, &mut batched_costs);
+            assert_eq!(batched_costs, scalar_costs, "granularity {granularity}");
+            assert_eq!(batched.stats(), scalar.stats());
+            assert!(!scalar.races().is_empty());
+            assert_eq!(batched.races(), scalar.races());
+            assert_eq!(batched.var_states(), scalar.var_states());
+        }
     }
 
     #[test]

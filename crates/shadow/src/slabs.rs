@@ -4,11 +4,12 @@
 //! shadow framework exposes (the pricing half is
 //! [`crate::TranslationCache`]): application addresses divide into fixed
 //! 8-byte blocks, blocks group into page-granular slabs of 512 packed
-//! [`ShadowWord`]s, and a single open-addressed probe resolves a page's slab.
-//! Because one run of same-page accesses shares one slab, a caller resolves
-//! the [`SlabHandle`] **once per run** — the model cost (one inline-cache
-//! level) and the real metadata access (one slab probe) are then priced by
-//! one lookup each, instead of a layered probe per access.
+//! [`ShadowWord`]s, and a single open-addressed probe resolves a page's slab
+//! — usually one tag compare, because the directory hashes a page's home
+//! slot. A caller resolves the [`SlabHandle`] once per access and reads and
+//! writes the word by slot, so the model cost (one inline-cache level) and
+//! the real metadata access (one slab probe) are priced by one lookup each,
+//! instead of a layered probe.
 //!
 //! The directory is deliberately the same structure for every page-indexed
 //! table in the system: FastTrack's packed variable words key it by block
@@ -49,8 +50,7 @@ impl ShadowSlabs {
 
     /// Resolves (allocating if necessary) the slab containing `block` and
     /// returns `(handle, slot)`. The handle stays valid until the next
-    /// `resolve` call — one run of same-page accesses shares one slab, so
-    /// callers resolve once per run.
+    /// `resolve` call.
     #[inline]
     pub fn resolve(&mut self, block: u64) -> (SlabHandle, usize) {
         let (chunk, slot) = SlabDirectory::split(block);

@@ -795,10 +795,11 @@ struct Run<'a, 'w, A: SharedDataAnalysis> {
     /// the float multiply-and-round is deterministic in the base cost, and
     /// the analysis fast path reports the same base almost every access.
     last_contended_cost: (u64, u64),
-    /// Reusable buffer of access contexts for one run, handed to
-    /// [`SharedDataAnalysis::on_access_batch`] — no per-run allocation.
+    /// Reusable buffer of access contexts for one batch or run handed to
+    /// the analysis — no per-delivery allocation.
     cx_scratch: Vec<AccessContext>,
-    /// Reusable buffer receiving the per-access analysis costs of one run.
+    /// Reusable buffer receiving the per-access analysis costs of one
+    /// delivery.
     cost_scratch: Vec<u64>,
     /// Direct-mapped memo over *shared* pages: page → (region, mirror page).
     /// Pure memoization of monotone facts — sharing is sticky and the region
@@ -1369,15 +1370,17 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     // engine query and a cost-model field walk for *every* access. The
     // monomorphized kernels below hoist all of that to block entry and then
     // walk the block's [`BlockShape`] and the execution's access words
-    // together, processing memory accesses in *runs* — maximal groups of
-    // consecutive accesses sharing `(page, kind, instrumented)`; compute
-    // instructions between them do not split a run — so each run performs
-    // one instrumentation-mask test, one sharing-view page-state read, one
-    // inline-check probe and one batched analysis delivery. Equivalence with
-    // the scalar loop is by construction, not by luck: every charge is the
-    // same u64 added the same number of times, and every *stateful* call
-    // (translation cache, analysis, VM touch, fault handling) happens in the
-    // same order per component. The soundness arguments for each hoist:
+    // together. Full mode hands the whole block to the analysis as one
+    // batch. Aikido mode processes memory accesses in *runs* — maximal
+    // groups of consecutive accesses sharing `(page, kind, instrumented)`;
+    // compute instructions between them do not split a run — so each run
+    // performs one instrumentation-mask test, one sharing-view page-state
+    // read, one inline-check probe and one batched analysis delivery.
+    // Equivalence with the scalar loop is by construction, not by luck:
+    // every charge is the same u64 added the same number of times, and
+    // every *stateful* call (translation cache, analysis, VM touch, fault
+    // handling) happens in the same order per component. The soundness
+    // arguments for each hoist:
     //
     // * instrumentation mask: a fault can only instrument the faulting
     //   access's own instruction, and each static instruction occupies one
@@ -1411,8 +1414,12 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         self.cycles += computes * (self.sim.cost.alu_cycles + self.sim.cost.dbi_overhead(1));
     }
 
-    /// Full-instrumentation kernel: every access is instrumented, so runs
-    /// need no mask — split on `(page, kind)` and batch the analysis.
+    /// Full-instrumentation kernel: every access is instrumented and a work
+    /// block belongs to one thread with no sync inside, so the whole block
+    /// is one analysis batch. One pass charges each access's translation
+    /// and builds its context; the batch's costs are then charged in access
+    /// order, contended for shared accesses. Full-mode runs average about
+    /// one access, so splitting on `(page, kind)` would buy nothing.
     fn block_kernel_full(&mut self, thread: ThreadId, exec: &BlockExec) {
         let engine = self
             .engine
@@ -1425,12 +1432,50 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         let shape = self.workload.shape(exec.block);
         self.charge_computes(shape);
         let all = AccessRun::of(shape, exec);
-        let mut i = 0;
-        while i < all.len() {
-            let j = all.run_end(i);
-            let word = all.words[i];
-            self.full_run(thread, all.range(i, j), word.page(), word.kind());
-            i = j;
+        let n = all.len() as u64;
+        self.counts.dynamic_instrs += n;
+        self.counts.mem_accesses += n;
+        self.counts.instrumented_accesses += n;
+        self.cycles += n * (self.sim.cost.mem_cycles + self.sim.cost.dbi_overhead(1));
+        if all.len() <= 1 {
+            // A batch of one is the scalar call; skip the scratch round-trip.
+            if let Some(m) = all.iter().next() {
+                let shared = self.in_shared_region(m.addr);
+                self.counts.shared_accesses += u64::from(shared);
+                self.charge_translation(thread, &m);
+                self.charge_analysis_access(thread, &m, shared);
+            }
+            return;
+        }
+        self.cx_scratch.clear();
+        // Regions are page-aligned, so one lookup covers consecutive
+        // accesses to the same page.
+        let mut page = Vpn::new(u64::MAX);
+        let mut region = None;
+        for m in all.iter() {
+            if m.addr.page() != page {
+                page = m.addr.page();
+                region = self.region_lookup.region_id_of(m.addr);
+            }
+            self.charge_translation_resolved(thread, m.instr, region);
+            self.cx_scratch.push(AccessContext {
+                thread,
+                addr: m.addr,
+                kind: m.kind,
+                size: m.size,
+                instr: m.instr,
+            });
+        }
+        self.analysis
+            .on_access_batch(&self.cx_scratch, &mut self.cost_scratch);
+        for idx in 0..self.cost_scratch.len() {
+            let base = self.cost_scratch[idx];
+            if self.in_shared_region(self.cx_scratch[idx].addr) {
+                self.counts.shared_accesses += 1;
+                self.cycles += self.contended(base);
+            } else {
+                self.cycles += base;
+            }
         }
     }
 
@@ -1520,27 +1565,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                 .expect("aikido mode has a dbi engine")
                 .is_instrumented(instr)
         }
-    }
-
-    /// One `(page, kind)` run under full instrumentation.
-    fn full_run(&mut self, thread: ThreadId, run: AccessRun<'_>, page: Vpn, kind: AccessKind) {
-        let n = run.len() as u64;
-        self.counts.dynamic_instrs += n;
-        self.counts.mem_accesses += n;
-        self.counts.instrumented_accesses += n;
-        self.cycles += n * (self.sim.cost.mem_cycles + self.sim.cost.dbi_overhead(1));
-        let first = run.words[0].addr();
-        let shared = self.in_shared_region(first);
-        if shared {
-            self.counts.shared_accesses += n;
-        }
-        // One region lookup covers the run (regions are page-aligned), one
-        // batched cache pass prices the per-instruction translation levels,
-        // and one run delivery lets the analysis resolve its metadata slab
-        // once for the whole page.
-        let region = self.region_lookup.region_id_of(first);
-        self.charge_translation_run(thread, region, run);
-        self.charge_analysis_run(thread, run, shared, page, kind);
     }
 
     /// One uninstrumented run in Aikido mode: the emitted fast path. A
@@ -1686,7 +1710,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         let k = tail.len() as u64;
         self.counts.shared_accesses += k;
         self.charge_translation_run(thread, info.region, tail);
-        self.charge_analysis_run(thread, tail, true, info.page, kind);
+        self.charge_shared_run(thread, tail, info.page, kind);
         self.cycles += k * self.sim.cost.mirror_redirect_cycles;
         if info.mirror == Vpn::new(u64::MAX) {
             // No mirror translation exists: each access fails exactly like
@@ -1750,24 +1774,23 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
             + levels.full * self.sim.cost.shadow_translation(CacheLevel::Full);
     }
 
-    /// Delivers one run to the analysis in a single batched call and charges
-    /// the per-access costs in access order, preserving the contended-cost
-    /// memo's state evolution exactly. The run's page and kind ride along so
-    /// slab-backed analyses resolve their metadata slab once per run.
-    fn charge_analysis_run(
+    /// Delivers one shared run to the analysis in a single
+    /// [`SharedDataAnalysis::on_access_run`] call and charges the contended
+    /// per-access costs in access order, preserving the contended-cost
+    /// memo's state evolution exactly.
+    fn charge_shared_run(
         &mut self,
         thread: ThreadId,
         run: AccessRun<'_>,
-        shared: bool,
         page: Vpn,
         kind: AccessKind,
     ) {
-        // A batch of one is the scalar call (the batched analysis entry point
+        // A run of one is the scalar call (the batched analysis entry point
         // delivers its first element through `on_access`); skip the scratch
         // round-trip. This is the common case — consecutive accesses rarely
         // share a page.
         if run.len() == 1 {
-            self.charge_analysis_access(thread, &run.mem(0), shared);
+            self.charge_analysis_access(thread, &run.mem(0), true);
             return;
         }
         self.cx_scratch.clear();
@@ -1780,23 +1803,21 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         }));
         self.analysis
             .on_access_run(page, kind, &self.cx_scratch, &mut self.cost_scratch);
-        if shared {
-            let mut total = 0u64;
-            for idx in 0..self.cost_scratch.len() {
-                let base = self.cost_scratch[idx];
-                let cost = if self.last_contended_cost.0 == base {
-                    self.last_contended_cost.1
-                } else {
-                    let contended = (base as f64 * self.contention).round() as u64;
-                    self.last_contended_cost = (base, contended);
-                    contended
-                };
-                total += cost;
-            }
-            self.cycles += total;
-        } else {
-            self.cycles += self.cost_scratch.iter().sum::<u64>();
+        for idx in 0..self.cost_scratch.len() {
+            self.cycles += self.contended(self.cost_scratch[idx]);
         }
+    }
+
+    /// The contended cost of a shared access whose analysis cost is `base`,
+    /// through the one-entry memo (the float multiply-and-round is
+    /// deterministic in `base`, and the fast path repeats one base).
+    #[inline]
+    fn contended(&mut self, base: u64) -> u64 {
+        if self.last_contended_cost.0 != base {
+            let contended = (base as f64 * self.contention).round() as u64;
+            self.last_contended_cost = (base, contended);
+        }
+        self.last_contended_cost.1
     }
 
     /// True if the inline check proves this access free (no VM involvement).
@@ -1866,18 +1887,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         };
         self.analysis.on_access(cx);
         let base = self.analysis.last_access_cost_cycles();
-        let cost = if shared {
-            if self.last_contended_cost.0 == base {
-                self.last_contended_cost.1
-            } else {
-                let contended = (base as f64 * self.contention).round() as u64;
-                self.last_contended_cost = (base, contended);
-                contended
-            }
-        } else {
-            base
-        };
-        self.cycles += cost;
+        self.cycles += if shared { self.contended(base) } else { base };
     }
 
     fn charge_translation(&mut self, thread: ThreadId, m: &MemRef) {
@@ -2488,11 +2498,79 @@ mod tests {
     fn access_runs_carry_one_page_and_kind() {
         for name in ["fluidanimate", "canneal"] {
             let w = small(name);
-            for mode in [Mode::FullInstrumentation, Mode::Aikido] {
-                let mut check = RunContract::default();
-                Simulator::default().run_with_analysis(&w, mode, &mut check);
-                assert!(check.runs > 0 && check.longest > 1, "{name} {mode:?}");
-            }
+            let mut check = RunContract::default();
+            Simulator::default().run_with_analysis(&w, Mode::Aikido, &mut check);
+            assert!(check.runs > 0 && check.longest > 1, "{name}");
+        }
+    }
+
+    /// An analysis that checks full mode's delivery contract: each batch is
+    /// one thread's accesses of one work block, in slot order, covering the
+    /// block's every slot; a block with one slot arrives through
+    /// `on_access`; no page runs are delivered.
+    struct BlockContract<'w> {
+        workload: &'w Workload,
+        batches: u64,
+        singles: u64,
+        runs: u64,
+    }
+
+    impl SharedDataAnalysis for BlockContract<'_> {
+        fn name(&self) -> &'static str {
+            "block-contract"
+        }
+
+        fn on_access(&mut self, cx: AccessContext) {
+            let slots = self.workload.shape(cx.instr.block()).slots();
+            assert_eq!(slots.len(), 1, "single delivery from a wider block");
+            assert_eq!(slots[0].instr, cx.instr);
+            self.singles += 1;
+        }
+
+        fn on_access_batch(&mut self, batch: &[AccessContext], costs: &mut Vec<u64>) {
+            let block = batch[0].instr.block();
+            let slots = self.workload.shape(block).slots();
+            let instrs: Vec<InstrId> = batch.iter().map(|cx| cx.instr).collect();
+            let expected: Vec<InstrId> = slots.iter().map(|slot| slot.instr).collect();
+            assert_eq!(instrs, expected, "batch {batch:?}");
+            assert!(batch.len() > 1);
+            assert!(batch.iter().all(|cx| cx.thread == batch[0].thread));
+            self.batches += 1;
+            costs.clear();
+            costs.resize(batch.len(), self.access_cost_cycles());
+        }
+
+        fn on_access_run(
+            &mut self,
+            _page: Vpn,
+            _kind: AccessKind,
+            run: &[AccessContext],
+            costs: &mut Vec<u64>,
+        ) {
+            self.runs += 1;
+            self.on_access_batch(run, costs);
+        }
+
+        fn reports(&self) -> Vec<aikido_types::AnalysisReport> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn full_mode_delivers_one_batch_per_block() {
+        for name in ["fluidanimate", "canneal"] {
+            let w = small(name);
+            let mut check = BlockContract {
+                workload: &w,
+                batches: 0,
+                singles: 0,
+                runs: 0,
+            };
+            let report =
+                Simulator::default().run_with_analysis(&w, Mode::FullInstrumentation, &mut check);
+            assert!(check.batches > 0, "{name}");
+            assert_eq!(check.runs, 0, "{name}");
+            assert!(check.batches + check.singles <= report.counts.block_execs);
         }
     }
 

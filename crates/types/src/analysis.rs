@@ -106,20 +106,26 @@ pub trait SharedDataAnalysis {
     /// Called for every instrumented memory access.
     fn on_access(&mut self, cx: AccessContext);
 
-    /// Called with a *run* of instrumented accesses delivered back-to-back by
-    /// the same thread (the simulator delivers each run with one call; see
-    /// [`SharedDataAnalysis::on_access_run`] for how it groups them). Pushes the per-access cost — what
-    /// [`SharedDataAnalysis::last_access_cost_cycles`] would have returned
-    /// after each access — into `costs` (cleared first), in access order.
+    /// Called with a *batch* of instrumented accesses delivered back-to-back
+    /// by the same thread, with no synchronisation between them. Pushes the
+    /// per-access cost — what [`SharedDataAnalysis::last_access_cost_cycles`]
+    /// would have returned after each access — into `costs` (cleared
+    /// first), in access order.
+    ///
+    /// Under full instrumentation the simulator delivers each work block
+    /// execution with more than one memory access as one batch: every
+    /// access of the block, in slot order, across pages and kinds. A block
+    /// with a single access arrives through
+    /// [`SharedDataAnalysis::on_access`]. Aikido mode delivers page runs
+    /// through [`SharedDataAnalysis::on_access_run`] instead.
     ///
     /// The default implementation is the scalar loop, so implementing
     /// [`SharedDataAnalysis::on_access`] alone is always enough. Overrides
     /// exist purely for speed (hoisting per-thread state out of the loop) and
     /// **must be observably identical** to the default: same end state, same
     /// reports, same statistics, same costs in the same order. Overrides may
-    /// not assume anything about the run beyond "non-empty slice of accesses
-    /// in program order by one thread" — callers usually group by page and
-    /// kind, but that is an optimisation contract, not a guarantee.
+    /// not assume anything about the batch beyond "non-empty slice of
+    /// accesses in program order by one thread".
     fn on_access_batch(&mut self, run: &[AccessContext], costs: &mut Vec<u64>) {
         costs.clear();
         costs.reserve(run.len());
@@ -131,17 +137,15 @@ pub trait SharedDataAnalysis {
 
     /// Like [`SharedDataAnalysis::on_access_batch`], with two extra
     /// guarantees the caller vouches for: every access of the run targets
-    /// `page` and performs `kind`. The simulator's block kernels deliver
-    /// maximal runs within one block execution: consecutive memory accesses
-    /// of the block with one page and kind, even when compute instructions
-    /// sit between them (Aikido mode also ends a run where the
-    /// instrumentation decision changes). No run spans two block
-    /// executions. Analyses that keep page-indexed metadata
-    /// (packed shadow slabs) override this to resolve their slab once per run
-    /// instead of once per access; the default simply forwards to the batch
-    /// entry point. Overrides carry the same contract: observably identical
-    /// to the scalar loop — same end state, same reports, same statistics,
-    /// same costs in the same order.
+    /// `page` and performs `kind`. Only Aikido mode delivers runs: the
+    /// shared tail of an instrumented run, i.e. consecutive memory accesses
+    /// of one block execution with one page, one kind and one
+    /// instrumentation decision, even when compute instructions sit between
+    /// them. No run spans two block executions. The default forwards to the
+    /// batch entry point; an analysis that can use the page or kind
+    /// guarantee may override it. Overrides carry the same contract:
+    /// observably identical to the scalar loop — same end state, same
+    /// reports, same statistics, same costs in the same order.
     fn on_access_run(
         &mut self,
         page: Vpn,

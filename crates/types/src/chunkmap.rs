@@ -11,14 +11,20 @@
 //!   [`CHUNK_LEN`] slots — page-granular when keys are 8-byte block indices,
 //!   2 MiB-granular when keys are page numbers.
 //! * Chunks live in a fixed-size, power-of-two *directory* addressed by
-//!   open addressing (`chunk & mask`, linear probing). Simulated address
-//!   spaces touch a handful of chunks (application regions, mirror and
-//!   metadata areas), so probes are almost always length one; the directory
-//!   doubles on the rare occasion it fills past 70 %.
+//!   open addressing with linear probing. A chunk's home slot is `home`:
+//!   the top bits of a Fibonacci (multiplicative) hash of the chunk index,
+//!   so consecutive chunks spread over the whole directory. The directory
+//!   doubles when it fills past 70 %.
 //!
-//! A lookup is therefore two array loads and a tag compare — no hashing, no
-//! tree descent, no allocation — which is what lets the simulator's fast path
-//! approach native speed.
+//! Identity homing (`chunk & mask`) looks free but fails on the simulated
+//! layout. In a block-keyed map the chunk is the page number, and the region
+//! bases (shared at page `0x10000`, private from page `0x200_0000`) are
+//! multiples of every directory size. Every region's chunks then start at
+//! slot 0, and all regions pile into one linear-probe cluster: about 20 tag
+//! compares per lookup on fluidanimate's full-mode stream. With hashed
+//! homes a lookup is one multiply, two array loads and (almost always) one
+//! tag compare — no tree descent, no allocation — which is what lets the
+//! simulator's fast path approach native speed.
 
 use std::fmt;
 
@@ -35,6 +41,30 @@ const MAX_LOAD_PCT: usize = 70;
 /// Directory tag meaning "no chunk here". Keys are full `u64`s but chunk
 /// indices are `key >> CHUNK_BITS < 2^55`, so the sentinel can never collide.
 const EMPTY_TAG: u64 = u64::MAX;
+
+/// The Fibonacci hashing multiplier: 2^64 divided by the golden ratio.
+const FIB_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The home slot of `chunk` in a power-of-two directory of `mask + 1` slots
+/// (`mask` ≥ 1): the top `log2(mask + 1)` bits of `chunk` times the Fibonacci
+/// multiplier. Shared by [`ChunkMap`] and [`crate::SlabDirectory`].
+#[inline]
+pub(crate) fn home(chunk: u64, mask: u64) -> usize {
+    (chunk.wrapping_mul(FIB_MULTIPLIER) >> mask.leading_zeros()) as usize
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Directory tag compares made on this thread (unit tests only).
+    pub(crate) static TAG_COMPARES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts one directory tag compare; compiles to nothing outside unit tests.
+#[inline(always)]
+pub(crate) fn count_tag_compare() {
+    #[cfg(test)]
+    TAG_COMPARES.with(|c| c.set(c.get() + 1));
+}
 
 fn new_leaf<T>() -> Box<[Option<T>]> {
     let mut slots = Vec::with_capacity(CHUNK_LEN);
@@ -122,8 +152,9 @@ impl<T> ChunkMap<T> {
     /// Directory index holding `chunk`, or the empty slot where it belongs.
     #[inline]
     fn probe(&self, chunk: u64) -> usize {
-        let mut i = (chunk & self.mask) as usize;
+        let mut i = home(chunk, self.mask);
         loop {
+            count_tag_compare();
             let tag = self.tags[i];
             if tag == chunk || tag == EMPTY_TAG {
                 return i;
@@ -167,7 +198,7 @@ impl<T> ChunkMap<T> {
         let new_mask = (new_len as u64) - 1;
         for (tag, leaf) in self.tags.drain(..).zip(self.leaves.drain(..)) {
             if tag != EMPTY_TAG {
-                let mut i = (tag & new_mask) as usize;
+                let mut i = home(tag, new_mask);
                 while new_tags[i] != EMPTY_TAG {
                     i = (i + 1) & new_mask as usize;
                 }
@@ -274,7 +305,7 @@ impl<T> ChunkMap<T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -316,8 +347,8 @@ mod tests {
     #[test]
     fn colliding_directory_slots_probe_linearly() {
         let mut m = ChunkMap::new();
-        // Chunks 0, 64, 128 … all hash to directory slot 0 at the initial
-        // directory size.
+        // Chunks 0, 64, 128 … share their low bits, the family identity
+        // homing sent to one slot; they must still round-trip.
         for i in 0..8u64 {
             m.insert(i * 64 * CHUNK_LEN as u64, i);
         }
@@ -337,6 +368,44 @@ mod tests {
             assert_eq!(m.get(i * CHUNK_LEN as u64), Some(&i));
         }
         assert_eq!(m.len(), 200);
+    }
+
+    /// The chunk indices of a high_sharing-shaped address space: 64 shared
+    /// pages from page `0x10000`, plus 8 private regions of 16 pages spaced
+    /// 32 pages apart from page `0x200_0000`.
+    pub(crate) fn workload_layout_chunks() -> Vec<u64> {
+        let shared = 0x10000..0x10040u64;
+        let private =
+            (0..8u64).flat_map(|region| (0..16).map(move |page| 0x200_0000 + region * 32 + page));
+        shared.chain(private).collect()
+    }
+
+    /// Mean and maximum tag compares of one lookup per chunk.
+    pub(crate) fn probe_lengths(chunks: &[u64], mut lookup: impl FnMut(u64)) -> (f64, u64) {
+        let mut total = 0;
+        let mut max = 0;
+        for &chunk in chunks {
+            let before = TAG_COMPARES.with(|c| c.get());
+            lookup(chunk);
+            let compares = TAG_COMPARES.with(|c| c.get()) - before;
+            total += compares;
+            max = max.max(compares);
+        }
+        (total as f64 / chunks.len() as f64, max)
+    }
+
+    #[test]
+    fn lookups_on_the_workload_layout_probe_about_once() {
+        let chunks = workload_layout_chunks();
+        let mut m = ChunkMap::new();
+        for &chunk in &chunks {
+            m.insert(chunk << CHUNK_BITS, chunk);
+        }
+        let (mean, max) = probe_lengths(&chunks, |chunk| {
+            assert_eq!(m.get(chunk << CHUNK_BITS), Some(&chunk));
+        });
+        assert!(mean <= 1.5, "mean probe length {mean}");
+        assert!(max <= 8, "max probe length {max}");
     }
 
     #[test]

@@ -17,10 +17,12 @@
 //!   `u64` words keyed by block index. Unlike [`crate::ChunkMap`], slots are
 //!   bare words (no `Option`, no enum tag), so a probe is two loads and the
 //!   per-entry footprint is exactly 8 bytes. The directory hands out a
-//!   [`SlabHandle`] so a caller processing a *run* of same-page accesses can
-//!   resolve the slab once and index words by slot for the rest of the run.
+//!   [`SlabHandle`] so a caller resolves a slab once and then reads and
+//!   writes its words by slot (an access's load and store share one probe).
 
 use std::fmt;
+
+use crate::chunkmap::{count_tag_compare, home};
 
 /// log2 of the number of words per slab.
 pub const SLAB_BITS: u32 = 9;
@@ -315,8 +317,8 @@ const MAX_LOAD_PCT: usize = 70;
 
 /// A resolved slab: an index into the directory, valid until the next
 /// [`SlabDirectory::resolve`] call (which may grow the directory and move
-/// slabs). Callers resolve once per run of same-slab keys and then index
-/// words by slot; spill-table operations never invalidate a handle.
+/// slabs). Callers resolve once and then index words by slot; spill-table
+/// operations never invalidate a handle.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct SlabHandle(usize);
 
@@ -326,8 +328,8 @@ pub struct SlabHandle(usize);
 /// Compared to [`crate::ChunkMap`], slots hold bare `u64` words (zero =
 /// absent) instead of `Option<T>`, so the per-entry footprint is 8 bytes and
 /// a lookup never touches an enum tag. The directory itself mirrors the
-/// chunk map's probing scheme: power-of-two tag lane, linear probing,
-/// doubling past 70 % load.
+/// chunk map's probing scheme: power-of-two tag lane, the same hashed home
+/// slot, linear probing, doubling past 70 % load.
 #[derive(Clone)]
 pub struct SlabDirectory {
     /// Open-addressed slab tags ([`EMPTY_TAG`] = vacant), probed as a dense
@@ -396,8 +398,9 @@ impl SlabDirectory {
     /// Directory index holding `chunk`, or the empty slot where it belongs.
     #[inline]
     fn probe(&self, chunk: u64) -> usize {
-        let mut i = (chunk & self.mask) as usize;
+        let mut i = home(chunk, self.mask);
         loop {
+            count_tag_compare();
             let tag = self.tags[i];
             if tag == chunk || tag == EMPTY_TAG {
                 return i;
@@ -414,7 +417,7 @@ impl SlabDirectory {
         let new_mask = (new_len as u64) - 1;
         for (tag, slab) in self.tags.drain(..).zip(self.slabs.drain(..)) {
             if tag != EMPTY_TAG {
-                let mut i = (tag & new_mask) as usize;
+                let mut i = home(tag, new_mask);
                 while new_tags[i] != EMPTY_TAG {
                     i = (i + 1) & new_mask as usize;
                 }
@@ -649,8 +652,8 @@ mod tests {
     #[test]
     fn directory_survives_growth_with_collisions() {
         let mut d = SlabDirectory::new();
-        // 200 distinct slabs force at least two doublings from 64 slots,
-        // with colliding families probing linearly.
+        // 200 distinct slabs force at least two doublings from 64 slots;
+        // the family shares its low bits, so identity homing would collide.
         for i in 0..200u64 {
             d.set(i * 64 * SLAB_WORDS as u64, ShadowWord::from_raw(i + 1));
         }
@@ -658,6 +661,21 @@ mod tests {
             assert_eq!(d.get(i * 64 * SLAB_WORDS as u64).raw(), i + 1);
         }
         assert_eq!(d.len(), 200);
+    }
+
+    #[test]
+    fn lookups_on_the_workload_layout_probe_about_once() {
+        use crate::chunkmap::tests::{probe_lengths, workload_layout_chunks};
+        let chunks = workload_layout_chunks();
+        let mut d = SlabDirectory::new();
+        for &chunk in &chunks {
+            d.set(chunk << SLAB_BITS, ShadowWord::from_raw(chunk));
+        }
+        let (mean, max) = probe_lengths(&chunks, |chunk| {
+            assert_eq!(d.get(chunk << SLAB_BITS).raw(), chunk);
+        });
+        assert!(mean <= 1.5, "mean probe length {mean}");
+        assert!(max <= 8, "max probe length {max}");
     }
 
     #[test]
