@@ -4,9 +4,9 @@
 //! per-mode kernels that hoist mode dispatch, engine probes and cost-model
 //! constants to block entry and process accesses in `(page, kind,
 //! instrumented)` runs, on packed shadow words, behind the inline-check
-//! tables and the static plan. `Simulator::reference()` swaps every one of
-//! those for its unoptimised counterpart (scalar loop, enum shadow store, no
-//! inline check, no plan) and must produce byte-identical reports; this
+//! tables. `Simulator::reference()` swaps each of those three for its
+//! unoptimised counterpart (scalar loop, enum shadow store, no inline check)
+//! and must produce byte-identical reports; this
 //! bench quantifies what the fast paths buy together, per mode.
 //!
 //! ```bash

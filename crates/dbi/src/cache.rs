@@ -28,19 +28,6 @@ pub struct CodeCacheStats {
     pub traces_built: u64,
 }
 
-impl CodeCacheStats {
-    /// Merges another set of statistics into this one.
-    pub fn merge(&mut self, other: &CodeCacheStats) {
-        self.blocks_built += other.blocks_built;
-        self.instrs_emitted += other.instrs_emitted;
-        self.dispatches += other.dispatches;
-        self.linked_dispatches += other.linked_dispatches;
-        self.flush_requests += other.flush_requests;
-        self.blocks_flushed += other.blocks_flushed;
-        self.traces_built += other.traces_built;
-    }
-}
-
 /// A basic block resident in the code cache.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CachedBlock {
@@ -59,13 +46,6 @@ pub struct CachedBlock {
     /// Number of memory instructions carrying instrumentation in this copy
     /// (precomputed at build time so dispatch stays allocation- and scan-free).
     pub instrumented_mem_instrs: usize,
-    /// True if the static pre-analysis proved every memory access of this
-    /// block thread-private (see `aikido-staticcheck`). Recorded on the
-    /// cached copy at build time so dispatch can extend the whole-block
-    /// fast path to proven blocks whose mask is not exact (> 64
-    /// instructions) without re-consulting the plan. Purely an acceleration
-    /// hint: execution behaviour never depends on the claim being true.
-    pub static_private: bool,
     /// Number of times the cached copy has been executed.
     pub executions: u64,
     /// How many times the block has been (re)built; generation 1 is the first
@@ -151,9 +131,8 @@ impl CodeCache {
     /// Executes `block` through the cache, building it first if necessary.
     ///
     /// `should_instrument` is consulted for every instruction when the block
-    /// is built (this is the tool callback DynamoRIO gives its clients), and
-    /// `static_private` is stamped onto the fresh copy
-    /// ([`CachedBlock::static_private`]). Returns `(was_built, &CachedBlock)`.
+    /// is built (this is the tool callback DynamoRIO gives its clients).
+    /// Returns `(was_built, &CachedBlock)`.
     ///
     /// # Panics
     ///
@@ -162,7 +141,6 @@ impl CodeCache {
         &mut self,
         program: &Program,
         block: BlockId,
-        static_private: bool,
         mut should_instrument: F,
     ) -> (bool, &CachedBlock)
     where
@@ -220,7 +198,6 @@ impl CodeCache {
                 instrumented,
                 instr_mask,
                 instrumented_mem_instrs,
-                static_private,
                 executions: 0,
                 generation: self.generations[idx],
                 in_trace: false,
@@ -271,11 +248,6 @@ impl CodeCache {
         removed
     }
 
-    /// Empties the whole cache (used on reset).
-    pub fn clear(&mut self) {
-        self.blocks.clear();
-    }
-
     /// Serializes the cache — resident copies, per-slot generation counters,
     /// promotion threshold and statistics — into `out`.
     pub(crate) fn encode_snapshot(&self, out: &mut SectionWriter) {
@@ -296,7 +268,6 @@ impl CodeCache {
             }
             out.put_u64(b.instr_mask);
             out.put_usize(b.instrumented_mem_instrs);
-            out.put_bool(b.static_private);
             out.put_u64(b.executions);
             out.put_u32(b.generation);
             out.put_bool(b.in_trace);
@@ -355,7 +326,6 @@ impl CodeCache {
             }
             let instr_mask = r.get_u64()?;
             let instrumented_mem_instrs = r.get_usize()?;
-            let static_private = r.get_bool()?;
             let executions = r.get_u64()?;
             let generation = r.get_u32()?;
             let in_trace = r.get_bool()?;
@@ -364,7 +334,6 @@ impl CodeCache {
                 instrumented,
                 instr_mask,
                 instrumented_mem_instrs,
-                static_private,
                 executions,
                 generation,
                 in_trace,
@@ -414,9 +383,9 @@ mod tests {
     fn first_execution_builds_then_reuses() {
         let (p, b) = program();
         let mut c = CodeCache::new();
-        let (built, _) = c.execute(&p, b, false, |_| false);
+        let (built, _) = c.execute(&p, b, |_| false);
         assert!(built);
-        let (built, cached) = c.execute(&p, b, false, |_| false);
+        let (built, cached) = c.execute(&p, b, |_| false);
         assert!(!built);
         assert_eq!(cached.executions, 2);
         assert_eq!(c.stats().blocks_built, 1);
@@ -429,7 +398,7 @@ mod tests {
         let (p, b) = program();
         let mut c = CodeCache::new();
         let target = p.block(b).unwrap().instr_id(2);
-        let (_, cached) = c.execute(&p, b, false, |id| id == target);
+        let (_, cached) = c.execute(&p, b, |id| id == target);
         assert_eq!(cached.instrumented, vec![false, false, true]);
         assert_eq!(cached.instrumented_count(), 1);
         assert_eq!(cached.instr_mask, 0b100);
@@ -440,11 +409,11 @@ mod tests {
     fn instr_mask_mirrors_the_flag_vector_after_rebuilds() {
         let (p, b) = program();
         let mut c = CodeCache::new();
-        let (_, cached) = c.execute(&p, b, false, |_| false);
+        let (_, cached) = c.execute(&p, b, |_| false);
         assert_eq!(cached.instr_mask, 0);
         let target = p.block(b).unwrap().instr_id(0);
         c.flush_instr(target);
-        let (_, cached) = c.execute(&p, b, false, |id| id == target);
+        let (_, cached) = c.execute(&p, b, |id| id == target);
         assert_eq!(cached.instr_mask, 0b001);
         for (i, &flag) in cached.instrumented.clone().iter().enumerate() {
             assert_eq!(cached.instr_mask & (1 << i) != 0, flag);
@@ -455,11 +424,11 @@ mod tests {
     fn flush_and_rebuild_bumps_generation() {
         let (p, b) = program();
         let mut c = CodeCache::new();
-        c.execute(&p, b, false, |_| false);
+        c.execute(&p, b, |_| false);
         let target = p.block(b).unwrap().instr_id(0);
         assert_eq!(c.flush_instr(target), 1);
         assert!(!c.contains(b));
-        let (built, cached) = c.execute(&p, b, false, |id| id == target);
+        let (built, cached) = c.execute(&p, b, |id| id == target);
         assert!(built);
         assert_eq!(cached.generation, 2);
         assert!(cached.instrumented[0]);
@@ -480,25 +449,10 @@ mod tests {
         let (p, b) = program();
         let mut c = CodeCache::with_hot_threshold(3);
         for _ in 0..5 {
-            c.execute(&p, b, false, |_| false);
+            c.execute(&p, b, |_| false);
         }
         assert!(c.get(b).unwrap().in_trace);
         assert_eq!(c.stats().traces_built, 1);
-    }
-
-    #[test]
-    fn static_private_is_stamped_at_build_time_and_survives_rebuilds() {
-        let (p, b) = program();
-        let mut c = CodeCache::new();
-        let (_, cached) = c.execute(&p, b, true, |_| false);
-        assert!(cached.static_private);
-        // The flag belongs to the cached copy: a rebuild re-stamps whatever
-        // the caller passes next.
-        let target = p.block(b).unwrap().instr_id(0);
-        c.flush_instr(target);
-        let (built, cached) = c.execute(&p, b, false, |_| false);
-        assert!(built);
-        assert!(!cached.static_private);
     }
 
     #[test]
@@ -507,8 +461,8 @@ mod tests {
         let b0 = p.add_block(vec![StaticInstr::Compute]);
         let b1 = p.add_block(vec![StaticInstr::Compute]);
         let mut c = CodeCache::new();
-        c.execute(&p, b0, false, |_| false);
-        c.execute(&p, b1, false, |_| false);
+        c.execute(&p, b0, |_| false);
+        c.execute(&p, b1, |_| false);
         let mut set = HashSet::new();
         set.insert(b0);
         assert_eq!(c.flush_blocks(&set), 1);

@@ -34,34 +34,6 @@ pub struct BlockExecution {
     /// True if `instr_mask` covers every instruction (block length ≤ 64);
     /// when false, fall back to [`DbiEngine::is_instrumented`] per access.
     pub mask_exact: bool,
-    /// True if the installed [`StaticPlan`] proved every memory access of
-    /// this block thread-private (`false` when no plan is installed). Copied
-    /// from the cached block so dispatch can take the whole-block fast path
-    /// for proven blocks even when `mask_exact` is false.
-    pub static_private: bool,
-}
-
-/// The product of the static pre-analysis (`aikido-staticcheck`), in the
-/// shape the engine consumes: one proven-thread-private bit and one
-/// may-share instrumentation mask per static block, indexed by raw block id.
-///
-/// The plan is *advice*, not authority: installing one never changes which
-/// analysis callbacks are delivered. The engine only uses it to (a) stamp
-/// [`CachedBlock::static_private`](crate::CachedBlock::static_private) on
-/// fresh copies and (b) count claim violations — instrumentation requests
-/// that contradict the plan — in
-/// [`DbiEngine::static_bound_violations`], which a sound analysis keeps at
-/// zero.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct StaticPlan {
-    /// `proven_private[b]` — every memory access of block *b* is proven to
-    /// target memory private to the executing thread.
-    pub proven_private: Vec<bool>,
-    /// `may_share_masks[b]` — bitmask (bit *i* = instruction *i*) of the
-    /// instructions of block *b* that may touch shared memory; the derived
-    /// upper bound on the instrumentation the sharing detector can request.
-    /// Exact only for instruction indices below 64.
-    pub may_share_masks: Vec<u64>,
 }
 
 /// Blocks with a raw id below this bound get a dense bitmask slot; beyond it
@@ -85,6 +57,19 @@ fn instr_is_instrumented(masks: &[u64], instrumented: &HashSet<InstrId>, id: Ins
     }
 }
 
+/// Mirrors the decision `id` into the per-block bitmasks, growing them as
+/// needed; ids outside the mask range stay in the `instrumented` set only.
+fn mark_in_masks(masks: &mut Vec<u64>, id: InstrId) {
+    let index = id.index();
+    let block = id.block().raw() as usize;
+    if index < 64 && block < MAX_MASK_BLOCKS {
+        if block >= masks.len() {
+            masks.resize(block + 1, 0);
+        }
+        masks[block] |= 1u64 << index;
+    }
+}
+
 /// The DynamoRIO-style engine driving a [`Program`] through a [`CodeCache`]
 /// with a dynamic set of instrumentation decisions.
 ///
@@ -101,10 +86,6 @@ pub struct DbiEngine {
     /// by raw block id. Instructions at index ≥ 64 (none in practice) fall
     /// back to the `instrumented` set.
     masks: Vec<u64>,
-    /// The static pre-analysis plan, if one was installed.
-    plan: Option<StaticPlan>,
-    /// Instrumentation requests that contradicted the installed plan.
-    static_bound_violations: u64,
 }
 
 impl DbiEngine {
@@ -116,43 +97,7 @@ impl DbiEngine {
             cache: CodeCache::new(),
             instrumented: HashSet::new(),
             masks: Vec::new(),
-            plan: None,
-            static_bound_violations: 0,
         }
-    }
-
-    /// Creates an engine with a custom trace-promotion threshold.
-    pub fn with_hot_threshold(program: impl Into<Arc<Program>>, hot_threshold: u64) -> Self {
-        DbiEngine {
-            program: program.into(),
-            cache: CodeCache::with_hot_threshold(hot_threshold),
-            instrumented: HashSet::new(),
-            masks: Vec::new(),
-            plan: None,
-            static_bound_violations: 0,
-        }
-    }
-
-    /// Installs a static pre-analysis plan. Cached copies built before the
-    /// plan carry stale `static_private` stamps, so the cache is cleared;
-    /// install plans before the first execution to avoid rebuild costs.
-    pub fn install_static_plan(&mut self, plan: StaticPlan) {
-        self.cache.clear();
-        self.plan = Some(plan);
-    }
-
-    /// The installed static plan, if any.
-    pub fn static_plan(&self) -> Option<&StaticPlan> {
-        self.plan.as_ref()
-    }
-
-    /// Number of instrumentation requests that contradicted the installed
-    /// plan — a request for a proven-private block, or for an instruction
-    /// outside the plan's may-share mask. Always zero without a plan, and
-    /// zero with a sound plan; a non-zero count means the static analysis
-    /// (or an injected claim) was unsound. Never affects execution.
-    pub fn static_bound_violations(&self) -> u64 {
-        self.static_bound_violations
     }
 
     /// The static program being executed.
@@ -185,17 +130,9 @@ impl DbiEngine {
     pub fn execute_block(&mut self, block: BlockId) -> BlockExecution {
         let instrumented = &self.instrumented;
         let masks = &self.masks;
-        let static_private = self
-            .plan
-            .as_ref()
-            .and_then(|p| p.proven_private.get(block.raw() as usize))
-            .copied()
-            .unwrap_or(false);
-        let (built, cached) = self
-            .cache
-            .execute(&self.program, block, static_private, |id| {
-                instr_is_instrumented(masks, instrumented, id)
-            });
+        let (built, cached) = self.cache.execute(&self.program, block, |id| {
+            instr_is_instrumented(masks, instrumented, id)
+        });
         BlockExecution {
             block,
             built,
@@ -204,7 +141,6 @@ impl DbiEngine {
             in_trace: cached.in_trace,
             instr_mask: cached.instr_mask,
             mask_exact: cached.mask_is_exact(),
-            static_private: cached.static_private,
         }
     }
 
@@ -215,26 +151,7 @@ impl DbiEngine {
     pub fn request_instrumentation(&mut self, instr: InstrId) -> bool {
         let newly = self.instrumented.insert(instr);
         if newly {
-            if let Some(plan) = &self.plan {
-                let idx = instr.block().raw() as usize;
-                let proven = plan.proven_private.get(idx).copied().unwrap_or(false);
-                let outside_mask = instr.index() < 64
-                    && plan
-                        .may_share_masks
-                        .get(idx)
-                        .is_some_and(|m| m & (1u64 << instr.index()) == 0);
-                if proven || outside_mask {
-                    self.static_bound_violations += 1;
-                }
-            }
-            let index = instr.index();
-            let idx = instr.block().raw() as usize;
-            if index < 64 && idx < MAX_MASK_BLOCKS {
-                if idx >= self.masks.len() {
-                    self.masks.resize(idx + 1, 0);
-                }
-                self.masks[idx] |= 1u64 << index;
-            }
+            mark_in_masks(&mut self.masks, instr);
             self.cache.flush_instr(instr);
         }
         newly
@@ -265,11 +182,11 @@ impl DbiEngine {
         self.cache.len()
     }
 
-    /// Serializes the engine's dynamic state — instrumentation decisions,
-    /// bitmask mirror, installed static plan, violation counter and the code
-    /// cache — into `out`. The static [`Program`] is workload input, not
-    /// state, and is *not* serialized; [`DbiEngine::decode_snapshot`] takes
-    /// it back as an argument.
+    /// Serializes the engine's dynamic state — instrumentation decisions
+    /// and the code cache — into `out`. The bitmask mirror is derived from
+    /// the decisions and rebuilt on decode. The static [`Program`] is
+    /// workload input, not state, and is *not* serialized;
+    /// [`DbiEngine::decode_snapshot`] takes it back as an argument.
     pub fn encode_snapshot(&self, out: &mut SectionWriter) {
         let mut decisions: Vec<InstrId> = self.instrumented.iter().copied().collect();
         decisions.sort_unstable();
@@ -278,38 +195,20 @@ impl DbiEngine {
             out.put_u32(id.block().raw());
             out.put_u16(id.index());
         }
-        out.put_usize(self.masks.len());
-        for &m in &self.masks {
-            out.put_u64(m);
-        }
-        match &self.plan {
-            None => out.put_u8(0),
-            Some(plan) => {
-                out.put_u8(1);
-                out.put_usize(plan.proven_private.len());
-                for &p in &plan.proven_private {
-                    out.put_bool(p);
-                }
-                out.put_usize(plan.may_share_masks.len());
-                for &m in &plan.may_share_masks {
-                    out.put_u64(m);
-                }
-            }
-        }
-        out.put_u64(self.static_bound_violations);
         self.cache.encode_snapshot(out);
     }
 
     /// Rebuilds an engine over `program` from its serialized form. State is
     /// reinstated directly — never through [`DbiEngine::request_instrumentation`]
-    /// or [`DbiEngine::install_static_plan`] — so flush statistics, violation
-    /// counts and resident cache copies come back exactly as recorded.
+    /// — so flush statistics and resident cache copies come back exactly as
+    /// recorded.
     pub fn decode_snapshot(
         program: impl Into<Arc<Program>>,
         r: &mut SectionReader,
     ) -> Result<Self, SnapshotError> {
         let decisions = r.get_usize()?;
         let mut instrumented = HashSet::with_capacity(decisions.min(1 << 20));
+        let mut masks = Vec::new();
         let mut prev: Option<InstrId> = None;
         for _ in 0..decisions {
             let block = BlockId::new(r.get_u32()?);
@@ -323,54 +222,14 @@ impl DbiEngine {
             }
             prev = Some(id);
             instrumented.insert(id);
+            mark_in_masks(&mut masks, id);
         }
-        let mask_count = r.get_usize()?;
-        if mask_count > MAX_MASK_BLOCKS {
-            return Err(SnapshotError::new(
-                r.section_name(),
-                r.offset(),
-                format!("mask table of {mask_count} blocks exceeds {MAX_MASK_BLOCKS}"),
-            ));
-        }
-        let mut masks = Vec::with_capacity(mask_count);
-        for _ in 0..mask_count {
-            masks.push(r.get_u64()?);
-        }
-        let plan = match r.get_u8()? {
-            0 => None,
-            1 => {
-                let private = r.get_usize()?;
-                let mut proven_private = Vec::with_capacity(private.min(1 << 20));
-                for _ in 0..private {
-                    proven_private.push(r.get_bool()?);
-                }
-                let share = r.get_usize()?;
-                let mut may_share_masks = Vec::with_capacity(share.min(1 << 20));
-                for _ in 0..share {
-                    may_share_masks.push(r.get_u64()?);
-                }
-                Some(StaticPlan {
-                    proven_private,
-                    may_share_masks,
-                })
-            }
-            tag => {
-                return Err(SnapshotError::new(
-                    r.section_name(),
-                    r.offset(),
-                    format!("unknown static-plan tag {tag}"),
-                ));
-            }
-        };
-        let static_bound_violations = r.get_u64()?;
         let cache = CodeCache::decode_snapshot(r)?;
         Ok(DbiEngine {
             program: program.into(),
             cache,
             instrumented,
             masks,
-            plan,
-            static_bound_violations,
         })
     }
 }
@@ -470,66 +329,10 @@ mod tests {
     }
 
     #[test]
-    fn installed_plan_stamps_cached_copies_and_clears_the_cache() {
-        let (mut e, b) = engine();
-        let exec = e.execute_block(b);
-        assert!(!exec.static_private, "no plan installed yet");
-        e.install_static_plan(StaticPlan {
-            proven_private: vec![true],
-            may_share_masks: vec![0],
-        });
-        assert_eq!(e.cached_blocks(), 0, "stale stamps are flushed");
-        let exec = e.execute_block(b);
-        assert!(exec.built);
-        assert!(exec.static_private);
-    }
-
-    #[test]
-    fn violating_requests_are_counted_but_still_honoured() {
-        let (mut e, b) = engine();
-        e.install_static_plan(StaticPlan {
-            proven_private: vec![true],
-            may_share_masks: vec![0],
-        });
-        assert_eq!(e.static_bound_violations(), 0);
-        let instr = e.program().block(b).unwrap().instr_id(0);
-        assert!(e.request_instrumentation(instr));
-        assert_eq!(e.static_bound_violations(), 1);
-        // The decision itself is never suppressed: the rebuilt copy carries
-        // the instrumentation even though the claim said it never would.
-        let exec = e.execute_block(b);
-        assert_eq!(exec.instrumented_mem_instrs, 1);
-        // Duplicate requests are not new decisions and count nothing.
-        assert!(!e.request_instrumentation(instr));
-        assert_eq!(e.static_bound_violations(), 1);
-    }
-
-    #[test]
-    fn requests_inside_the_may_share_mask_are_not_violations() {
-        let (mut e, b) = engine();
-        e.install_static_plan(StaticPlan {
-            proven_private: vec![false],
-            may_share_masks: vec![0b101],
-        });
-        let i0 = e.program().block(b).unwrap().instr_id(0);
-        let i2 = e.program().block(b).unwrap().instr_id(2);
-        e.request_instrumentation(i0);
-        e.request_instrumentation(i2);
-        assert_eq!(e.static_bound_violations(), 0);
-        let i1 = e.program().block(b).unwrap().instr_id(1);
-        e.request_instrumentation(i1);
-        assert_eq!(e.static_bound_violations(), 1);
-    }
-
-    #[test]
     fn snapshot_roundtrip_preserves_engine_state() {
         let (mut e, b) = engine();
-        e.install_static_plan(StaticPlan {
-            proven_private: vec![false],
-            may_share_masks: vec![0b101],
-        });
-        // Build up non-trivial state: decisions (one of them a violation),
-        // several executions (so the copy is hot), and a pending flush.
+        // Build up non-trivial state: decisions, several executions (so the
+        // copy is hot), and a pending flush.
         for _ in 0..CodeCache::DEFAULT_HOT_THRESHOLD + 2 {
             e.execute_block(b);
         }
@@ -537,24 +340,25 @@ mod tests {
         let i1 = e.program().block(b).unwrap().instr_id(1);
         e.request_instrumentation(i0);
         e.execute_block(b);
-        e.request_instrumentation(i1); // violation; leaves the block flushed
-        assert_eq!(e.static_bound_violations(), 1);
+        e.request_instrumentation(i1); // leaves the block flushed
 
-        let mut w = aikido_snapshot::SectionWriter::new(*b"DBIE", 1);
+        let mut w = aikido_snapshot::SectionWriter::new(*b"DBIE", 2);
         e.encode_snapshot(&mut w);
         let mut builder = aikido_snapshot::SnapshotBuilder::new();
         builder.push(w);
         let snap = builder.finish();
         let mut reader = snap.reader().unwrap();
-        let mut section = reader.section(*b"DBIE", 1).unwrap();
+        let mut section = reader.section(*b"DBIE", 2).unwrap();
         let mut restored =
             DbiEngine::decode_snapshot(Arc::clone(&e.program), &mut section).unwrap();
         section.finish().unwrap();
         reader.finish().unwrap();
 
         assert_eq!(restored.instrumented_instrs(), e.instrumented_instrs());
-        assert_eq!(restored.static_plan(), e.static_plan());
-        assert_eq!(restored.static_bound_violations(), 1);
+        assert_eq!(
+            restored.masks, e.masks,
+            "masks are rebuilt from the decisions"
+        );
         assert_eq!(restored.cache_stats(), e.cache_stats());
         assert_eq!(restored.cached_blocks(), e.cached_blocks());
         assert_eq!(restored.block_up_to_date(b), e.block_up_to_date(b));
@@ -562,9 +366,9 @@ mod tests {
         assert_eq!(restored.execute_block(b), e.execute_block(b));
         assert_eq!(restored.cache_stats(), e.cache_stats());
         // And re-encoding is byte-stable.
-        let mut w1 = aikido_snapshot::SectionWriter::new(*b"DBIE", 1);
+        let mut w1 = aikido_snapshot::SectionWriter::new(*b"DBIE", 2);
         e.encode_snapshot(&mut w1);
-        let mut w2 = aikido_snapshot::SectionWriter::new(*b"DBIE", 1);
+        let mut w2 = aikido_snapshot::SectionWriter::new(*b"DBIE", 2);
         restored.encode_snapshot(&mut w2);
         let (mut b1, mut b2) = (
             aikido_snapshot::SnapshotBuilder::new(),
@@ -573,24 +377,5 @@ mod tests {
         b1.push(w1);
         b2.push(w2);
         assert_eq!(b1.finish().into_bytes(), b2.finish().into_bytes());
-    }
-
-    #[test]
-    fn blocks_beyond_the_plan_are_unconstrained() {
-        let mut p = Program::new();
-        let _b0 = p.add_block(vec![StaticInstr::Compute]);
-        let b1 = p.add_block(vec![StaticInstr::Mem {
-            kind: AccessKind::Read,
-            mode: AddrMode::Indirect,
-        }]);
-        let mut e = DbiEngine::new(p);
-        e.install_static_plan(StaticPlan {
-            proven_private: vec![false],
-            may_share_masks: vec![0],
-        });
-        let instr = e.program().block(b1).unwrap().instr_id(0);
-        e.request_instrumentation(instr);
-        assert_eq!(e.static_bound_violations(), 0);
-        assert!(!e.execute_block(b1).static_private);
     }
 }

@@ -62,6 +62,6 @@ mod isa;
 mod signal;
 
 pub use cache::{CachedBlock, CodeCache, CodeCacheStats};
-pub use engine::{BlockExecution, DbiEngine, StaticPlan};
+pub use engine::{BlockExecution, DbiEngine};
 pub use isa::{Program, StaticBlock, StaticInstr};
 pub use signal::{FaultOrigin, MasterHandler};

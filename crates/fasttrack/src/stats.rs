@@ -37,25 +37,6 @@ impl FastTrackStats {
         Self::default()
     }
 
-    /// Adds another set of statistics to this one componentwise. Dense
-    /// clocks can be partitioned per epoch-engine worker and their counters
-    /// handed off at epoch boundaries; the merged result is independent of
-    /// merge order.
-    pub fn merge(&mut self, other: &FastTrackStats) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.read_same_epoch += other.read_same_epoch;
-        self.write_same_epoch += other.write_same_epoch;
-        self.read_share_promotions += other.read_share_promotions;
-        self.acquires += other.acquires;
-        self.releases += other.releases;
-        self.forks += other.forks;
-        self.joins += other.joins;
-        self.barriers += other.barriers;
-        self.races_detected += other.races_detected;
-        self.blocks_tracked += other.blocks_tracked;
-    }
-
     /// Fraction of memory checks (reads + writes) that took a same-epoch fast
     /// path, in `[0, 1]`.
     pub fn fast_path_rate(&self) -> f64 {
@@ -103,29 +84,6 @@ pub struct SpillStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_adds_componentwise_and_is_order_independent() {
-        let a = FastTrackStats {
-            reads: 10,
-            races_detected: 1,
-            ..FastTrackStats::new()
-        };
-        let b = FastTrackStats {
-            reads: 5,
-            writes: 4,
-            barriers: 2,
-            ..FastTrackStats::new()
-        };
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.reads, 15);
-        assert_eq!(ab.writes, 4);
-        assert_eq!(ab.races_detected, 1);
-    }
 
     #[test]
     fn fast_path_rate_is_zero_without_accesses() {

@@ -29,14 +29,6 @@ impl ShadowStats {
             self.inline_hits as f64 / self.translations as f64
         }
     }
-
-    /// Adds another set of statistics to this one.
-    pub fn merge(&mut self, other: &ShadowStats) {
-        self.translations += other.translations;
-        self.inline_hits += other.inline_hits;
-        self.thread_local_hits += other.thread_local_hits;
-        self.full_lookups += other.full_lookups;
-    }
 }
 
 #[cfg(test)]
@@ -57,22 +49,5 @@ mod tests {
             full_lookups: 1,
         };
         assert!((s.inline_hit_rate() - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_adds_counters() {
-        let mut a = ShadowStats {
-            translations: 1,
-            inline_hits: 1,
-            ..ShadowStats::new()
-        };
-        a.merge(&ShadowStats {
-            translations: 2,
-            full_lookups: 2,
-            ..ShadowStats::new()
-        });
-        assert_eq!(a.translations, 3);
-        assert_eq!(a.full_lookups, 2);
-        assert_eq!(a.inline_hits, 1);
     }
 }

@@ -47,48 +47,6 @@ impl FaultDisposition {
     }
 }
 
-/// A borrowed, read-only view over a detector's page-sharing states.
-///
-/// Obtained from [`AikidoSd::read_view`]; exists to make the fast-path
-/// contract explicit in the type system — holders can classify addresses but
-/// cannot transition page states, so any number of them may be consulted
-/// concurrently between the serialized transition points.
-#[derive(Debug, Clone, Copy)]
-pub struct SharingView<'a> {
-    sd: &'a AikidoSd,
-}
-
-impl SharingView<'_> {
-    /// True if `page` has been found to be shared.
-    ///
-    /// This is the page-granular query the simulator's batched Aikido kernel
-    /// issues **once per run** of consecutive same-page accesses rather than
-    /// once per access. Two monotonicity guarantees make that sound:
-    ///
-    /// * `Shared` is sticky — a page never leaves the shared state (see
-    ///   [`PageState`]) — so a `true` answer covers every later access of the
-    ///   run unconditionally;
-    /// * transitions *into* `Shared` only happen inside
-    ///   [`AikidoSd::handle_fault`], so a `false` answer stays valid until
-    ///   the caller next invokes the fault machinery.
-    #[inline]
-    pub fn is_shared_page(&self, page: Vpn) -> bool {
-        self.sd.pages.is_shared(page)
-    }
-
-    /// True if the page containing `addr` has been found to be shared.
-    #[inline]
-    pub fn is_shared_addr(&self, addr: Addr) -> bool {
-        self.sd.pages.is_shared(addr.page())
-    }
-
-    /// The sharing state of `page`.
-    #[inline]
-    pub fn page_state(&self, page: Vpn) -> PageState {
-        self.sd.pages.get(page)
-    }
-}
-
 /// AikidoSD, the Aikido sharing detector.
 ///
 /// See the crate-level documentation for the protocol and an end-to-end
@@ -123,23 +81,26 @@ impl AikidoSd {
     }
 
     /// True if `page` has been found to be shared.
+    ///
+    /// This is the page-granular query the simulator's batched Aikido kernel
+    /// issues **once per run** of consecutive same-page accesses rather than
+    /// once per access. Two monotonicity guarantees make that sound:
+    ///
+    /// * `Shared` is sticky — a page never leaves the shared state (see
+    ///   [`PageState`]) — so a `true` answer covers every later access of the
+    ///   run unconditionally;
+    /// * transitions *into* `Shared` only happen inside
+    ///   [`AikidoSd::handle_fault`], so a `false` answer stays valid until
+    ///   the caller next invokes the fault machinery.
+    #[inline]
     pub fn is_shared_page(&self, page: Vpn) -> bool {
         self.pages.is_shared(page)
     }
 
     /// True if the page containing `addr` has been found to be shared.
+    #[inline]
     pub fn is_shared_addr(&self, addr: Addr) -> bool {
         self.pages.is_shared(addr.page())
-    }
-
-    /// A read-only view over the detector's page states. This is the
-    /// lock-free fast path the epoch engine's inline checks lean on: reads
-    /// take `&self` (two array loads into the flat page-state table, no
-    /// locks, no interior mutability), while state *transitions* only happen
-    /// through `&mut self` fault handling, which the commit clock serializes
-    /// at epoch boundaries.
-    pub fn read_view(&self) -> SharingView<'_> {
-        SharingView { sd: self }
     }
 
     /// Number of pages currently `(private, shared)`.
@@ -603,12 +564,12 @@ mod tests {
         let (i0, i1) = (rig.instrs[0], rig.instrs[1]);
         access(&mut rig, t0, base, AccessKind::Write, i0);
         access(&mut rig, t1, base, AccessKind::Write, i0);
-        assert!(rig.sd.read_view().is_shared_page(base.page()));
+        assert!(rig.sd.is_shared_page(base.page()));
         // Every subsequent fault on the page — new thread, new instruction —
         // leaves it shared.
         access(&mut rig, t2, base.offset(8), AccessKind::Read, i1);
         access(&mut rig, t0, base.offset(16), AccessKind::Write, i1);
-        assert!(rig.sd.read_view().is_shared_page(base.page()));
+        assert!(rig.sd.is_shared_page(base.page()));
         assert_eq!(rig.sd.page_state(base.page()), PageState::Shared);
     }
 

@@ -76,6 +76,6 @@ mod detector;
 mod page_state;
 mod stats;
 
-pub use detector::{AikidoSd, FaultDisposition, SharingView};
+pub use detector::{AikidoSd, FaultDisposition};
 pub use page_state::{PageState, PageStateTable, Transition};
 pub use stats::SharingStats;

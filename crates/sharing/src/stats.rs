@@ -29,48 +29,11 @@ impl SharingStats {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Adds another set of statistics to this one componentwise. The epoch
-    /// engine uses this to fold per-worker counters into one report at epoch
-    /// boundaries, where page-state transitions are serialized; the merged
-    /// result is independent of merge order.
-    pub fn merge(&mut self, other: &SharingStats) {
-        self.faults_handled += other.faults_handled;
-        self.private_transitions += other.private_transitions;
-        self.shared_transitions += other.shared_transitions;
-        self.shared_page_faults += other.shared_page_faults;
-        self.spurious_faults += other.spurious_faults;
-        self.instructions_instrumented += other.instructions_instrumented;
-        self.pages_registered += other.pages_registered;
-        self.protection_hypercalls += other.protection_hypercalls;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_adds_componentwise_and_is_order_independent() {
-        let a = SharingStats {
-            faults_handled: 3,
-            shared_transitions: 1,
-            ..SharingStats::new()
-        };
-        let b = SharingStats {
-            faults_handled: 2,
-            protection_hypercalls: 7,
-            ..SharingStats::new()
-        };
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.faults_handled, 5);
-        assert_eq!(ab.shared_transitions, 1);
-        assert_eq!(ab.protection_hypercalls, 7);
-    }
 
     #[test]
     fn default_is_all_zero() {

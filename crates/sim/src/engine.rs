@@ -199,13 +199,13 @@ impl Simulator {
         }
     }
 
-    /// The reference executor: the default configuration with every
-    /// behaviour-neutral fast path swapped for its unoptimised counterpart —
-    /// the scalar per-access loop instead of the batched block kernels, the
-    /// enum `ShadowStore` FastTrack instead of packed shadow words, no
-    /// inline-check tables (every access consults the VM) and no static
-    /// pre-analysis plan. Every report, detector statistic, race and shadow
-    /// state must equal [`Simulator::default`]'s byte for byte; the
+    /// The reference executor: the default configuration with each of its
+    /// three behaviour-neutral fast paths swapped for its unoptimised
+    /// counterpart — the scalar per-access loop instead of the batched block
+    /// kernels, the enum `ShadowStore` FastTrack instead of packed shadow
+    /// words, and no inline-check tables (every access consults the VM).
+    /// Every report, detector statistic, race and shadow state must equal
+    /// [`Simulator::default`]'s byte for byte; the
     /// `reference_equivalence` suite and the `block_kernels` bench compare
     /// against it. It exists for equivalence checking only, so no
     /// [`SimConfig`], wire form or environment variable can select it.
@@ -949,18 +949,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                     sd.attach_region(&mut vm, base, pages)
                         .expect("regions attach cleanly");
                 }
-                let mut engine = DbiEngine::new(self.workload.program_arc());
-                if !self.sim.reference {
-                    // Run the static pre-analysis and hand its derived plan
-                    // to the engine. The plan is advice: it stamps
-                    // proven-private bits onto cached blocks (enabling the
-                    // wide-block free fast path) and bounds the
-                    // instrumentation the detector should ever request, but
-                    // it cannot change what the analysis observes.
-                    let report = aikido_staticcheck::StaticReport::for_workload(self.workload);
-                    engine.install_static_plan(report.plan());
-                }
-                self.engine = Some(engine);
+                self.engine = Some(DbiEngine::new(self.workload.program_arc()));
                 self.vm = Some(vm);
                 self.sd = Some(sd);
             }
@@ -1388,7 +1377,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     //   mid-block — the mask snapshot at block entry stays exact;
     // * page-state read: `Shared` is sticky and transitions happen only
     //   inside fault handling, so one read covers a run until the next slow
-    //   access (see `SharingView::is_shared_page`);
+    //   access (see `AikidoSd::is_shared_page`);
     // * inline-check probe: probes have no side effects, and a hit for
     //   `(page, kind)` covers every remaining access of the run because only
     //   VM interactions (which the hit skips) can invalidate it;
@@ -1492,17 +1481,12 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         debug_assert_eq!(shape.instrs() as usize, result.instr_count);
         self.charge_computes(shape);
         let all = AccessRun::of(shape, exec);
-        // A block is whole-block free when its exact mask is empty, or when
-        // the static pre-analysis proved it thread-private and no fault has
-        // instrumented any of its memory instructions — the latter covers
-        // blocks too wide for an exact mask. The instrumented-count guard
-        // keeps the condition delivery-preserving even under an unsound
-        // claim: any actually-instrumented block takes the per-slot path,
-        // and free runs still probe and fault exactly like it, so reports
-        // cannot depend on the claim being true.
-        let whole_block_free = (result.mask_exact && result.instr_mask == 0)
-            || (result.static_private && result.instrumented_mem_instrs == 0);
-        if whole_block_free {
+        // A block is whole-block free when no fault has instrumented any of
+        // its memory instructions, however wide it is. Aikido only ever
+        // instruments memory instructions, so every slot of such a block
+        // would take the per-slot path's free branch, whose runs probe and
+        // fault exactly like the loop below.
+        if result.instrumented_mem_instrs == 0 {
             // The steady state for every block no fault has ever
             // instrumented. Charge the accesses in one batch and probe them
             // with a single borrow of the thread's inline-check lane; only
@@ -1638,7 +1622,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                 .sd
                 .as_ref()
                 .expect("aikido mode has a sharing detector")
-                .read_view()
                 .is_shared_page(page);
             if shared {
                 let info = self.resolve_shared_page(page, region, first);
@@ -1927,14 +1910,8 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                     // page's sharing state before deciding which path to take
                     // (Figure 4 of the paper).
                     self.charge_translation(thread, m);
-                    // Lock-free page-state read (Figure 4's emitted check):
-                    // the view types the fast path as read-only, transitions
-                    // stay serialized on the commit clock.
-                    let shared = self
-                        .sd
-                        .as_ref()
-                        .map(|sd| sd.read_view().is_shared_addr(m.addr))
-                        .unwrap_or(false);
+                    // The page-state read of Figure 4's emitted check.
+                    let shared = self.sd.as_ref().is_some_and(|sd| sd.is_shared_addr(m.addr));
                     if shared {
                         self.counts.shared_accesses += 1;
                         self.charge_analysis_access(thread, m, true);
@@ -2075,19 +2052,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
 
     fn into_report(self) -> RunReport {
         debug_assert_eq!(self.fatal_accesses, 0, "workload produced fatal accesses");
-        // The engine honours instrumentation requests even when they
-        // contradict the installed static plan, so an unsound claim can never
-        // corrupt a run — but in debug builds we refuse to let one pass
-        // silently. (The mutation tests exercise unsound claims through the
-        // audit wrapper, never through the engine's plan.)
-        debug_assert_eq!(
-            self.engine
-                .as_ref()
-                .map(|e| e.static_bound_violations())
-                .unwrap_or(0),
-            0,
-            "static pre-analysis plan contradicted by an instrumentation request"
-        );
         RunReport {
             workload: self.workload.spec().name.clone(),
             mode: self.mode.label().to_string(),
@@ -2288,65 +2252,38 @@ mod tests {
         assert_eq!(a.counts.segfaults, b.counts.segfaults);
     }
 
-    // The four tests below pin each fast path against `Simulator::reference()`
-    // on the workload that stresses it; `tests/reference_equivalence.rs`
-    // covers the rest of the inputs and the detector state.
-
     #[test]
     fn batched_kernels_reproduce_the_scalar_reference_exactly() {
-        for name in ["blackscholes", "fluidanimate", "canneal"] {
-            let w = small(name);
-            for mode in [Mode::Native, Mode::FullInstrumentation, Mode::Aikido] {
-                let batched = Simulator::default().run(&w, mode);
-                let scalar = Simulator::reference().run(&w, mode);
+        // One row per workload that stresses a fast path the reference
+        // executor swaps out (batched kernels, packed shadow words, inline
+        // checks); `tests/reference_equivalence.rs` covers the rest of the
+        // inputs and the detector state.
+        const ALL: &[Mode] = &[Mode::Native, Mode::FullInstrumentation, Mode::Aikido];
+        const ANALYSED: &[Mode] = &[Mode::FullInstrumentation, Mode::Aikido];
+        let mut barrier_spec = WorkloadSpec::parsec("bodytrack").unwrap().scaled(0.02);
+        barrier_spec.barrier_every = 10;
+        let cases: Vec<(&str, Workload, &[Mode])> = vec![
+            ("blackscholes", small("blackscholes"), ALL),
+            ("fluidanimate", small("fluidanimate"), ALL),
+            ("canneal", small("canneal"), ALL),
+            ("raytrace", small("raytrace"), ANALYSED),
+            ("vips", small("vips"), ANALYSED),
+            ("racy", Workload::generate(&racy_workload(4)), ANALYSED),
+            (
+                "barriers",
+                Workload::generate(&barrier_spec),
+                &[Mode::Aikido],
+            ),
+        ];
+        for (name, w, modes) in &cases {
+            for &mode in *modes {
+                let batched = Simulator::default().run(w, mode);
+                let scalar = Simulator::reference().run(w, mode);
                 assert_eq!(batched, scalar, "{name} {mode:?}");
+                if *name == "racy" {
+                    assert!(batched.race_count() > 0, "racy {mode:?}");
+                }
             }
-        }
-    }
-
-    #[test]
-    fn batched_kernels_handle_racy_and_barrier_workloads_identically() {
-        let racy = Workload::generate(&racy_workload(4));
-        for mode in [Mode::FullInstrumentation, Mode::Aikido] {
-            let batched = Simulator::default().run(&racy, mode);
-            let scalar = Simulator::reference().run(&racy, mode);
-            assert_eq!(batched, scalar, "racy {mode:?}");
-            assert!(batched.race_count() > 0);
-        }
-        let mut spec = WorkloadSpec::parsec("bodytrack").unwrap().scaled(0.02);
-        spec.barrier_every = 10;
-        let barriers = Workload::generate(&spec);
-        let batched = Simulator::default().run(&barriers, Mode::Aikido);
-        let scalar = Simulator::reference().run(&barriers, Mode::Aikido);
-        assert_eq!(batched, scalar);
-    }
-
-    #[test]
-    fn static_precheck_changes_no_observable_output() {
-        // The derived plan only widens the whole-block free fast path, whose
-        // charges are identical to the fallback's — so the full report must
-        // match the reference executor, which installs no plan.
-        for name in ["raytrace", "canneal"] {
-            let w = small(name);
-            for mode in [Mode::FullInstrumentation, Mode::Aikido] {
-                let with_precheck = Simulator::default().run(&w, mode);
-                let without = Simulator::reference().run(&w, mode);
-                assert_eq!(with_precheck, without, "{name} {mode:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn disabling_the_inline_tlb_changes_no_observable_output() {
-        // The inline check only ever skips provably free VM touches, so the
-        // full report — cycles included — must match the reference
-        // executor, which never fills the tables and touches the VM for
-        // every access.
-        let w = small("vips");
-        for mode in [Mode::FullInstrumentation, Mode::Aikido] {
-            let with_tlb = Simulator::default().run(&w, mode);
-            let without = Simulator::reference().run(&w, mode);
-            assert_eq!(with_tlb, without, "{mode:?}");
         }
     }
 

@@ -29,7 +29,10 @@ pub(super) const SCHD_VERSION: u16 = 2;
 /// v2 images are refused.
 pub(super) const FTRK_VERSION: u16 = 3;
 pub(super) const TCCH_VERSION: u16 = 1;
-pub(super) const DBIE_VERSION: u16 = 1;
+/// v2: the instrumentation decisions alone (the per-block masks are rebuilt
+/// from them) and no static-plan or private-block stamps. v1 images are
+/// refused.
+pub(super) const DBIE_VERSION: u16 = 2;
 pub(super) const AKVM_VERSION: u16 = 1;
 pub(super) const AKSD_VERSION: u16 = 1;
 

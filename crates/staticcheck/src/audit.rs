@@ -1,5 +1,5 @@
 //! The runtime audit oracle: checks every delivered access against the
-//! static pass's proven-private claims.
+//! static pass's no-shared-access claims.
 
 use aikido_types::{
     AccessContext, AccessKind, AnalysisReport, LockId, SharedDataAnalysis, ThreadId, Vpn,
@@ -13,14 +13,15 @@ use crate::report::StaticReport;
 /// The wrapper forwards every callback to the inner analysis unchanged —
 /// same deliveries, same costs, byte-identical reports — and on the way
 /// through checks the oracle invariant: *no access performed by a block the
-/// static pass proved thread-private may target a shared page*. Violations
-/// are counted, never acted on, so a wrapped run is observably identical to
-/// an unwrapped one; the equivalence harness runs with the wrapper installed
-/// and asserts [`StaticAudit::violations`]` == 0` at the end.
+/// static pass proved thread-private or unreachable may target a shared
+/// page*. Violations are counted, never acted on, so a wrapped run is
+/// observably identical to an unwrapped one. It is the one check on the
+/// static pass: the audit suites run with the wrapper installed and assert
+/// [`StaticAudit::violations`]` == 0` at the end.
 ///
-/// The mutation tests instead construct the wrapper from deliberately
-/// unsound claims ([`StaticAudit::with_claims`]) and assert every injected
-/// claim is caught.
+/// The mutation tests instead inject deliberately unsound claims — raw ones
+/// through [`StaticAudit::with_claims`], tampered block classes through
+/// [`StaticAudit::new`] — and assert every injected claim is caught.
 #[derive(Debug)]
 pub struct StaticAudit<A> {
     inner: A,
@@ -33,10 +34,15 @@ pub struct StaticAudit<A> {
 }
 
 impl<A: SharedDataAnalysis> StaticAudit<A> {
-    /// Wraps `inner`, auditing the proven-private claims of `report` against
-    /// the shared region of `layout`.
+    /// Wraps `inner`, auditing the claims of `report` against the shared
+    /// region of `layout`: every [`BlockClass::ProvenPrivate`] and
+    /// [`BlockClass::Unreachable`] block is claimed never to touch shared
+    /// memory (see [`StaticReport::no_shared_access_claims`]).
+    ///
+    /// [`BlockClass::ProvenPrivate`]: crate::BlockClass::ProvenPrivate
+    /// [`BlockClass::Unreachable`]: crate::BlockClass::Unreachable
     pub fn new(inner: A, report: &StaticReport, layout: &MemoryLayout) -> Self {
-        Self::with_claims(inner, report.proven_private_claims(), layout)
+        Self::with_claims(inner, report.no_shared_access_claims(), layout)
     }
 
     /// Wraps `inner` with raw claims — the injection entry point for the

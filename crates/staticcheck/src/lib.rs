@@ -1,6 +1,6 @@
 //! Static guest-program pre-analysis for the Aikido reproduction: an
-//! escape-and-lockset verifier that derives — and audits — the DBI
-//! instrumentation masks.
+//! escape-and-lockset verifier whose sharing proofs are audited against
+//! every run.
 //!
 //! Aikido's dynamic pipeline discovers sharing by fault: every instruction
 //! is born uninstrumented, and only instructions caught touching a shared
@@ -22,24 +22,19 @@
 //!   consistent-lock discipline, verified against the layout's lock slices
 //!   ([`BlockClass::LockProtected`]).
 //!
-//! The result is a serialisable, deterministic [`StaticReport`]. Its derived
-//! [`StaticPlan`](aikido_dbi::StaticPlan) feeds the DBI engine at JIT time:
-//! proven-private blocks extend the simulator's whole-block fast path (they
-//! can skip per-instruction mask checks even when the block is too wide for
-//! an exact mask), and the may-share masks bound the instrumentation the
-//! sharing detector should ever request. The plan is advice, never
-//! authority — an unsound claim can cost a counted
-//! [`static_bound_violations`](aikido_dbi::DbiEngine::static_bound_violations)
-//! but cannot change which analysis callbacks are delivered.
+//! The result is a serialisable, deterministic [`StaticReport`] with
+//! per-block may-share masks and [`CoverageStats`]. The simulator does not
+//! consult it: Aikido finds sharing by itself, so the report cannot change a
+//! run. Its one consumer is the audit.
 //!
 //! Because proofs come from the scenario model and the geometry — never from
 //! the workload generator's trusted block labels — the claims are worth
 //! auditing: [`StaticAudit`] wraps any
 //! [`SharedDataAnalysis`](aikido_types::SharedDataAnalysis) and checks every
-//! delivered access against the proven-private claims, counting (never
-//! acting on) violations. The equivalence harness runs with the oracle
-//! installed; the mutation tests inject deliberately unsound claims and
-//! assert the oracle catches each one.
+//! delivered access against the proven-private and unreachable claims,
+//! counting (never acting on) violations. The audit suites run with the
+//! oracle installed; the mutation tests inject deliberately unsound claims
+//! and assert the oracle catches each one.
 //!
 //! # Examples
 //!
@@ -56,8 +51,9 @@
 //!     .private_block_ids()
 //!     .iter()
 //!     .all(|&b| report.is_proven_private(b)));
-//! let plan = report.plan(); // feeds DbiEngine::install_static_plan
-//! assert_eq!(plan.proven_private.len(), workload.program().len());
+//! // Claims cover proven-private and unreachable blocks; the audit checks them.
+//! let claims = report.no_shared_access_claims();
+//! assert_eq!(claims.len(), workload.program().len());
 //! ```
 
 #![forbid(unsafe_code)]

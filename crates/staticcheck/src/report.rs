@@ -1,9 +1,9 @@
 //! The static pre-analysis proper: footprints, escape classification, the
-//! Eraser-style static lockset pass, and the derived instrumentation plan.
+//! Eraser-style static lockset pass, and the derived may-share masks.
 
 use serde::{Deserialize, Serialize};
 
-use aikido_dbi::{Program, StaticPlan};
+use aikido_dbi::Program;
 use aikido_types::{AddrMode, BlockId, ThreadId, PAGE_SIZE};
 use aikido_workloads::{AddrWindow, HeldLocks, MemoryLayout, ScenarioModel, UsePhase, Workload};
 
@@ -117,7 +117,7 @@ pub struct CoverageStats {
     /// Total memory instructions in the program.
     pub total_mem_instrs: usize,
     /// Memory instructions inside proven-private blocks — the instrumentation
-    /// decisions the derived plan rules out statically.
+    /// decisions the static pass rules out.
     pub proven_private_mem_instrs: usize,
 }
 
@@ -480,21 +480,16 @@ impl StaticReport {
         self.class(block) == Some(BlockClass::ProvenPrivate)
     }
 
-    /// The proven-thread-private claims as a dense bit vector indexed by raw
-    /// block id — the shape the runtime audit oracle consumes.
-    pub fn proven_private_claims(&self) -> Vec<bool> {
+    /// The pass's no-shared-access claims as a dense bit vector indexed by
+    /// raw block id — the shape the runtime audit oracle consumes. A block is
+    /// claimed when it was proven thread-private or declared unreachable:
+    /// both verdicts say its accesses never target shared memory (and both
+    /// get a zero may-share mask).
+    pub fn no_shared_access_claims(&self) -> Vec<bool> {
         self.classes
             .iter()
-            .map(|c| *c == BlockClass::ProvenPrivate)
+            .map(|c| matches!(c, BlockClass::ProvenPrivate | BlockClass::Unreachable))
             .collect()
-    }
-
-    /// The derived instrumentation plan for the DBI engine.
-    pub fn plan(&self) -> StaticPlan {
-        StaticPlan {
-            proven_private: self.proven_private_claims(),
-            may_share_masks: self.masks.clone(),
-        }
     }
 }
 
@@ -656,17 +651,22 @@ mod tests {
     }
 
     #[test]
-    fn plan_mirrors_classes_and_masks() {
+    fn claims_mirror_classes_and_masks() {
         let spec = WorkloadSpec::parsec("fluidanimate").unwrap().scaled(0.02);
         let (w, r) = report_for(&spec);
-        let plan = r.plan();
-        assert_eq!(plan.proven_private.len(), w.program().len());
-        assert_eq!(plan.may_share_masks, r.masks);
+        let claims = r.no_shared_access_claims();
+        assert_eq!(claims.len(), w.program().len());
         for block in w.program().iter() {
+            let b = block.id().raw() as usize;
+            let class = r.classes[b];
             assert_eq!(
-                plan.proven_private[block.id().raw() as usize],
-                r.is_proven_private(block.id())
+                claims[b],
+                matches!(class, BlockClass::ProvenPrivate | BlockClass::Unreachable),
+                "{class:?}"
             );
+            if claims[b] {
+                assert_eq!(r.masks[b], 0, "claimed blocks may share nothing");
+            }
         }
     }
 

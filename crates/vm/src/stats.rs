@@ -50,22 +50,6 @@ impl VmStats {
     pub fn total_faults(&self) -> u64 {
         self.aikido_faults_delivered + self.native_faults + self.fatal_faults + self.shadow_misses
     }
-
-    /// Adds another set of statistics to this one.
-    pub fn merge(&mut self, other: &VmStats) {
-        self.vm_exits += other.vm_exits;
-        self.aikido_faults_delivered += other.aikido_faults_delivered;
-        self.native_faults += other.native_faults;
-        self.fatal_faults += other.fatal_faults;
-        self.shadow_syncs += other.shadow_syncs;
-        self.shadow_misses += other.shadow_misses;
-        self.hypercalls += other.hypercalls;
-        self.context_switches += other.context_switches;
-        self.kernel_emulations += other.kernel_emulations;
-        self.temp_unprotections += other.temp_unprotections;
-        self.temp_reprotections += other.temp_reprotections;
-        self.guest_pte_writes += other.guest_pte_writes;
-    }
 }
 
 #[cfg(test)]
@@ -82,24 +66,5 @@ mod tests {
             ..VmStats::new()
         };
         assert_eq!(s.total_faults(), 10);
-    }
-
-    #[test]
-    fn merge_adds_componentwise() {
-        let mut a = VmStats {
-            vm_exits: 1,
-            hypercalls: 2,
-            ..VmStats::new()
-        };
-        let b = VmStats {
-            vm_exits: 10,
-            hypercalls: 20,
-            context_switches: 5,
-            ..VmStats::new()
-        };
-        a.merge(&b);
-        assert_eq!(a.vm_exits, 11);
-        assert_eq!(a.hypercalls, 22);
-        assert_eq!(a.context_switches, 5);
     }
 }

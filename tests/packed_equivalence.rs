@@ -5,7 +5,7 @@
 //! `FastTrack::with_reference_store()`, the store `Simulator::reference()`
 //! runs on. `tests/reference_equivalence.rs` swaps every fast path at once;
 //! this suite swaps only the store — same default simulator, same kernels,
-//! same inline-check tables and static plan — so a mismatch here points at
+//! same inline-check tables — so a mismatch here points at
 //! the packed plane alone. It requires the same `RunReport` (cycles
 //! included), detector statistics, races and reconstructed per-block
 //! metadata, serialized and compared as JSON.

@@ -1,11 +1,11 @@
 //! The one equivalence oracle: every fast path against `Simulator::reference()`.
 //!
 //! The default simulator runs the batched per-mode block kernels, FastTrack
-//! on packed shadow words, the per-thread inline-check tables and the static
-//! pre-analysis plan. `Simulator::reference()` runs the same pipeline with
-//! every one of those swapped for its unoptimised counterpart: the scalar
-//! per-access loop, the enum `ShadowStore`, a `vm.touch` for every access and
-//! no plan. None of the fast paths may change what a run reports, so one
+//! on packed shadow words and the per-thread inline-check tables.
+//! `Simulator::reference()` runs the same pipeline with each of those three
+//! swapped for its unoptimised counterpart: the scalar per-access loop, the
+//! enum `ShadowStore` and a `vm.touch` for every access. None of the fast
+//! paths may change what a run reports, so one
 //! helper requires, for every input here, the same `RunReport` (cycles
 //! included, so the per-access cost stream matched access by access), the
 //! same detector statistics, the same races and the same reconstructed
@@ -156,22 +156,35 @@ fn over_dense_lock_spaces_match_the_reference() {
 
 #[test]
 fn wide_blocks_match_the_reference() {
-    // 80 memory instructions per block pushes every work block past the
-    // 64-bit exact mask, so proven-private blocks can only take the
-    // whole-block fast path through the static plan the reference omits.
-    let spec = WorkloadSpec {
+    // Blocks past the 64-bit exact mask: the Aikido kernel takes the
+    // whole-block free path whenever none of their memory instructions is
+    // instrumented, and otherwise asks the engine per slot. The synthetic
+    // spec has 80 memory instructions per block; the presets at 48 keep
+    // their own compute mix, giving blocks of roughly 77–134 instructions.
+    let synthetic = WorkloadSpec {
         mem_accesses_per_thread: 2_000,
         threads: 4,
         block_mem_instrs: 80,
         ..WorkloadSpec::default()
     };
-    let workload = Workload::generate(&spec);
-    assert!(
-        workload.program().iter().any(|b| b.len() > 64),
-        "spec must produce mask-inexact blocks"
-    );
-    for mode in MODES {
-        assert_matches_reference(&workload, mode, &format!("wide blocks, {mode:?}"));
+    let presets = ["raytrace", "fluidanimate", "canneal"].map(|name| {
+        let mut spec = WorkloadSpec::parsec(name)
+            .expect("known PARSEC preset")
+            .scaled(scale());
+        spec.block_mem_instrs = 48;
+        spec
+    });
+    for spec in std::iter::once(synthetic).chain(presets) {
+        let workload = Workload::generate(&spec);
+        assert!(
+            workload.program().iter().any(|b| b.len() > 64),
+            "{}: spec must produce mask-inexact blocks",
+            spec.name
+        );
+        for mode in MODES {
+            let context = format!("wide blocks {}, {mode:?}", spec.name);
+            assert_matches_reference(&workload, mode, &context);
+        }
     }
 }
 

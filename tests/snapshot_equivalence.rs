@@ -181,50 +181,62 @@ fn early_and_late_checkpoints_both_round_trip() {
 
 #[test]
 fn stale_ftrk_section_versions_are_rejected_with_a_structured_error() {
-    // FTRK v3 groups tracked states by shadow slab; a v2 image must be
-    // refused by the version validation, not misread as slab records.
-    // Hand-patch a valid image's FTRK header back to v2 and fix its
-    // checksum, so only the version check can catch the mismatch.
+    // FTRK v3 groups tracked states by shadow slab, and DBIE v2 drops the
+    // static plan and the stored masks; images of the older layouts must be
+    // refused by the version validation, not misread. Hand-patch a valid
+    // image's section header back one version and fix its checksum, so only
+    // the version check can catch the mismatch.
     use aikido::SimError;
 
     let w = small("raytrace");
     let sim = Simulator::default();
     let report = sim.run(&w, Mode::Aikido);
-    let mut bytes = snapshot_at(&sim, &w, Mode::Aikido, report.counts.block_execs / 2);
+    let image = snapshot_at(&sim, &w, Mode::Aikido, report.counts.block_execs / 2);
 
-    // Walk the container framing — magic(8) + container version(2), then
-    // tag(4)/version(2)/length(8)/payload/checksum(8) per section — to the
-    // FTRK section.
-    let mut at = 10;
-    let (start, end) = loop {
-        assert!(at + 22 <= bytes.len(), "image ended before an FTRK section");
-        let len = u64::from_le_bytes(bytes[at + 6..at + 14].try_into().unwrap()) as usize;
-        let end = at + 14 + len + 8;
-        if &bytes[at..at + 4] == b"FTRK" {
-            break (at, end);
-        }
-        at = end;
-    };
-    assert_eq!(
-        u16::from_le_bytes(bytes[start + 4..start + 6].try_into().unwrap()),
-        3,
-        "the detector writes FTRK v3 since the slab-grouped layout"
-    );
-    bytes[start + 4..start + 6].copy_from_slice(&2u16.to_le_bytes());
-    let checksum = aikido::snapshot::checksum(&bytes[start..end - 8]);
-    bytes[end - 8..end].copy_from_slice(&checksum.to_le_bytes());
+    for (tag, current) in [(*b"FTRK", 3u16), (*b"DBIE", 2)] {
+        let name = std::str::from_utf8(&tag).unwrap();
+        let stale = current - 1;
+        let mut bytes = image.clone();
+        // Walk the container framing — magic(8) + container version(2), then
+        // tag(4)/version(2)/length(8)/payload/checksum(8) per section — to
+        // the section.
+        let mut at = 10;
+        let (start, end) = loop {
+            assert!(
+                at + 22 <= bytes.len(),
+                "image ended before a {name} section"
+            );
+            let len = u64::from_le_bytes(bytes[at + 6..at + 14].try_into().unwrap()) as usize;
+            let end = at + 14 + len + 8;
+            if bytes[at..at + 4] == tag {
+                break (at, end);
+            }
+            at = end;
+        };
+        assert_eq!(
+            u16::from_le_bytes(bytes[start + 4..start + 6].try_into().unwrap()),
+            current,
+            "the simulator writes {name} v{current}"
+        );
+        bytes[start + 4..start + 6].copy_from_slice(&stale.to_le_bytes());
+        let checksum = aikido::snapshot::checksum(&bytes[start..end - 8]);
+        bytes[end - 8..end].copy_from_slice(&checksum.to_le_bytes());
 
-    let snapshot = Snapshot::from_bytes(bytes).expect("checksum-valid image");
-    let err = sim
-        .resume(&w, &snapshot)
-        .expect_err("a v2 FTRK section must not restore");
-    let SimError::Snapshot(err) = err else {
-        panic!("expected a structured snapshot error, got {err:?}");
-    };
-    assert_eq!(err.section, "FTRK", "{err}");
-    assert_eq!(err.offset, (start + 4) as u64, "{err}");
-    assert!(err.reason.contains("version 2"), "{err}");
-    assert!(err.reason.contains("expected version 3"), "{err}");
+        let snapshot = Snapshot::from_bytes(bytes).expect("checksum-valid image");
+        let err = sim
+            .resume(&w, &snapshot)
+            .expect_err("a stale section must not restore");
+        let SimError::Snapshot(err) = err else {
+            panic!("expected a structured snapshot error, got {err:?}");
+        };
+        assert_eq!(err.section, name, "{err}");
+        assert_eq!(err.offset, (start + 4) as u64, "{err}");
+        assert!(err.reason.contains(&format!("version {stale}")), "{err}");
+        assert!(
+            err.reason.contains(&format!("expected version {current}")),
+            "{err}"
+        );
+    }
 }
 
 #[test]

@@ -1,25 +1,27 @@
-//! Mutation testing of the static pre-analysis audit oracle (PR 6).
+//! Mutation testing of the static pre-analysis audit oracle.
 //!
 //! The honest pipeline never trips the oracle (see `static_audit.rs`), so
 //! these tests prove the oracle actually *bites*: they record ground truth —
 //! exactly which blocks touch the shared region, and how often — with a
 //! purpose-built recording analysis, then inject deliberately unsound
-//! "proven private" claims via [`StaticAudit::with_claims`] and require the
-//! violation count to match the recorded access count **exactly**. An oracle
-//! that misses even one delivery from one tampered block fails the
-//! assertion, so every injection must be caught.
+//! claims and require the violation count to match the recorded access
+//! count **exactly**. Raw "proven private" claims go in through
+//! [`StaticAudit::with_claims`]; a tampered report whose sharing blocks are
+//! relabelled [`BlockClass::Unreachable`] goes in through
+//! [`StaticAudit::new`]. An oracle that misses even one delivery from one
+//! tampered block fails the assertion, so every injection must be caught.
 //!
-//! Tampered claims go only into the audit wrapper, never into the engine's
-//! instrumentation plan: the plan is advice about instrumentation *masks*,
-//! the oracle is the soundness check, and conflating them would let an
-//! unsound plan suppress the very deliveries the oracle needs to see.
+//! The oracle is the one soundness check on the static pass: the simulator
+//! never consults the pass, so tampered claims cannot change the deliveries
+//! the oracle needs to see.
 
 use std::collections::BTreeMap;
 
+use aikido::staticcheck::BlockClass;
 use aikido::types::NullAnalysis;
 use aikido::{
-    AccessContext, AnalysisReport, Mode, SharedDataAnalysis, Simulator, StaticAudit, Workload,
-    WorkloadSpec,
+    AccessContext, AnalysisReport, Mode, SharedDataAnalysis, Simulator, StaticAudit, StaticReport,
+    Workload, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -173,6 +175,31 @@ fn aikido_mode_deliveries_are_audited_with_the_same_exactness() {
         let expected: u64 = truth.values().sum();
         let caught = violations_with_claims(&w, Mode::Aikido, claims);
         assert_eq!(caught, expected, "{name}");
+    }
+}
+
+#[test]
+fn an_injected_unreachable_class_is_caught_exactly() {
+    // `StaticAudit::new` takes its claims from the report's classes, and an
+    // `Unreachable` verdict claims the block never runs, so it never touches
+    // shared memory. Relabel every block that delivered a shared access;
+    // the honest claims audit clean, so the oracle must flag exactly the
+    // relabelled blocks' recorded deliveries.
+    for name in ["raytrace", "canneal"] {
+        let w = small(name);
+        for mode in [Mode::FullInstrumentation, Mode::Aikido] {
+            let truth = ground_truth(&w, mode);
+            assert!(!truth.is_empty(), "{name} {mode:?}: nothing shared");
+            let mut report = StaticReport::for_workload(&w);
+            for &b in truth.keys() {
+                assert_ne!(report.classes[b], BlockClass::Unreachable, "{name}: {b}");
+                report.classes[b] = BlockClass::Unreachable;
+            }
+            let mut audited = StaticAudit::new(NullAnalysis::new(), &report, w.layout());
+            Simulator::default().run_with_analysis(&w, mode, &mut audited);
+            let expected: u64 = truth.values().sum();
+            assert_eq!(audited.violations(), expected, "{name} {mode:?}");
+        }
     }
 }
 

@@ -3,6 +3,7 @@
 //! without Aikido inventing races the full tool does not see.
 
 use aikido::prelude::*;
+use aikido::{StaticAudit, StaticReport};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -52,14 +53,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every generated workload completes in every mode, with consistent
-    /// counters, and the same access totals in all three modes.
+    /// counters, and the same access totals in all three modes. The Aikido
+    /// leg runs under the static-pass audit, which must stay clean.
     #[test]
     fn any_small_workload_simulates_cleanly(spec in arb_spec()) {
         let workload = Workload::generate(&spec);
         let system = AikidoSystem::new();
         let native = system.run(&workload, Mode::Native);
         let full = system.run(&workload, Mode::FullInstrumentation);
-        let aikido = system.run(&workload, Mode::Aikido);
+        let static_report = StaticReport::for_workload(&workload);
+        let mut audited = StaticAudit::new(
+            system.simulator().new_fasttrack(),
+            &static_report,
+            workload.layout(),
+        );
+        let aikido = system.run_with_analysis(&workload, Mode::Aikido, &mut audited);
+        audited.assert_clean();
 
         prop_assert_eq!(native.counts.mem_accesses, full.counts.mem_accesses);
         prop_assert_eq!(native.counts.mem_accesses, aikido.counts.mem_accesses);
