@@ -30,6 +30,21 @@ fn bench_vector_clock_detector(c: &mut Criterion) {
             i += 1;
         });
     });
+    // One thread reading then writing 256 private blocks per epoch, with a
+    // release between epochs: every access misses the same-epoch fast path
+    // on an unspilled word, so this times the word-decided slow path.
+    c.bench_function("fasttrack/exclusive_slow_path", |b| {
+        let mut ft = FastTrack::new();
+        let (t, l) = (ThreadId::new(0), LockId::new(1));
+        b.iter(|| {
+            for block in 0..256u64 {
+                let addr = Addr::new(0x4_0000 + block * 8);
+                ft.read(black_box(t), addr);
+                ft.write(black_box(t), addr);
+            }
+            ft.release(t, l);
+        });
+    });
 }
 
 fn bench_shadow(c: &mut Criterion) {

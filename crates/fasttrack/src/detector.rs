@@ -13,8 +13,8 @@ use crate::clock::{Epoch, VectorClock};
 use crate::config::FastTrackConfig;
 use crate::dense::DenseMap;
 use crate::packed::{
-    decode_word, encode_state, is_canonical_word, pack_epoch, PackedVars, INLINE_LANES,
-    SPILLED_RECORD,
+    decode_word, encode_state, is_canonical_word, pack_epoch, read_word, write_word, PackedVars,
+    INLINE_LANES, SPILLED_RECORD,
 };
 use crate::state::{ReadState, VarState};
 use crate::stats::{FastTrackStats, SpillStats};
@@ -23,9 +23,11 @@ use crate::stats::{FastTrackStats, SpillStats};
 /// one bit-packed [`ShadowWord`] per block in page-granular dense slabs with
 /// a spilled side table; the reference store keeps the full enum
 /// representation and is retained as the equivalence oracle behind
-/// [`FastTrack::with_reference_store`]. Both run the exact same update logic
-/// ([`read_slow`]/[`write_slow`]) — they differ only in how states are
-/// loaded and stored.
+/// [`FastTrack::with_reference_store`]. [`read_slow`]/[`write_slow`] are the
+/// one update spec: the reference store runs them on every slow access, the
+/// packed plane on every slow access except the unspilled exclusive cases,
+/// which it decides on the word (`read_word`/`write_word`) to the same
+/// outcome and the same re-encoded word.
 #[derive(Debug)]
 enum VarStorage {
     /// Packed shadow words + spill side table (the hot-path default).
@@ -94,11 +96,13 @@ fn read_fast_path(state: &VarState, thread: ThreadId, epoch: Epoch) -> bool {
 /// A thread epoch pre-positioned for every packed fast path: one probe for
 /// the unspilled read lane, one for the spilled same-epoch hint, one for
 /// the unspilled write lane and one for the spilled *owned*-write check —
-/// each a single masked compare. Packed once per scalar access, and once
+/// each a single masked compare — plus the packed field itself, which the
+/// unspilled slow paths install. Packed once per scalar access, and once
 /// per batch in [`FastTrack::on_access_batch`]. `None` when the epoch
 /// exceeds the packing budget — exactly when no packed word can match it.
 #[derive(Copy, Clone)]
 struct EpochProbes {
+    field: u64,
     read: u64,
     hint: u64,
     write: u64,
@@ -109,6 +113,7 @@ impl EpochProbes {
     #[inline]
     fn pack(epoch: Epoch) -> Option<EpochProbes> {
         pack_epoch(epoch).map(|field| EpochProbes {
+            field,
             read: ShadowWord::read_probe(field),
             hint: ShadowWord::spill_hint_probe(field),
             write: ShadowWord::write_probe(field),
@@ -586,24 +591,33 @@ impl FastTrack {
             }
             self.apply_read_outcome(out, thread, addr, instr);
         } else {
-            let mut state = decode_word(word);
             let vc = self
                 .threads
                 .get(thread.index() as u64)
                 .expect("caller ensured the thread clock");
-            let out = read_slow(&mut state, vc, thread, epoch, use_epochs, threads_known);
-            match encode_state(&state) {
-                Some(word) => vars.set_word_at(handle, slot, word),
-                None => {
-                    let hint = spill_hint_after(&state, Some(epoch));
-                    let write = state.write;
-                    let marker = vars.spill(state);
-                    if out.promoted && !vars.spill_slot(marker).is_boxed() {
-                        vars.spill_stats_mut().inline_promotions += 1;
-                    }
-                    vars.set_word_at(handle, slot, ownership_word(marker, write, hint));
+            // The common slow read — the prior read happens-before this one
+            // and our epoch packs — is decided on the word itself: two field
+            // compares and one store. Promotions, unpackable epochs and the
+            // epoch-free configuration take `read_slow` below.
+            if let Some(probes) = probes.filter(|_| use_epochs) {
+                if let Some((word, out)) = read_word(word, vc, probes.field) {
+                    vars.set_word_at(handle, slot, word);
+                    self.apply_read_outcome(out, thread, addr, instr);
+                    return;
                 }
             }
+            // Every read left here spills: it promoted the history or
+            // recorded an epoch that does not pack.
+            let mut state = decode_word(word);
+            let out = read_slow(&mut state, vc, thread, epoch, use_epochs, threads_known);
+            debug_assert!(encode_state(&state).is_none());
+            let hint = spill_hint_after(&state, Some(epoch));
+            let write = state.write;
+            let marker = vars.spill(state);
+            if out.promoted && !vars.spill_slot(marker).is_boxed() {
+                vars.spill_stats_mut().inline_promotions += 1;
+            }
+            vars.set_word_at(handle, slot, ownership_word(marker, write, hint));
             self.apply_read_outcome(out, thread, addr, instr);
         }
     }
@@ -785,21 +799,26 @@ impl FastTrack {
             }
             self.apply_write_outcome(out, thread, addr, instr);
         } else {
-            let mut state = decode_word(word);
             let vc = self
                 .threads
                 .get(thread.index() as u64)
                 .expect("caller ensured the thread clock");
-            let out = write_slow(&mut state, vc, epoch, threads_known);
-            match encode_state(&state) {
-                Some(word) => vars.set_word_at(handle, slot, word),
-                None => {
-                    let hint = spill_hint_after(&state, None);
-                    let write = state.write;
-                    let marker = vars.spill(state);
-                    vars.set_word_at(handle, slot, ownership_word(marker, write, hint));
-                }
+            // An unspilled word holds an exclusive read history, so when our
+            // epoch packs the write is decided on the word itself; only an
+            // unpackable epoch (which must spill) takes `write_slow` below.
+            if let Some(probes) = probes {
+                let (word, out) = write_word(word, vc, probes.field);
+                vars.set_word_at(handle, slot, word);
+                self.apply_write_outcome(out, thread, addr, instr);
+                return;
             }
+            let mut state = decode_word(word);
+            let out = write_slow(&mut state, vc, epoch, threads_known);
+            debug_assert!(encode_state(&state).is_none());
+            let hint = spill_hint_after(&state, None);
+            let write = state.write;
+            let marker = vars.spill(state);
+            vars.set_word_at(handle, slot, ownership_word(marker, write, hint));
             self.apply_write_outcome(out, thread, addr, instr);
         }
     }

@@ -39,10 +39,7 @@ pub(crate) fn pack_epoch(e: Epoch) -> Option<u64> {
 /// Decodes a 31-bit word field back into an epoch.
 #[inline]
 fn unpack_epoch(field: u64) -> Epoch {
-    Epoch::new(
-        ShadowWord::field_clock(field),
-        ThreadId::new(ShadowWord::field_thread(field)),
-    )
+    Epoch::new(ShadowWord::field_clock(field), field_thread(field))
 }
 
 /// Encodes a state into an unspilled word, or `None` when it must spill.
@@ -67,6 +64,66 @@ pub(crate) fn decode_word(word: ShadowWord) -> VarState {
         write: unpack_epoch(word.write_field()),
         read: ReadState::Exclusive(unpack_epoch(word.read_field())),
     }
+}
+
+/// True if the epoch packed in `field` happens-before `vc` —
+/// [`Epoch::happens_before`] on the field, without building the epoch.
+#[inline]
+fn field_happens_before(field: u64, vc: &VectorClock) -> bool {
+    ShadowWord::field_clock(field) <= vc.get(field_thread(field))
+}
+
+/// The thread of the epoch packed in `field`.
+#[inline]
+fn field_thread(field: u64) -> ThreadId {
+    ThreadId::new(ShadowWord::field_thread(field))
+}
+
+/// The detector's `read_slow` decided on an unspilled word, for the
+/// case that stays in the word: the read epoch happens-before the reader's
+/// clock `vc`, so the reader's epoch (packed as `field`) simply replaces it.
+/// Returns the new word and the outcome, or `None` when the reads are
+/// concurrent and the history must promote (the generic path's job). The
+/// caller has checked that the epoch optimisation is on.
+#[inline]
+pub(crate) fn read_word(
+    word: ShadowWord,
+    vc: &VectorClock,
+    field: u64,
+) -> Option<(ShadowWord, ReadOutcome)> {
+    debug_assert!(!word.is_spilled());
+    if !field_happens_before(word.read_field(), vc) {
+        return None;
+    }
+    let write = word.write_field();
+    let out = ReadOutcome {
+        cost: cost::EXCLUSIVE,
+        promoted: false,
+        write_race: !field_happens_before(write, vc),
+        prior_writer: field_thread(write),
+    };
+    Some((ShadowWord::from_fields(write, field), out))
+}
+
+/// The detector's `write_slow` decided on an unspilled word whose new
+/// write epoch packs as `field`: an exclusive read history is kept as is,
+/// so the write only replaces the write field.
+#[inline]
+pub(crate) fn write_word(
+    word: ShadowWord,
+    vc: &VectorClock,
+    field: u64,
+) -> (ShadowWord, WriteOutcome) {
+    debug_assert!(!word.is_spilled());
+    let (write, read) = (word.write_field(), word.read_field());
+    let out = WriteOutcome {
+        cost: cost::EXCLUSIVE,
+        write_race: !field_happens_before(write, vc),
+        prior_writer: field_thread(write),
+        read_race: !field_happens_before(read, vc),
+        prior_reader: Some(field_thread(read)),
+    };
+    (ShadowWord::from_fields(field, read), out)
 }
 
 /// The FTRK word written in place of a spilled state, whose explicit record

@@ -322,6 +322,11 @@ pub struct ThreadTrace<'a> {
     rng: SmallRng,
     gen: GenParams,
     at: TraceCounters,
+    /// Work blocks left until the next barrier falls due: the barrier
+    /// cadence as a countdown, so charging a block needs no division.
+    /// Derived from `at.work_blocks_emitted` when the stream opens, so it is
+    /// not part of the [`TraceCursor`].
+    blocks_to_barrier: u64,
 }
 
 /// The read-mostly initialisation writes the main thread owes at the start.
@@ -375,12 +380,21 @@ impl<'a> ThreadTrace<'a> {
 
     /// Opens `thread`'s stream at `cursor` (already validated).
     pub(crate) fn at(workload: &'a Workload, thread: ThreadId, cursor: &TraceCursor) -> Self {
+        // The next barrier falls due at the first multiple of the cadence
+        // past the blocks emitted so far. Without barriers the countdown
+        // starts at u64::MAX: a stream would need 2^64 - 1 work blocks to
+        // run it out.
+        let blocks_to_barrier = match workload.spec().barrier_every {
+            0 => u64::MAX,
+            every => every - cursor.counters.work_blocks_emitted % every,
+        };
         ThreadTrace {
             workload,
             thread,
             rng: SmallRng::from_state(cursor.rng),
             gen: GenParams::new(workload, thread),
             at: cursor.counters,
+            blocks_to_barrier,
         }
     }
 
@@ -688,13 +702,10 @@ impl<'a> ThreadTrace<'a> {
             .remaining_accesses
             .saturating_sub(self.gen.block_mem_instrs);
         self.at.work_blocks_emitted += 1;
-        if self.gen.barrier_every > 0
-            && self
-                .at
-                .work_blocks_emitted
-                .is_multiple_of(self.gen.barrier_every)
-        {
+        self.blocks_to_barrier -= 1;
+        if self.blocks_to_barrier == 0 {
             self.at.barriers_due += 1;
+            self.blocks_to_barrier = self.gen.barrier_every;
         }
     }
 

@@ -2,9 +2,12 @@
 //! exactly: `Workload::thread_trace_at(thread, &cursor)` must yield the
 //! identical remaining executions. Checked at every 97th pull and,
 //! explicitly, at the generator's delicate states — right after an acquire,
-//! in the middle of a critical section, with barriers due, and in the main
-//! thread's Init, Fork and Join phases — on all ten presets, the racy
-//! scenario and a barrier preset.
+//! in the middle of a critical section, with barriers due, one work block
+//! before a barrier falls due and at the block where it falls due, and in
+//! the main thread's Init, Fork and Join phases — on all ten presets, the
+//! racy scenario and a barrier preset. The two barrier edges pin the
+//! generator's barrier countdown, which a resumed stream derives from the
+//! cursor's work-block count.
 
 use aikido_types::{SyncOp, ThreadId};
 use aikido_workloads::{
@@ -18,6 +21,8 @@ struct Seen {
     after_acquire: bool,
     mid_section: bool,
     barriers_due: bool,
+    before_barrier: bool,
+    at_barrier: bool,
     init: bool,
     fork: bool,
     join: bool,
@@ -38,6 +43,7 @@ fn stream_with_cursors(w: &Workload, thread: ThreadId) -> (Vec<BlockExec>, Vec<T
 
 fn check_workload(w: &Workload, seen: &mut Seen) {
     let full_section = w.spec().critical_section_blocks.max(1);
+    let every = w.spec().barrier_every;
     for thread in w.threads() {
         let (execs, cursors) = stream_with_cursors(w, thread);
         for (i, cursor) in cursors.iter().enumerate() {
@@ -47,10 +53,23 @@ fn check_workload(w: &Workload, seen: &mut Seen) {
             let mid_section = c
                 .critical_section
                 .is_some_and(|cs| cs.bodies_left > 0 && cs.bodies_left < full_section);
+            // The next pull is the work block that makes a barrier due, or
+            // the last pull was.
+            let emitted = c.work_blocks_emitted;
+            let before_barrier = every > 0
+                && emitted % every == every - 1
+                && execs.get(i).is_some_and(|e| matches!(e.step, Step::Work));
+            let at_barrier = every > 0
+                && emitted > 0
+                && emitted % every == 0
+                && i > 0
+                && matches!(execs[i - 1].step, Step::Work);
             let checks = [
                 (after_acquire, &mut seen.after_acquire),
                 (mid_section, &mut seen.mid_section),
                 (c.barriers_due > 0, &mut seen.barriers_due),
+                (before_barrier, &mut seen.before_barrier),
+                (at_barrier, &mut seen.at_barrier),
                 (c.phase == TracePhase::Init, &mut seen.init),
                 (c.phase == TracePhase::Fork, &mut seen.fork),
                 (c.phase == TracePhase::Join, &mut seen.join),
@@ -96,6 +115,8 @@ fn cursors_continue_every_stream_exactly() {
     assert!(seen.after_acquire, "no cursor right after an acquire");
     assert!(seen.mid_section, "no cursor inside a critical section");
     assert!(seen.barriers_due, "no cursor with barriers due");
+    assert!(seen.before_barrier, "no cursor one block before a barrier");
+    assert!(seen.at_barrier, "no cursor at a barrier's block");
     assert!(
         seen.init && seen.fork && seen.join,
         "missing an Init/Fork/Join cursor"
