@@ -1822,30 +1822,26 @@ mod tests {
             size: 8,
             instr: InstrId::new(BlockId::new(4), i),
         };
-        // One page, one kind — the contract `on_access_run` is called under.
-        let run = [
+        // One block's delivery: several pages and both kinds, in slot order.
+        let batch = [
             cx(1, 0x3000, AccessKind::Write, 0),
-            cx(1, 0x3000, AccessKind::Write, 1),
+            cx(1, 0x3000, AccessKind::Read, 1),
             cx(1, 0x3008, AccessKind::Write, 2),
-            cx(1, 0x3ff8, AccessKind::Write, 3),
+            cx(1, 0x5ff8, AccessKind::Read, 3),
+            cx(1, 0x3ff8, AccessKind::Write, 4),
         ];
         let mut scalar = FastTrack::new();
-        let mut run_based = FastTrack::new();
+        let mut batched = FastTrack::new();
         let mut scalar_costs = Vec::new();
-        let mut run_costs = Vec::new();
-        for &a in &run {
+        let mut batch_costs = Vec::new();
+        for &a in &batch {
             scalar.on_access(a);
             scalar_costs.push(scalar.last_access_cost_cycles());
         }
-        run_based.on_access_run(
-            Addr::new(0x3000).page(),
-            AccessKind::Write,
-            &run,
-            &mut run_costs,
-        );
-        assert_eq!(run_costs, scalar_costs);
-        assert_eq!(run_based.stats(), scalar.stats());
-        assert_eq!(run_based.var_states(), scalar.var_states());
+        batched.on_access_batch(&batch, &mut batch_costs);
+        assert_eq!(batch_costs, scalar_costs);
+        assert_eq!(batched.stats(), scalar.stats());
+        assert_eq!(batched.var_states(), scalar.var_states());
     }
 
     #[test]

@@ -81,29 +81,9 @@ fn instr_key(instr: InstrId) -> u64 {
 /// list, bounding the allocation against pathological ids.
 const MAX_DENSE_LANES: usize = 1 << 16;
 
-/// Per-level hit counts of one run of translations (see
-/// [`TranslationCache::access_run`]). The caller prices each level once and
-/// multiplies, which charges exactly what the per-access loop would.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct RunLevels {
-    /// Accesses satisfied by the inline memoization cache.
-    pub inline: u64,
-    /// Accesses satisfied by a thread-local cache.
-    pub thread_local: u64,
-    /// Accesses requiring the full region-table lookup.
-    pub full: u64,
-}
-
-impl RunLevels {
-    /// Total translations in the run.
-    pub fn total(&self) -> u64 {
-        self.inline + self.thread_local + self.full
-    }
-}
-
 /// Resolves (creating if necessary) the lane of thread index `idx`. A free
-/// function over the two lane fields so callers can hold the lane across a
-/// run while still updating the cache's statistics (disjoint borrows).
+/// function over the two lane fields so a caller can hold the lane while
+/// still updating the cache's statistics (disjoint borrows).
 #[inline]
 fn lane_mut<'a>(
     lanes: &'a mut Vec<ThreadLane>,
@@ -242,33 +222,6 @@ impl TranslationCache {
         let capacity = self.thread_local_entries;
         let lane = lane_mut(&mut self.lanes, &mut self.spill_lanes, thread.index());
         probe_one(lane, &mut self.stats, capacity, instr, region)
-    }
-
-    /// Records a *run* of translations — consecutive accesses by `thread`
-    /// resolving to the same `region` — and returns how many hit each cache
-    /// level. Semantically identical to calling [`TranslationCache::access`]
-    /// once per instruction (same state evolution, same statistics, in the
-    /// same order); the run entry point exists so the lane lookup happens
-    /// once per run instead of once per access, which is the per-access
-    /// translation-model cost the batched block kernels eliminate.
-    pub fn access_run(
-        &mut self,
-        thread: ThreadId,
-        region: RegionId,
-        instrs: impl IntoIterator<Item = InstrId>,
-    ) -> RunLevels {
-        let mut levels = RunLevels::default();
-        let capacity = self.thread_local_entries;
-        let lane = lane_mut(&mut self.lanes, &mut self.spill_lanes, thread.index());
-        for instr in instrs {
-            self.stats.translations += 1;
-            match probe_one(lane, &mut self.stats, capacity, instr, region) {
-                CacheLevel::Inline => levels.inline += 1,
-                CacheLevel::ThreadLocal => levels.thread_local += 1,
-                CacheLevel::Full => levels.full += 1,
-            }
-        }
-        levels
     }
 
     /// Statistics accumulated so far.
@@ -472,46 +425,6 @@ mod tests {
         );
         c.flush();
         assert_eq!(c.access(t, wide, RegionId::new(4)), CacheLevel::Full);
-    }
-
-    #[test]
-    fn access_run_is_identical_to_the_per_access_loop() {
-        // Drive the same interleaving — cold lane, inline hits, region
-        // flips, FIFO eviction, wide-key spill — through both entry points
-        // and require identical levels, stats, and subsequent behaviour.
-        let runs: Vec<(u32, Vec<InstrId>, RegionId)> = vec![
-            (0, (0..6).map(instr).collect(), RegionId::new(0)),
-            (0, (0..6).map(instr).collect(), RegionId::new(0)),
-            (0, (2..9).map(instr).collect(), RegionId::new(1)),
-            (1, (0..3).map(instr).collect(), RegionId::new(2)),
-            (
-                0,
-                vec![InstrId::new(BlockId::new(2), 907), instr(0), instr(1)],
-                RegionId::new(0),
-            ),
-        ];
-        let mut scalar = TranslationCache::with_thread_local_entries(2);
-        let mut batched = TranslationCache::with_thread_local_entries(2);
-        for (t, instrs, region) in &runs {
-            let thread = ThreadId::new(*t);
-            let mut expected = RunLevels::default();
-            for &i in instrs {
-                match scalar.access(thread, i, *region) {
-                    CacheLevel::Inline => expected.inline += 1,
-                    CacheLevel::ThreadLocal => expected.thread_local += 1,
-                    CacheLevel::Full => expected.full += 1,
-                }
-            }
-            let got = batched.access_run(thread, *region, instrs.iter().copied());
-            assert_eq!(got, expected);
-            assert_eq!(got.total(), instrs.len() as u64);
-            assert_eq!(batched.stats(), scalar.stats());
-        }
-        // An empty run is a no-op.
-        let before = *batched.stats();
-        let got = batched.access_run(ThreadId::new(0), RegionId::new(0), std::iter::empty());
-        assert_eq!(got, RunLevels::default());
-        assert_eq!(*batched.stats(), before);
     }
 
     #[test]

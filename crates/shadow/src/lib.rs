@@ -18,12 +18,12 @@
 //! typed store (a chunked slab of `Option<T>` slots, keyed by application
 //! address at a configurable granularity). [`ShadowSlabs`] is the *packed*
 //! metadata plane: page-granular dense slabs of raw 64-bit
-//! [`aikido_types::ShadowWord`]s whose directory is resolved **once per
-//! run** of same-page accesses — the address→slab half of the unified
-//! translation whose pricing half is [`TranslationCache::access_run`]. One
-//! lookup per run prices the model, one resolves the real metadata; the
-//! sharing detector's page-state table keys the same directory structure by
-//! page number so both planes agree on one page-indexed layout.
+//! [`aikido_types::ShadowWord`]s whose directory resolves a page's slab in
+//! one probe per access — the address→slab half of the unified translation
+//! whose pricing half is [`TranslationCache::access`]. One lookup prices the
+//! model, one resolves the real metadata; the sharing detector's page-state
+//! table keys the same directory structure by page number so both planes
+//! agree on one page-indexed layout.
 //!
 //! # Examples
 //!
@@ -55,7 +55,7 @@ mod slabs;
 mod stats;
 mod store;
 
-pub use cache::{CacheLevel, RunLevels, TranslationCache};
+pub use cache::{CacheLevel, TranslationCache};
 pub use dual::DualShadow;
 pub use region::{Region, RegionId, RegionKind, RegionTable};
 pub use slabs::ShadowSlabs;

@@ -82,16 +82,12 @@ impl AikidoSd {
 
     /// True if `page` has been found to be shared.
     ///
-    /// This is the page-granular query the simulator's batched Aikido kernel
-    /// issues **once per run** of consecutive same-page accesses rather than
-    /// once per access. Two monotonicity guarantees make that sound:
-    ///
-    /// * `Shared` is sticky — a page never leaves the shared state (see
-    ///   [`PageState`]) — so a `true` answer covers every later access of the
-    ///   run unconditionally;
-    /// * transitions *into* `Shared` only happen inside
-    ///   [`AikidoSd::handle_fault`], so a `false` answer stays valid until
-    ///   the caller next invokes the fault machinery.
+    /// This is the page-granular query the simulator's Aikido kernel issues
+    /// when its shared-page memo misses. `Shared` is sticky — a page never
+    /// leaves the shared state (see [`PageState`]) — so a `true` answer
+    /// covers every later access to the page, which is what lets the
+    /// simulator memoize it; transitions *into* `Shared` only happen inside
+    /// [`AikidoSd::handle_fault`].
     #[inline]
     pub fn is_shared_page(&self, page: Vpn) -> bool {
         self.pages.is_shared(page)

@@ -2,7 +2,7 @@
 
 use aikido_dbi::{BlockExecution, DbiEngine};
 use aikido_fasttrack::FastTrack;
-use aikido_shadow::{CacheLevel, DualShadow, RegionId, RegionKind, TranslationCache};
+use aikido_shadow::{DualShadow, RegionId, RegionKind, TranslationCache};
 use aikido_sharing::AikidoSd;
 use aikido_snapshot::{Snapshot, SnapshotError};
 use aikido_types::{
@@ -795,8 +795,9 @@ struct Run<'a, 'w, A: SharedDataAnalysis> {
     /// the float multiply-and-round is deterministic in the base cost, and
     /// the analysis fast path reports the same base almost every access.
     last_contended_cost: (u64, u64),
-    /// Reusable buffer of access contexts for one batch or run handed to
-    /// the analysis — no per-delivery allocation.
+    /// Reusable buffer of access contexts for one block's analysis delivery
+    /// (Aikido queues a block's shared accesses here until
+    /// [`Run::deliver_shared`]) — no per-delivery allocation.
     cx_scratch: Vec<AccessContext>,
     /// Reusable buffer receiving the per-access analysis costs of one
     /// delivery.
@@ -805,8 +806,8 @@ struct Run<'a, 'w, A: SharedDataAnalysis> {
     /// Pure memoization of monotone facts — sharing is sticky and the region
     /// and mirror displacements are fixed at setup — so entries never need
     /// invalidation, and a hit replaces one page-state read, one region
-    /// lookup and one mirror translation per instrumented run with a single
-    /// probe. Misses fall through to the authoritative lookups.
+    /// lookup and one mirror translation per instrumented access with a
+    /// single probe. Misses fall through to the authoritative lookups.
     shared_pages: Vec<SharedPageInfo>,
 }
 
@@ -862,10 +863,6 @@ const SIM_TLB_ENTRIES: usize = 64;
 const SHARED_PAGE_ENTRIES: usize = 256;
 /// An inline-TLB slot that can never match a real page.
 const SIM_TLB_EMPTY: (Vpn, u8) = (Vpn::new(u64::MAX), 0);
-/// Runs shorter than this charge translations through the scalar call: the
-/// batched cache pass only wins once its setup cost amortizes over the run.
-const TRANSLATION_BATCH_MIN: usize = 4;
-
 #[inline]
 fn kind_bit(kind: AccessKind) -> u8 {
     match kind {
@@ -1359,30 +1356,29 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     // engine query and a cost-model field walk for *every* access. The
     // monomorphized kernels below hoist all of that to block entry and then
     // walk the block's [`BlockShape`] and the execution's access words
-    // together. Full mode hands the whole block to the analysis as one
-    // batch. Aikido mode processes memory accesses in *runs* — maximal
-    // groups of consecutive accesses sharing `(page, kind, instrumented)`;
-    // compute instructions between them do not split a run — so each run
-    // performs one instrumentation-mask test, one sharing-view page-state
-    // read, one inline-check probe and one batched analysis delivery.
-    // Equivalence with the scalar loop is by construction, not by luck:
-    // every charge is the same u64 added the same number of times, and
-    // every *stateful* call (translation cache, analysis, VM touch, fault
-    // handling) happens in the same order per component. The soundness
-    // arguments for each hoist:
+    // together. Both instrumented modes make one analysis delivery per
+    // block: full mode hands over the whole block, Aikido mode the block's
+    // shared accesses, in slot order. Equivalence with the scalar loop is by
+    // construction, not by luck: every charge is the same u64 added the same
+    // number of times, and every *stateful* call (translation cache,
+    // analysis, VM touch, fault handling) happens in the same order per
+    // component. The soundness arguments for each hoist:
     //
     // * instrumentation mask: a fault can only instrument the faulting
     //   access's own instruction, and each static instruction occupies one
     //   slot of the block, so decisions for *other* slots cannot change
     //   mid-block — the mask snapshot at block entry stays exact;
-    // * page-state read: `Shared` is sticky and transitions happen only
-    //   inside fault handling, so one read covers a run until the next slow
-    //   access (see `AikidoSd::is_shared_page`);
-    // * inline-check probe: probes have no side effects, and a hit for
-    //   `(page, kind)` covers every remaining access of the run because only
-    //   VM interactions (which the hit skips) can invalidate it;
-    // * region lookup: the region table is fixed at run construction and
-    //   workload regions are page-aligned, so one lookup covers a page.
+    // * analysis delivery: the analysis sees nothing but the contexts it is
+    //   handed, a work block belongs to one thread with no sync inside,
+    //   cycles are a sum and `contended` is a pure function of the base
+    //   cost, so delivering at the end of the block is unobservable;
+    // * inline-check probe (Aikido's whole-block-free path): probes have no
+    //   side effects, and a hit for `(page, kind)` covers every remaining
+    //   access of the `(page, kind)` run because only VM interactions
+    //   (which the hit skips) can invalidate it;
+    // * region lookup (full mode): the region table is fixed at run
+    //   construction and workload regions are page-aligned, so one lookup
+    //   covers a page.
 
     /// Native kernel: no engine, no analysis — the block's shape alone
     /// gives the counts and native cycles.
@@ -1432,7 +1428,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                 let shared = self.in_shared_region(m.addr);
                 self.counts.shared_accesses += u64::from(shared);
                 self.charge_translation(thread, &m);
-                self.charge_analysis_access(thread, &m, shared);
+                self.charge_analysis_access(context(thread, &m), shared);
             }
             return;
         }
@@ -1447,13 +1443,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                 region = self.region_lookup.region_id_of(m.addr);
             }
             self.charge_translation_resolved(thread, m.instr, region);
-            self.cx_scratch.push(AccessContext {
-                thread,
-                addr: m.addr,
-                kind: m.kind,
-                size: m.size,
-                instr: m.instr,
-            });
+            self.cx_scratch.push(context(thread, &m));
         }
         self.analysis
             .on_access_batch(&self.cx_scratch, &mut self.cost_scratch);
@@ -1468,9 +1458,11 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         }
     }
 
-    /// Aikido kernel: runs additionally split on each slot's instrumented
-    /// bit, and each run resolves its fast path (free / instrumented-private
-    /// / instrumented-shared) once instead of per access.
+    /// Aikido kernel: the whole-block-free path when no memory instruction
+    /// of the block is instrumented, otherwise one walk over the accesses in
+    /// which each takes the path `execute_mem`'s Aikido arm takes for it.
+    /// Either way the block's shared accesses reach the analysis in one
+    /// delivery at the end of the block.
     fn block_kernel_aikido(&mut self, thread: ThreadId, exec: &BlockExec) {
         let engine = self.engine.as_mut().expect("aikido mode has a dbi engine");
         let result = engine.execute_block(exec.block);
@@ -1481,22 +1473,21 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         debug_assert_eq!(shape.instrs() as usize, result.instr_count);
         self.charge_computes(shape);
         let all = AccessRun::of(shape, exec);
+        let mems = all.len() as u64;
+        self.counts.dynamic_instrs += mems;
+        self.counts.mem_accesses += mems;
+        self.cycles += mems * (self.sim.cost.mem_cycles + self.sim.cost.dbi_overhead(1));
         // A block is whole-block free when no fault has instrumented any of
         // its memory instructions, however wide it is. Aikido only ever
-        // instruments memory instructions, so every slot of such a block
-        // would take the per-slot path's free branch, whose runs probe and
-        // fault exactly like the loop below.
+        // instruments memory instructions, so every access of such a block
+        // would take the uninstrumented path.
         if result.instrumented_mem_instrs == 0 {
             // The steady state for every block no fault has ever
-            // instrumented. Charge the accesses in one batch and probe them
-            // with a single borrow of the thread's inline-check lane; only
-            // from the first missing run on do runs fall into the
-            // per-access machinery. A miss is always at a run start: every
-            // access of a run probes the same `(page, kind)`.
-            let mems = all.len() as u64;
-            self.counts.dynamic_instrs += mems;
-            self.counts.mem_accesses += mems;
-            self.cycles += mems * (self.sim.cost.mem_cycles + self.sim.cost.dbi_overhead(1));
+            // instrumented. Probe the accesses with a single borrow of the
+            // thread's inline-check lane; only from the first missing
+            // `(page, kind)` run on do runs fall into the per-access
+            // machinery. A miss is always at a run start: every access of a
+            // run probes the same `(page, kind)`.
             let first_miss = match self.inline_tlb.get(thread.index()) {
                 Some(lane) => all.words.iter().position(|word| {
                     let page = word.page();
@@ -1512,33 +1503,52 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                 self.aikido_free_run_slow(thread, all.range(i, j), word.page(), word.kind());
                 i = j;
             }
-            return;
+        } else {
+            self.aikido_walk(thread, &result, all);
         }
-        let mut i = 0;
-        while i < all.len() {
-            let key = all.words[i].run_key();
-            let instrumented = self.slot_instrumented(&result, all.slots[i].instr);
-            let mut j = i + 1;
-            while j < all.len()
-                && all.words[j].run_key() == key
-                && self.slot_instrumented(&result, all.slots[j].instr) == instrumented
-            {
-                j += 1;
+        self.deliver_shared();
+    }
+
+    /// The accesses of a block with an instrumented memory instruction, one
+    /// at a time, each taking the path `execute_mem`'s Aikido arm takes for
+    /// it; shared accesses are queued for [`Run::deliver_shared`].
+    fn aikido_walk(&mut self, thread: ThreadId, result: &BlockExecution, all: AccessRun<'_>) {
+        for m in all.iter() {
+            if !self.slot_instrumented(result, m.instr) {
+                self.access_with_fault_handling(thread, &m);
+                continue;
             }
-            let word = all.words[i];
-            let run = all.range(i, j);
-            if instrumented {
-                self.aikido_instrumented_run(thread, run, word.page(), word.kind());
-            } else {
-                self.aikido_free_run(thread, run, word.page(), word.kind());
+            self.counts.instrumented_accesses += 1;
+            match self.shared_page_of(m.addr) {
+                Some(info) => {
+                    self.counts.shared_accesses += 1;
+                    self.charge_translation_resolved(thread, m.instr, info.region);
+                    self.cx_scratch.push(context(thread, &m));
+                    self.cycles += self.sim.cost.mirror_redirect_cycles;
+                    if info.mirror == Vpn::new(u64::MAX) {
+                        // No mirror translation exists: the access fails
+                        // exactly like the scalar loop's
+                        // `access_via_mirror` would.
+                        self.fatal_accesses += 1;
+                    } else if !self.inline_tlb_hit(thread, info.mirror, m.kind) {
+                        self.access_via_mirror(thread, &m);
+                    }
+                }
+                None => {
+                    let region = self.region_lookup.region_id_of(m.addr);
+                    self.charge_translation_resolved(thread, m.instr, region);
+                    if m.mode.is_indirect() {
+                        self.cycles += self.sim.cost.indirect_check_cycles;
+                    }
+                    self.access_with_fault_handling(thread, &m);
+                }
             }
-            i = j;
         }
     }
 
-    /// Whether `instr` of the block `result` describes runs instrumented:
-    /// one shift of the block-entry mask when it is exact, the engine's
-    /// decision set otherwise (blocks wider than the mask).
+    /// Whether `instr` of the block `result` describes is instrumented: one
+    /// shift of the block-entry mask when it is exact, the engine's decision
+    /// set otherwise (blocks wider than the mask). Asked once per access.
     #[inline]
     fn slot_instrumented(&self, result: &BlockExecution, instr: InstrId) -> bool {
         if result.mask_exact {
@@ -1551,25 +1561,10 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         }
     }
 
-    /// One uninstrumented run in Aikido mode: the emitted fast path. A
-    /// single inline-check probe covers the whole run; only while it misses
-    /// do accesses fall into the VM one at a time.
-    fn aikido_free_run(
-        &mut self,
-        thread: ThreadId,
-        run: AccessRun<'_>,
-        page: Vpn,
-        kind: AccessKind,
-    ) {
-        let n = run.len() as u64;
-        self.counts.dynamic_instrs += n;
-        self.counts.mem_accesses += n;
-        self.cycles += n * (self.sim.cost.mem_cycles + self.sim.cost.dbi_overhead(1));
-        self.aikido_free_run_slow(thread, run, page, kind);
-    }
-
-    /// The probe-and-fault part of a free run, with the counting already
-    /// done by the caller.
+    /// The probe-and-fault part of a free `(page, kind)` run, with the
+    /// counting already done by the caller: a single inline-check probe
+    /// covers the run; only while it misses do accesses fall into the VM one
+    /// at a time.
     fn aikido_free_run_slow(
         &mut self,
         thread: ThreadId,
@@ -1591,60 +1586,25 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         (entry.page == page).then_some(entry)
     }
 
-    /// One instrumented run in Aikido mode. The page-state read happens once
-    /// per slow step instead of once per access: a `Shared` answer covers the
-    /// whole remaining run (shared is sticky), an unshared answer stays valid
-    /// until the next VM interaction.
-    fn aikido_instrumented_run(
-        &mut self,
-        thread: ThreadId,
-        run: AccessRun<'_>,
-        page: Vpn,
-        kind: AccessKind,
-    ) {
-        let n = run.len() as u64;
-        self.counts.dynamic_instrs += n;
-        self.counts.mem_accesses += n;
-        self.counts.instrumented_accesses += n;
-        self.cycles += n * (self.sim.cost.mem_cycles + self.sim.cost.dbi_overhead(1));
-        // A memo hit proves the page shared (sharing is sticky) with its
-        // region and mirror already resolved — the common steady state for
-        // instrumented instructions, since they were instrumented *because*
-        // their pages are shared.
+    /// The page of `addr` with its region and mirror when the page is
+    /// shared, None when it is not: a memo hit proves the page shared
+    /// (sharing is sticky), and a miss reads the authoritative page state
+    /// and, for a shared page, installs the memo entry.
+    fn shared_page_of(&mut self, addr: Addr) -> Option<SharedPageInfo> {
+        let page = addr.page();
         if let Some(info) = self.shared_page_probe(page) {
-            self.aikido_shared_tail(thread, run, kind, info);
-            return;
+            return Some(info);
         }
-        let first = run.words[0].addr();
-        let region = self.region_lookup.region_id_of(first);
-        for idx in 0..run.len() {
-            let shared = self
-                .sd
-                .as_ref()
-                .expect("aikido mode has a sharing detector")
-                .is_shared_page(page);
-            if shared {
-                let info = self.resolve_shared_page(page, region, first);
-                self.aikido_shared_tail(thread, run.range(idx, run.len()), kind, info);
-                return;
-            }
-            let m = run.mem(idx);
-            self.charge_translation_resolved(thread, m.instr, region);
-            if m.mode.is_indirect() {
-                self.cycles += self.sim.cost.indirect_check_cycles;
-            }
-            if self.inline_tlb_hit(thread, page, kind) {
-                // Proven free for (page, kind): the rest of the run charges
-                // only its translations and indirect checks — the page cannot
-                // become shared without a VM interaction the hit skips.
-                let rest = run.range(idx + 1, run.len());
-                self.charge_translation_run(thread, region, rest);
-                let indirect = rest.slots.iter().filter(|s| s.mode.is_indirect()).count();
-                self.cycles += indirect as u64 * self.sim.cost.indirect_check_cycles;
-                return;
-            }
-            self.access_with_fault_handling(thread, &m);
+        let shared = self
+            .sd
+            .as_ref()
+            .expect("aikido mode has a sharing detector")
+            .is_shared_page(page);
+        if !shared {
+            return None;
         }
+        let region = self.region_lookup.region_id_of(addr);
+        Some(self.resolve_shared_page(page, region, addr))
     }
 
     /// Resolves the mirror page of a page just observed shared and installs
@@ -1680,34 +1640,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         }
     }
 
-    /// The shared remainder of an instrumented run: batch-charge translation,
-    /// analysis (contended) and redirection, then drive the mirror accesses
-    /// through one probe — same app page means same mirror page.
-    fn aikido_shared_tail(
-        &mut self,
-        thread: ThreadId,
-        tail: AccessRun<'_>,
-        kind: AccessKind,
-        info: SharedPageInfo,
-    ) {
-        let k = tail.len() as u64;
-        self.counts.shared_accesses += k;
-        self.charge_translation_run(thread, info.region, tail);
-        self.charge_shared_run(thread, tail, info.page, kind);
-        self.cycles += k * self.sim.cost.mirror_redirect_cycles;
-        if info.mirror == Vpn::new(u64::MAX) {
-            // No mirror translation exists: each access fails exactly like
-            // the scalar loop's per-access `access_via_mirror` would.
-            self.fatal_accesses += k;
-            return;
-        }
-        let mut rest = tail.iter();
-        while !self.inline_tlb_hit(thread, info.mirror, kind) {
-            let Some(m) = rest.next() else { return };
-            self.access_via_mirror(thread, &m);
-        }
-    }
-
     /// Charges one shadow translation with the region already resolved.
     #[inline]
     fn charge_translation_resolved(
@@ -1725,70 +1657,26 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         }
     }
 
-    /// Charges one run of shadow translations in a single batched cache pass
-    /// (one lane lookup instead of one per access). The cache's state
-    /// evolution and statistics are identical to the per-access loop by
-    /// construction — see [`TranslationCache::access_run`] — and the cycle
-    /// total is the same sum grouped by level.
-    fn charge_translation_run(
-        &mut self,
-        thread: ThreadId,
-        region: Option<RegionId>,
-        run: AccessRun<'_>,
-    ) {
-        let Some(region) = region else {
-            self.cycles += run.len() as u64 * self.sim.cost.shadow_full_cycles;
-            return;
-        };
-        if run.len() < TRANSLATION_BATCH_MIN {
-            // Short runs dominate these access patterns; the scalar calls
-            // beat the batch setup until the lane hoist amortizes.
-            for slot in run.slots {
-                let level = self.cache.access(thread, slot.instr, region);
-                self.cycles += self.sim.cost.shadow_translation(level);
+    /// Hands the shared accesses queued in `cx_scratch` to the analysis —
+    /// one [`SharedDataAnalysis::on_access_batch`] call, or
+    /// [`SharedDataAnalysis::on_access`] for a lone access — and charges
+    /// each its contended cost in access order. The Aikido kernel flushes
+    /// once per block, the scalar reference after every access. Inlined so
+    /// the common empty queue costs no call.
+    #[inline]
+    fn deliver_shared(&mut self) {
+        match *self.cx_scratch {
+            [] => return,
+            [cx] => self.charge_analysis_access(cx, true),
+            _ => {
+                self.analysis
+                    .on_access_batch(&self.cx_scratch, &mut self.cost_scratch);
+                for idx in 0..self.cost_scratch.len() {
+                    self.cycles += self.contended(self.cost_scratch[idx]);
+                }
             }
-            return;
-        }
-        let levels = self
-            .cache
-            .access_run(thread, region, run.slots.iter().map(|slot| slot.instr));
-        self.cycles += levels.inline * self.sim.cost.shadow_translation(CacheLevel::Inline)
-            + levels.thread_local * self.sim.cost.shadow_translation(CacheLevel::ThreadLocal)
-            + levels.full * self.sim.cost.shadow_translation(CacheLevel::Full);
-    }
-
-    /// Delivers one shared run to the analysis in a single
-    /// [`SharedDataAnalysis::on_access_run`] call and charges the contended
-    /// per-access costs in access order, preserving the contended-cost
-    /// memo's state evolution exactly.
-    fn charge_shared_run(
-        &mut self,
-        thread: ThreadId,
-        run: AccessRun<'_>,
-        page: Vpn,
-        kind: AccessKind,
-    ) {
-        // A run of one is the scalar call (the batched analysis entry point
-        // delivers its first element through `on_access`); skip the scratch
-        // round-trip. This is the common case — consecutive accesses rarely
-        // share a page.
-        if run.len() == 1 {
-            self.charge_analysis_access(thread, &run.mem(0), true);
-            return;
         }
         self.cx_scratch.clear();
-        self.cx_scratch.extend(run.iter().map(|m| AccessContext {
-            thread,
-            addr: m.addr,
-            kind: m.kind,
-            size: m.size,
-            instr: m.instr,
-        }));
-        self.analysis
-            .on_access_run(page, kind, &self.cx_scratch, &mut self.cost_scratch);
-        for idx in 0..self.cost_scratch.len() {
-            self.cycles += self.contended(self.cost_scratch[idx]);
-        }
     }
 
     /// The contended cost of a shared access whose analysis cost is `base`,
@@ -1860,14 +1748,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         addr.raw() >= self.shared_range.0 && addr.raw() < self.shared_range.1
     }
 
-    fn charge_analysis_access(&mut self, thread: ThreadId, m: &MemRef, shared: bool) {
-        let cx = AccessContext {
-            thread,
-            addr: m.addr,
-            kind: m.kind,
-            size: m.size,
-            instr: m.instr,
-        };
+    fn charge_analysis_access(&mut self, cx: AccessContext, shared: bool) {
         self.analysis.on_access(cx);
         let base = self.analysis.last_access_cost_cycles();
         self.cycles += if shared { self.contended(base) } else { base };
@@ -1895,7 +1776,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                     self.counts.shared_accesses += 1;
                 }
                 self.charge_translation(thread, m);
-                self.charge_analysis_access(thread, m, shared);
+                self.charge_analysis_access(context(thread, m), shared);
             }
             Mode::Aikido => {
                 self.cycles += self.sim.cost.dbi_overhead(1);
@@ -1914,7 +1795,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                     let shared = self.sd.as_ref().is_some_and(|sd| sd.is_shared_addr(m.addr));
                     if shared {
                         self.counts.shared_accesses += 1;
-                        self.charge_analysis_access(thread, m, true);
+                        self.charge_analysis_access(context(thread, m), true);
                         self.cycles += self.sim.cost.mirror_redirect_cycles;
                         self.access_via_mirror(thread, m);
                     } else {
@@ -1926,6 +1807,9 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                 } else {
                     self.access_with_fault_handling(thread, m);
                 }
+                // The reference delivers a queued "now instrumented" access
+                // at once.
+                self.deliver_shared();
             }
         }
     }
@@ -2033,11 +1917,12 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                     if disposition.instruments_instruction() {
                         // The block has been re-JITed with instrumentation;
                         // this access now runs the instrumented path and goes
-                        // through the mirror page.
+                        // through the mirror page. Its analysis delivery
+                        // joins the block's queued shared accesses.
                         self.counts.instrumented_accesses += 1;
                         self.counts.shared_accesses += 1;
                         self.charge_translation(thread, m);
-                        self.charge_analysis_access(thread, m, true);
+                        self.cx_scratch.push(context(thread, m));
                         self.cycles += self.sim.cost.mirror_redirect_cycles;
                         self.access_via_mirror(thread, m);
                         return;
@@ -2068,6 +1953,18 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
             fasttrack: None,
             races: self.analysis.reports(),
         }
+    }
+}
+
+/// The analysis context of `thread` performing `m`.
+#[inline]
+fn context(thread: ThreadId, m: &MemRef) -> AccessContext {
+    AccessContext {
+        thread,
+        addr: m.addr,
+        kind: m.kind,
+        size: m.size,
+        instr: m.instr,
     }
 }
 
@@ -2395,61 +2292,40 @@ mod tests {
         assert!(report.fasttrack.is_none());
     }
 
-    /// An analysis that checks the caller's side of the `on_access_run`
-    /// contract: every access of a run targets the run's page and performs
-    /// its kind.
-    #[derive(Default)]
-    struct RunContract {
-        runs: u64,
-        longest: usize,
-    }
-
-    impl SharedDataAnalysis for RunContract {
-        fn name(&self) -> &'static str {
-            "run-contract"
-        }
-
-        fn on_access(&mut self, _cx: AccessContext) {}
-
-        fn on_access_run(
-            &mut self,
-            page: Vpn,
-            kind: AccessKind,
-            run: &[AccessContext],
-            costs: &mut Vec<u64>,
-        ) {
-            for cx in run {
-                assert_eq!((cx.addr.page(), cx.kind), (page, kind), "run {run:?}");
-            }
-            self.runs += 1;
-            self.longest = self.longest.max(run.len());
-            self.on_access_batch(run, costs);
-        }
-
-        fn reports(&self) -> Vec<aikido_types::AnalysisReport> {
-            Vec::new()
-        }
-    }
-
-    #[test]
-    fn access_runs_carry_one_page_and_kind() {
-        for name in ["fluidanimate", "canneal"] {
-            let w = small(name);
-            let mut check = RunContract::default();
-            Simulator::default().run_with_analysis(&w, Mode::Aikido, &mut check);
-            assert!(check.runs > 0 && check.longest > 1, "{name}");
-        }
-    }
-
-    /// An analysis that checks full mode's delivery contract: each batch is
-    /// one thread's accesses of one work block, in slot order, covering the
-    /// block's every slot; a block with one slot arrives through
-    /// `on_access`; no page runs are delivered.
+    /// An analysis that checks a mode's delivery contract: every delivery
+    /// is one thread's accesses of one work block in strictly increasing
+    /// slot order, a batch holds more than one access and a lone access
+    /// arrives through `on_access`. Full mode delivers every slot of the
+    /// block; with `subset`, a delivery may hold any subset of the slots
+    /// (Aikido delivers a block's shared accesses).
     struct BlockContract<'w> {
         workload: &'w Workload,
+        subset: bool,
         batches: u64,
         singles: u64,
-        runs: u64,
+    }
+
+    impl BlockContract<'_> {
+        fn check(&self, delivery: &[AccessContext]) {
+            let slots = self.workload.shape(delivery[0].instr.block()).slots();
+            let positions: Vec<usize> = delivery
+                .iter()
+                .map(|cx| {
+                    assert_eq!(cx.thread, delivery[0].thread, "{delivery:?}");
+                    slots
+                        .iter()
+                        .position(|slot| slot.instr == cx.instr)
+                        .expect("every access belongs to the first access's block")
+                })
+                .collect();
+            assert!(
+                positions.windows(2).all(|pair| pair[0] < pair[1]),
+                "slot order {delivery:?}"
+            );
+            if !self.subset {
+                assert_eq!(positions.len(), slots.len(), "{delivery:?}");
+            }
+        }
     }
 
     impl SharedDataAnalysis for BlockContract<'_> {
@@ -2458,34 +2334,16 @@ mod tests {
         }
 
         fn on_access(&mut self, cx: AccessContext) {
-            let slots = self.workload.shape(cx.instr.block()).slots();
-            assert_eq!(slots.len(), 1, "single delivery from a wider block");
-            assert_eq!(slots[0].instr, cx.instr);
+            self.check(&[cx]);
             self.singles += 1;
         }
 
         fn on_access_batch(&mut self, batch: &[AccessContext], costs: &mut Vec<u64>) {
-            let block = batch[0].instr.block();
-            let slots = self.workload.shape(block).slots();
-            let instrs: Vec<InstrId> = batch.iter().map(|cx| cx.instr).collect();
-            let expected: Vec<InstrId> = slots.iter().map(|slot| slot.instr).collect();
-            assert_eq!(instrs, expected, "batch {batch:?}");
             assert!(batch.len() > 1);
-            assert!(batch.iter().all(|cx| cx.thread == batch[0].thread));
+            self.check(batch);
             self.batches += 1;
             costs.clear();
             costs.resize(batch.len(), self.access_cost_cycles());
-        }
-
-        fn on_access_run(
-            &mut self,
-            _page: Vpn,
-            _kind: AccessKind,
-            run: &[AccessContext],
-            costs: &mut Vec<u64>,
-        ) {
-            self.runs += 1;
-            self.on_access_batch(run, costs);
         }
 
         fn reports(&self) -> Vec<aikido_types::AnalysisReport> {
@@ -2493,21 +2351,42 @@ mod tests {
         }
     }
 
+    /// Runs the small `name` preset in `mode` under [`BlockContract`],
+    /// requires at most one delivery per block execution and returns the
+    /// `(batches, singles)` delivered.
+    fn deliveries(name: &str, mode: Mode) -> (u64, u64) {
+        let w = small(name);
+        let mut check = BlockContract {
+            workload: &w,
+            subset: mode == Mode::Aikido,
+            batches: 0,
+            singles: 0,
+        };
+        let report = Simulator::default().run_with_analysis(&w, mode, &mut check);
+        assert!(
+            check.batches + check.singles <= report.counts.block_execs,
+            "{name} {mode:?}"
+        );
+        (check.batches, check.singles)
+    }
+
     #[test]
     fn full_mode_delivers_one_batch_per_block() {
         for name in ["fluidanimate", "canneal"] {
-            let w = small(name);
-            let mut check = BlockContract {
-                workload: &w,
-                batches: 0,
-                singles: 0,
-                runs: 0,
-            };
-            let report =
-                Simulator::default().run_with_analysis(&w, Mode::FullInstrumentation, &mut check);
-            assert!(check.batches > 0, "{name}");
-            assert_eq!(check.runs, 0, "{name}");
-            assert!(check.batches + check.singles <= report.counts.block_execs);
+            let (batches, _) = deliveries(name, Mode::FullInstrumentation);
+            assert!(batches > 0, "{name}");
+        }
+    }
+
+    #[test]
+    fn aikido_delivers_one_batch_per_block() {
+        for name in ["fluidanimate", "canneal"] {
+            let (batches, singles) = deliveries(name, Mode::Aikido);
+            assert!(batches + singles > 0, "{name}");
+            if name == "fluidanimate" {
+                // Batching must not lapse back to per-access calls.
+                assert!(batches > 0, "{name}");
+            }
         }
     }
 

@@ -1,9 +1,7 @@
 //! The runtime audit oracle: checks every delivered access against the
 //! static pass's no-shared-access claims.
 
-use aikido_types::{
-    AccessContext, AccessKind, AnalysisReport, LockId, SharedDataAnalysis, ThreadId, Vpn,
-};
+use aikido_types::{AccessContext, AnalysisReport, LockId, SharedDataAnalysis, ThreadId};
 use aikido_workloads::MemoryLayout;
 
 use crate::report::StaticReport;
@@ -119,19 +117,6 @@ impl<A: SharedDataAnalysis> SharedDataAnalysis for StaticAudit<A> {
         self.inner.on_access_batch(run, costs);
     }
 
-    fn on_access_run(
-        &mut self,
-        page: Vpn,
-        kind: AccessKind,
-        run: &[AccessContext],
-        costs: &mut Vec<u64>,
-    ) {
-        for cx in run {
-            self.audit(cx);
-        }
-        self.inner.on_access_run(page, kind, run, costs);
-    }
-
     fn on_acquire(&mut self, thread: ThreadId, lock: LockId) {
         self.inner.on_acquire(thread, lock);
     }
@@ -176,7 +161,7 @@ impl<A: SharedDataAnalysis> SharedDataAnalysis for StaticAudit<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aikido_types::{Addr, BlockId, InstrId, NullAnalysis};
+    use aikido_types::{AccessKind, Addr, BlockId, InstrId, NullAnalysis};
     use aikido_workloads::WorkloadSpec;
 
     fn layout() -> MemoryLayout {
@@ -235,14 +220,7 @@ mod tests {
         audit.on_access_batch(&run, &mut costs);
         assert_eq!(audit.violations(), 2);
         assert_eq!(costs, vec![0, 0], "inner batched costs are untouched");
-        audit.on_access_run(
-            Addr::new(shared).page(),
-            AccessKind::Write,
-            &run,
-            &mut costs,
-        );
-        assert_eq!(audit.violations(), 4);
-        assert_eq!(audit.into_inner().accesses(), 4);
+        assert_eq!(audit.into_inner().accesses(), 2);
     }
 
     #[test]

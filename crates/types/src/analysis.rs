@@ -112,12 +112,12 @@ pub trait SharedDataAnalysis {
     /// would have returned after each access — into `costs` (cleared
     /// first), in access order.
     ///
-    /// Under full instrumentation the simulator delivers each work block
-    /// execution with more than one memory access as one batch: every
-    /// access of the block, in slot order, across pages and kinds. A block
-    /// with a single access arrives through
-    /// [`SharedDataAnalysis::on_access`]. Aikido mode delivers page runs
-    /// through [`SharedDataAnalysis::on_access_run`] instead.
+    /// Both instrumented modes of the simulator make at most one delivery
+    /// per work block execution, in slot order, across pages and kinds:
+    /// full instrumentation delivers every access of the block, Aikido mode
+    /// the block's shared accesses (including one a fault has just
+    /// instrumented). A delivery of more than one access arrives here, a
+    /// lone access through [`SharedDataAnalysis::on_access`].
     ///
     /// The default implementation is the scalar loop, so implementing
     /// [`SharedDataAnalysis::on_access`] alone is always enough. Overrides
@@ -135,17 +135,10 @@ pub trait SharedDataAnalysis {
         }
     }
 
-    /// Like [`SharedDataAnalysis::on_access_batch`], with two extra
-    /// guarantees the caller vouches for: every access of the run targets
-    /// `page` and performs `kind`. Only Aikido mode delivers runs: the
-    /// shared tail of an instrumented run, i.e. consecutive memory accesses
-    /// of one block execution with one page, one kind and one
-    /// instrumentation decision, even when compute instructions sit between
-    /// them. No run spans two block executions. The default forwards to the
-    /// batch entry point; an analysis that can use the page or kind
-    /// guarantee may override it. Overrides carry the same contract:
-    /// observably identical to the scalar loop — same end state, same
-    /// reports, same statistics, same costs in the same order.
+    /// Like [`SharedDataAnalysis::on_access_batch`], for a run whose every
+    /// access targets `page` and performs `kind`. The simulator never calls
+    /// it. It remains only because the perfbench harness's timing wrapper
+    /// overrides it, and it goes with the next change to that harness.
     fn on_access_run(
         &mut self,
         page: Vpn,
@@ -295,21 +288,6 @@ mod tests {
         batched.on_access_batch(&[], &mut costs);
         assert!(costs.is_empty());
         assert_eq!(batched.accesses(), 3);
-    }
-
-    #[test]
-    fn default_run_delivery_forwards_to_the_batch_entry_point() {
-        let mut a = NullAnalysis::new();
-        let run = [cx(), cx()];
-        let mut costs = Vec::new();
-        a.on_access_run(
-            Addr::new(0x2000).page(),
-            AccessKind::Write,
-            &run,
-            &mut costs,
-        );
-        assert_eq!(a.accesses(), 2);
-        assert_eq!(costs, vec![0, 0]);
     }
 
     #[test]

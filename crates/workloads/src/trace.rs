@@ -57,7 +57,7 @@ impl AccessWord {
     }
 
     /// Equal for two words exactly when they target the same page with the
-    /// same kind: the key the simulator's block kernels split runs on.
+    /// same kind: the key Aikido's whole-block-free path splits runs on.
     #[inline]
     pub const fn run_key(self) -> u64 {
         self.0 >> PAGE_SHIFT

@@ -8,8 +8,10 @@
 //! paths may change what a run reports, so one
 //! helper requires, for every input here, the same `RunReport` (cycles
 //! included, so the per-access cost stream matched access by access), the
-//! same detector statistics, the same races and the same reconstructed
-//! per-block metadata, serialized and compared as JSON.
+//! same detector statistics, the same races, the same reconstructed
+//! per-block metadata, serialized and compared as JSON, and the same
+//! sequence of delivered accesses. The detector's end state can hide a
+//! reordering of accesses to different variables; the delivery log cannot.
 //!
 //! The inputs are chosen to reach each fast path's edge cases: all six
 //! PARSEC presets in every mode, racy and barrier-heavy workloads, the
@@ -22,8 +24,12 @@
 //! `AIKIDO_SCALE=0.05`.
 
 use aikido::fasttrack::FastTrack;
+use aikido::types::LockId;
 use aikido::workloads::{racy_workload, spill_pressure_workload};
-use aikido::{Mode, RunReport, SimConfig, Simulator, Workload, WorkloadSpec};
+use aikido::{
+    AccessContext, AnalysisReport, Mode, RunReport, SharedDataAnalysis, SimConfig, Simulator,
+    ThreadId, Workload, WorkloadSpec,
+};
 use proptest::prelude::*;
 
 /// The six PARSEC presets the repo's suites exercise end to end.
@@ -48,12 +54,78 @@ fn scale() -> f64 {
         .unwrap_or(0.02)
 }
 
+/// Wraps the detector, forwarding every call unchanged, and logs each access
+/// delivered through `on_access` or `on_access_batch`, in delivery order.
+struct Recorder {
+    inner: FastTrack,
+    log: Vec<AccessContext>,
+}
+
+impl SharedDataAnalysis for Recorder {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn on_access(&mut self, cx: AccessContext) {
+        self.log.push(cx);
+        self.inner.on_access(cx);
+    }
+
+    fn on_access_batch(&mut self, run: &[AccessContext], costs: &mut Vec<u64>) {
+        self.log.extend_from_slice(run);
+        self.inner.on_access_batch(run, costs);
+    }
+
+    fn on_acquire(&mut self, thread: ThreadId, lock: LockId) {
+        self.inner.on_acquire(thread, lock);
+    }
+
+    fn on_release(&mut self, thread: ThreadId, lock: LockId) {
+        self.inner.on_release(thread, lock);
+    }
+
+    fn on_fork(&mut self, parent: ThreadId, child: ThreadId) {
+        self.inner.on_fork(parent, child);
+    }
+
+    fn on_join(&mut self, parent: ThreadId, child: ThreadId) {
+        self.inner.on_join(parent, child);
+    }
+
+    fn on_barrier(&mut self, threads: &[ThreadId], id: u32) {
+        self.inner.on_barrier(threads, id);
+    }
+
+    fn on_thread_exit(&mut self, thread: ThreadId) {
+        self.inner.on_thread_exit(thread);
+    }
+
+    fn reports(&self) -> Vec<AnalysisReport> {
+        self.inner.reports()
+    }
+
+    fn access_cost_cycles(&self) -> u64 {
+        self.inner.access_cost_cycles()
+    }
+
+    fn last_access_cost_cycles(&self) -> u64 {
+        self.inner.last_access_cost_cycles()
+    }
+
+    fn sync_cost_cycles(&self) -> u64 {
+        self.inner.sync_cost_cycles()
+    }
+}
+
 /// Runs `workload` on `sim` with the detector `sim` itself would build, and
-/// hands the detector back for inspection.
-fn observe(sim: &Simulator, workload: &Workload, mode: Mode) -> (RunReport, FastTrack) {
-    let mut ft = sim.new_fasttrack();
-    let report = sim.run_with_analysis(workload, mode, &mut ft);
-    (report, ft)
+/// hands the detector and its delivery log back for inspection.
+fn observe(sim: &Simulator, workload: &Workload, mode: Mode) -> (RunReport, Recorder) {
+    let mut recorder = Recorder {
+        inner: sim.new_fasttrack(),
+        log: Vec::new(),
+    };
+    let report = sim.run_with_analysis(workload, mode, &mut recorder);
+    (report, recorder)
 }
 
 /// Requires the default and reference executors to agree on everything
@@ -62,6 +134,15 @@ fn assert_matches_reference(workload: &Workload, mode: Mode, context: &str) -> R
     let (report, fast) = observe(&Simulator::default(), workload, mode);
     let (reference_report, reference) = observe(&Simulator::reference(), workload, mode);
     assert_eq!(report, reference_report, "report mismatch ({context})");
+    let deliveries = fast.log.len().max(reference.log.len());
+    if let Some(at) = (0..deliveries).find(|&i| fast.log.get(i) != reference.log.get(i)) {
+        panic!(
+            "delivered access {at} differs ({context}): {:?}, reference {:?}",
+            fast.log.get(at),
+            reference.log.get(at)
+        );
+    }
+    let (fast, reference) = (fast.inner, reference.inner);
     assert_eq!(
         fast.stats(),
         reference.stats(),
