@@ -2,10 +2,10 @@
 //!
 //! The simulator's default execution path is the set of monomorphized
 //! per-mode kernels that hoist mode dispatch, engine probes and cost-model
-//! constants to block entry and process accesses in `(page, kind,
-//! instrumented)` runs, on packed shadow words, behind the inline-check
-//! tables. `Simulator::reference()` swaps each of those three for its
-//! unoptimised counterpart (scalar loop, enum shadow store, no inline check)
+//! constants to block entry, deliver one analysis batch per block and, in
+//! Aikido mode, skip `vm.touch` on a hit in the VM's per-thread TLB; its
+//! FastTrack runs on packed shadow words. `Simulator::reference()` swaps
+//! both for their unoptimised counterparts (scalar loop, enum shadow store)
 //! and must produce byte-identical reports; this
 //! bench quantifies what the fast paths buy together, per mode.
 //!

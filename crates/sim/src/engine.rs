@@ -6,8 +6,8 @@ use aikido_shadow::{DualShadow, RegionId, RegionKind, TranslationCache};
 use aikido_sharing::AikidoSd;
 use aikido_snapshot::{Snapshot, SnapshotError};
 use aikido_types::{
-    AccessContext, AccessKind, Addr, InstrId, MemRef, Operation, Prot, SharedDataAnalysis, SyncOp,
-    ThreadId, Vpn,
+    AccessContext, Addr, InstrId, MemRef, Operation, Prot, SharedDataAnalysis, SyncOp, ThreadId,
+    Vpn,
 };
 use aikido_vm::{AikidoVm, TouchOutcome, VmConfig};
 use aikido_workloads::{AccessWord, BlockExec, BlockShape, MemSlot, Step, Workload};
@@ -184,11 +184,6 @@ impl Default for Simulator {
 }
 
 impl Simulator {
-    /// Entries in each thread's inline-check table (the simulator's model of
-    /// the code Aikido emits in front of every access). Direct mapped: pages
-    /// this many apart collide in the same slot.
-    pub const INLINE_TLB_ENTRIES: usize = SIM_TLB_ENTRIES;
-
     /// Creates a simulator with the given cost model and the default
     /// [`SimConfig`] (scheduling quantum 8, sequential, all fast paths on).
     pub fn new(cost: CostModel) -> Self {
@@ -200,10 +195,11 @@ impl Simulator {
     }
 
     /// The reference executor: the default configuration with each of its
-    /// three behaviour-neutral fast paths swapped for its unoptimised
+    /// two behaviour-neutral fast paths swapped for its unoptimised
     /// counterpart — the scalar per-access loop instead of the batched block
-    /// kernels, the enum `ShadowStore` FastTrack instead of packed shadow
-    /// words, and no inline-check tables (every access consults the VM).
+    /// kernels, and the enum `ShadowStore` FastTrack instead of packed shadow
+    /// words. (The scalar loop also calls `vm.touch` for every access,
+    /// where the kernels first probe the VM's per-thread TLB.)
     /// Every report, detector statistic, race and shadow state must equal
     /// [`Simulator::default`]'s byte for byte; the
     /// `reference_equivalence` suite and the `block_kernels` bench compare
@@ -350,8 +346,7 @@ impl Simulator {
         mode: Mode,
         analysis: &mut A,
     ) -> Result<RunReport, SimError> {
-        let mut run = Run::new(self, workload, mode, analysis);
-        let mut states = run.initial_states();
+        let (mut run, mut states) = Run::new(self, workload, mode, analysis);
         self.drive(workload, &mut run, &mut states, None)?;
         Ok(run.into_report())
     }
@@ -425,8 +420,7 @@ impl Simulator {
         after_blocks: u64,
     ) -> Result<CheckpointOutcome, SimError> {
         let mut analysis = self.new_fasttrack();
-        let mut run = Run::new(self, workload, mode, &mut analysis);
-        let mut states = run.initial_states();
+        let (mut run, mut states) = Run::new(self, workload, mode, &mut analysis);
         let status = self.drive(source, &mut run, &mut states, Some(after_blocks))?;
         Ok(match status {
             ExecStatus::Paused => CheckpointOutcome::Paused(run.encode_snapshot(&states)),
@@ -521,7 +515,7 @@ impl Simulator {
         };
         reader.finish()?;
 
-        let (mut run, mut states) = Run::from_restored(
+        let (mut run, mut states) = Run::from_parts(
             self,
             workload,
             mode,
@@ -598,8 +592,7 @@ impl Simulator {
         mode: Mode,
     ) -> Result<RunReport, SimError> {
         let mut analysis = FastTrack::new();
-        let mut run = Run::new(self, workload, mode, &mut analysis);
-        let mut states = run.initial_states();
+        let (mut run, mut states) = Run::new(self, workload, mode, &mut analysis);
         self.drive(source, &mut run, &mut states, None)?;
         Ok(run.into_report())
     }
@@ -785,12 +778,6 @@ struct Run<'a, 'w, A: SharedDataAnalysis> {
     /// Owners of locks whose raw id exceeds the dense table.
     lock_owner_spill: Vec<(aikido_types::LockId, ThreadId)>,
     fatal_accesses: u64,
-    /// The simulator's inline check, mirroring the code Aikido emits in front
-    /// of every access (Figure 4): a per-thread direct-mapped table of pages
-    /// whose accesses the hypervisor has already proven free. A hit skips the
-    /// `vm.touch` call entirely. Sound because a free touch mutates no VM
-    /// state, and every VM-mutating interaction clears the table.
-    inline_tlb: Vec<[(Vpn, u8); SIM_TLB_ENTRIES]>,
     /// Memo of the last `(analysis base cost → contended cost)` conversion;
     /// the float multiply-and-round is deterministic in the base cost, and
     /// the analysis fast path reports the same base almost every access.
@@ -856,113 +843,83 @@ impl ArrivalSet {
 const DENSE_LOCKS: u64 = 1 << 12;
 
 const MAX_FAULT_ITERATIONS: usize = 6;
-/// Entries in each thread's inline-check table (power of two).
-const SIM_TLB_ENTRIES: usize = 64;
 /// Entries in the shared-page memo (power of two; comfortably above the
 /// shared page count of every preset, so collisions stay rare).
 const SHARED_PAGE_ENTRIES: usize = 256;
-/// An inline-TLB slot that can never match a real page.
-const SIM_TLB_EMPTY: (Vpn, u8) = (Vpn::new(u64::MAX), 0);
-#[inline]
-fn kind_bit(kind: AccessKind) -> u8 {
-    match kind {
-        AccessKind::Read => 1,
-        AccessKind::Write => 2,
+
+/// The components a fresh run of `workload` in `mode` starts with: none for
+/// native; a DBI engine instrumenting every memory instruction for full
+/// instrumentation; for Aikido, a VM with the main thread registered and
+/// every workload region mapped, a sharing detector attached to each region
+/// and an uninstrumented DBI engine.
+fn setup(
+    workload: &Workload,
+    mode: Mode,
+) -> (Option<AikidoVm>, Option<AikidoSd>, Option<DbiEngine>) {
+    match mode {
+        Mode::Native => (None, None, None),
+        Mode::FullInstrumentation => {
+            // Conventional pipeline: every memory instruction carries
+            // instrumentation from the start.
+            let mut engine = DbiEngine::new(workload.program_arc());
+            for block in workload.program().iter() {
+                for (id, instr) in block.iter_ids() {
+                    if instr.is_mem() {
+                        engine.request_instrumentation(id);
+                    }
+                }
+            }
+            (None, None, Some(engine))
+        }
+        Mode::Aikido => {
+            let mut vm = AikidoVm::new(VmConfig::default());
+            vm.register_thread(ThreadId::MAIN)
+                .expect("main thread registers once");
+            let mut sd = AikidoSd::new();
+            for (base, pages) in workload.layout().regions() {
+                vm.mmap(base, pages, Prot::RW_USER)
+                    .expect("workload regions are disjoint");
+                sd.attach_region(&mut vm, base, pages)
+                    .expect("regions attach cleanly");
+            }
+            let engine = DbiEngine::new(workload.program_arc());
+            (Some(vm), Some(sd), Some(engine))
+        }
     }
 }
 
 impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
-    fn new(sim: &'a Simulator, workload: &'w Workload, mode: Mode, analysis: &'a mut A) -> Self {
-        let threads = workload.threads();
-        let layout = workload.layout();
-        let shared_range = (
-            layout.shared_base().raw(),
-            layout.shared_base().raw() + layout.shared_bytes(),
-        );
-        let contention = sim.cost.contention_factor(threads.len() as u32);
-
-        let mut region_lookup = DualShadow::new();
-        for (base, pages) in layout.regions() {
-            region_lookup
-                .register_region(base, pages, RegionKind::Other)
-                .expect("workload regions are disjoint");
-        }
-
-        let mut run = Run {
+    /// A fresh run: [`setup`]'s components, a cold translation cache and
+    /// the initial scheduler state, assembled by [`Run::from_parts`].
+    fn new(
+        sim: &'a Simulator,
+        workload: &'w Workload,
+        mode: Mode,
+        analysis: &'a mut A,
+    ) -> (Self, Vec<ThreadState>) {
+        let (vm, sd, engine) = setup(workload, mode);
+        Self::from_parts(
             sim,
             workload,
             mode,
             analysis,
-            threads,
-            cycles: 0,
-            counts: RunCounts::default(),
-            vm: None,
-            sd: None,
-            engine: None,
-            cache: TranslationCache::new(),
-            region_lookup,
-            shared_range,
-            contention,
-            last_scheduled: None,
-            barrier_arrivals: Vec::new(),
-            barriers_done: Vec::new(),
-            lock_owners: Vec::new(),
-            lock_owner_spill: Vec::new(),
-            fatal_accesses: 0,
-            inline_tlb: Vec::new(),
-            last_contended_cost: (u64::MAX, 0),
-            cx_scratch: Vec::new(),
-            cost_scratch: Vec::new(),
-            shared_pages: vec![SharedPageInfo::EMPTY; SHARED_PAGE_ENTRIES],
-        };
-        run.setup();
-        run
+            vm,
+            sd,
+            engine,
+            TranslationCache::new(),
+            SchedState::initial(workload),
+        )
     }
 
-    fn setup(&mut self) {
-        match self.mode {
-            Mode::Native => {}
-            Mode::FullInstrumentation => {
-                // Conventional pipeline: every memory instruction carries
-                // instrumentation from the start.
-                let mut engine = DbiEngine::new(self.workload.program_arc());
-                for block in self.workload.program().iter() {
-                    for (id, instr) in block.iter_ids() {
-                        if instr.is_mem() {
-                            engine.request_instrumentation(id);
-                        }
-                    }
-                }
-                self.engine = Some(engine);
-            }
-            Mode::Aikido => {
-                let mut vm = AikidoVm::new(VmConfig::default());
-                vm.register_thread(ThreadId::MAIN)
-                    .expect("main thread registers once");
-                let mut sd = AikidoSd::new();
-                for (base, pages) in self.workload.layout().regions() {
-                    vm.mmap(base, pages, Prot::RW_USER)
-                        .expect("workload regions are disjoint");
-                    sd.attach_region(&mut vm, base, pages)
-                        .expect("regions attach cleanly");
-                }
-                self.engine = Some(DbiEngine::new(self.workload.program_arc()));
-                self.vm = Some(vm);
-                self.sd = Some(sd);
-            }
-        }
-    }
-
-    /// Reassembles a run from restored components, bypassing [`Run::setup`]
-    /// entirely — the decoded VM, sharing detector, DBI engine, translation
-    /// cache and scheduler state *are* the setup, exactly as they stood at
-    /// the pause. Derived structures (region table, shared-range bounds,
-    /// contention factor) are rebuilt from the workload, and the droppable
-    /// memos (inline-check tables, shared-page memo, contended-cost memo)
-    /// restart cold: all of them are pure accelerations whose absence is
-    /// proven unobservable, so the resumed run stays byte-identical.
+    /// Assembles a run from its components and scheduler state — fresh ones
+    /// from [`Run::new`], or decoded ones exactly as they stood at a pause.
+    /// Derived structures (region table, shared-range bounds, contention
+    /// factor) are rebuilt from the workload, and the droppable memos
+    /// (shared-page memo, contended-cost memo) start cold: both are pure
+    /// accelerations whose absence is proven unobservable, so a resumed run
+    /// stays byte-identical.
     #[allow(clippy::too_many_arguments)]
-    fn from_restored(
+    fn from_parts(
         sim: &'a Simulator,
         workload: &'w Workload,
         mode: Mode,
@@ -1026,31 +983,12 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
             lock_owners: sched.lock_owners,
             lock_owner_spill: sched.lock_owner_spill,
             fatal_accesses: sched.fatal_accesses,
-            inline_tlb: Vec::new(),
             last_contended_cost: (u64::MAX, 0),
             cx_scratch: Vec::new(),
             cost_scratch: Vec::new(),
             shared_pages: vec![SharedPageInfo::EMPTY; SHARED_PAGE_ENTRIES],
         };
         (run, states)
-    }
-
-    /// The per-slot scheduling states a fresh run starts from.
-    fn initial_states(&self) -> Vec<ThreadState> {
-        self.threads
-            .iter()
-            .map(|&id| ThreadState {
-                id,
-                started: id == ThreadId::MAIN,
-                finished: false,
-                exec: BlockExec::default(),
-                has_exec: false,
-                at: StreamPos {
-                    cursor: self.workload.thread_trace(id).cursor(),
-                    skip: 0,
-                },
-            })
-            .collect()
     }
 
     /// Drives the round-robin scheduler until every started thread finishes
@@ -1203,11 +1141,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                             .expect("thread protection succeeds");
                         let hypercalls = sd.stats().protection_hypercalls - before + 1;
                         self.cycles += hypercalls * self.sim.cost.hypercall_cycles;
-                        // Only the child's protections changed, and its lane
-                        // is necessarily empty (fresh thread id).
-                        if let Some(lane) = self.inline_tlb.get_mut(child.index()) {
-                            *lane = [SIM_TLB_EMPTY; SIM_TLB_ENTRIES];
-                        }
                     }
                     SyncOutcome::Done
                 }
@@ -1372,10 +1305,11 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     //   handed, a work block belongs to one thread with no sync inside,
     //   cycles are a sum and `contended` is a pure function of the base
     //   cost, so delivering at the end of the block is unobservable;
-    // * inline-check probe (Aikido's whole-block-free path): probes have no
-    //   side effects, and a hit for `(page, kind)` covers every remaining
-    //   access of the `(page, kind)` run because only VM interactions
-    //   (which the hit skips) can invalidate it;
+    // * VM TLB probe (Aikido's whole-block-free scan and mirror check): a
+    //   hit in the thread's `TlbLane` means `vm.touch` would return a free
+    //   `Ok` and change no state, so skipping the call is unobservable; the
+    //   free scan probes every access against one lane borrow, which stays
+    //   exact because nothing touches the VM until the first miss;
     // * region lookup (full mode): the region table is fixed at run
     //   construction and workload regions are page-aligned, so one lookup
     //   covers a page.
@@ -1483,25 +1417,22 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         // would take the uninstrumented path.
         if result.instrumented_mem_instrs == 0 {
             // The steady state for every block no fault has ever
-            // instrumented. Probe the accesses with a single borrow of the
-            // thread's inline-check lane; only from the first missing
-            // `(page, kind)` run on do runs fall into the per-access
-            // machinery. A miss is always at a run start: every access of a
-            // run probes the same `(page, kind)`.
-            let first_miss = match self.inline_tlb.get(thread.index()) {
-                Some(lane) => all.words.iter().position(|word| {
-                    let page = word.page();
-                    let (cached, kinds) = lane[(page.raw() as usize) & (SIM_TLB_ENTRIES - 1)];
-                    cached != page || kinds & kind_bit(word.kind()) == 0
-                }),
+            // instrumented. Probe the accesses against one borrow of the
+            // thread's VM TLB lane; only from the first miss on do accesses
+            // go to the VM. (An index loop: `iter().skip(n)` would decode
+            // the n skipped accesses on every block, which cost low_sharing
+            // a fifth of its Aikido throughput.)
+            let first_miss = match self.vm.as_ref().and_then(|vm| vm.tlb(thread)) {
+                Some(lane) => all
+                    .words
+                    .iter()
+                    .position(|word| !lane.hits(word.page(), word.kind())),
                 None => Some(0),
             };
-            let mut i = first_miss.unwrap_or(all.len());
-            while i < all.len() {
-                let j = all.run_end(i);
-                let word = all.words[i];
-                self.aikido_free_run_slow(thread, all.range(i, j), word.page(), word.kind());
-                i = j;
+            if let Some(first) = first_miss {
+                for idx in first..all.len() {
+                    self.access_with_fault_handling(thread, &all.mem(idx));
+                }
             }
         } else {
             self.aikido_walk(thread, &result, all);
@@ -1530,7 +1461,13 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                         // exactly like the scalar loop's
                         // `access_via_mirror` would.
                         self.fatal_accesses += 1;
-                    } else if !self.inline_tlb_hit(thread, info.mirror, m.kind) {
+                    } else if !self
+                        .vm
+                        .as_ref()
+                        .and_then(|vm| vm.tlb(thread))
+                        .is_some_and(|lane| lane.hits(info.mirror, m.kind))
+                    {
+                        // A TLB hit proves the mirror touch free.
                         self.access_via_mirror(thread, &m);
                     }
                 }
@@ -1558,24 +1495,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                 .as_ref()
                 .expect("aikido mode has a dbi engine")
                 .is_instrumented(instr)
-        }
-    }
-
-    /// The probe-and-fault part of a free `(page, kind)` run, with the
-    /// counting already done by the caller: a single inline-check probe
-    /// covers the run; only while it misses do accesses fall into the VM one
-    /// at a time.
-    fn aikido_free_run_slow(
-        &mut self,
-        thread: ThreadId,
-        run: AccessRun<'_>,
-        page: Vpn,
-        kind: AccessKind,
-    ) {
-        let mut rest = run.iter();
-        while !self.inline_tlb_hit(thread, page, kind) {
-            let Some(m) = rest.next() else { return };
-            self.access_with_fault_handling(thread, &m);
         }
     }
 
@@ -1691,59 +1610,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         self.last_contended_cost.1
     }
 
-    /// True if the inline check proves this access free (no VM involvement).
-    /// Always false for reference runs, whose tables are never filled.
-    #[inline]
-    fn inline_tlb_hit(&self, thread: ThreadId, page: Vpn, kind: AccessKind) -> bool {
-        match self.inline_tlb.get(thread.index()) {
-            Some(lane) => {
-                let (cached, kinds) = lane[(page.raw() as usize) & (SIM_TLB_ENTRIES - 1)];
-                cached == page && kinds & kind_bit(kind) != 0
-            }
-            None => false,
-        }
-    }
-
-    /// Records a proven-free `(thread, page, kind)` access (never under
-    /// [`Simulator::reference`], which routes every access to `vm.touch`).
-    #[inline]
-    fn inline_tlb_fill(&mut self, thread: ThreadId, page: Vpn, kind: AccessKind) {
-        if self.sim.reference {
-            return;
-        }
-        let idx = thread.index();
-        if idx >= self.inline_tlb.len() {
-            self.inline_tlb
-                .resize_with(idx + 1, || [SIM_TLB_EMPTY; SIM_TLB_ENTRIES]);
-        }
-        let slot = &mut self.inline_tlb[idx][(page.raw() as usize) & (SIM_TLB_ENTRIES - 1)];
-        if slot.0 == page {
-            slot.1 |= kind_bit(kind);
-        } else {
-            *slot = (page, kind_bit(kind));
-        }
-    }
-
-    /// Drops every inline-check entry; the catch-all for VM-state changes
-    /// that are not page-targeted (temporary-unprotection restores).
-    fn inline_tlb_clear(&mut self) {
-        for lane in &mut self.inline_tlb {
-            *lane = [SIM_TLB_EMPTY; SIM_TLB_ENTRIES];
-        }
-    }
-
-    /// Drops any entry for `page` in every thread's table — used after the
-    /// sharing detector changes that page's protections. A page can only live
-    /// in its own direct-mapped slot.
-    fn inline_tlb_invalidate_page(&mut self, page: Vpn) {
-        let slot = (page.raw() as usize) & (SIM_TLB_ENTRIES - 1);
-        for lane in &mut self.inline_tlb {
-            if lane[slot].0 == page {
-                lane[slot] = SIM_TLB_EMPTY;
-            }
-        }
-    }
-
     fn in_shared_region(&self, addr: Addr) -> bool {
         addr.raw() >= self.shared_range.0 && addr.raw() < self.shared_range.1
     }
@@ -1825,24 +1691,13 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                 return;
             }
         };
-        let page = mirror.page();
-        if self.inline_tlb_hit(thread, page, m.kind) {
-            return;
-        }
         let vm = self.vm.as_mut().expect("checked above");
         match vm.touch(thread, mirror, m.kind) {
             Ok(touch) => {
                 if !touch.charges.is_free() {
                     self.cycles += self.sim.cost.vm_charges(&touch.charges);
-                    if touch.charges.temp_reprotections > 0 {
-                        self.inline_tlb_clear();
-                    }
                 }
-                if matches!(touch.outcome, TouchOutcome::Ok) {
-                    // Demand paging only installs entries for this page, so a
-                    // successful touch is provably repeatable: record it.
-                    self.inline_tlb_fill(thread, page, m.kind);
-                } else {
+                if !matches!(touch.outcome, TouchOutcome::Ok) {
                     // Mirror pages are never protected; anything else is a bug
                     // in the harness rather than in the modelled system.
                     self.fatal_accesses += 1;
@@ -1853,10 +1708,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     }
 
     fn access_with_fault_handling(&mut self, thread: ThreadId, m: &MemRef) {
-        let page = m.addr.page();
-        if self.inline_tlb_hit(thread, page, m.kind) {
-            return;
-        }
         for _ in 0..MAX_FAULT_ITERATIONS {
             let touch = {
                 let vm = self.vm.as_mut().expect("aikido mode has a vm");
@@ -1870,16 +1721,9 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
             };
             if !touch.charges.is_free() {
                 self.cycles += self.sim.cost.vm_charges(&touch.charges);
-                if touch.charges.temp_reprotections > 0 {
-                    // Restores touch every temporarily unprotected page.
-                    self.inline_tlb_clear();
-                }
             }
             match touch.outcome {
-                TouchOutcome::Ok => {
-                    self.inline_tlb_fill(thread, page, m.kind);
-                    return;
-                }
+                TouchOutcome::Ok => return,
                 TouchOutcome::Fatal(_) => {
                     self.fatal_accesses += 1;
                     return;
@@ -1912,7 +1756,6 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                         self.sim
                             .cost
                             .aikido_fault(hypercalls, thread_count, rebuilt_instrs);
-                    self.inline_tlb_invalidate_page(page);
 
                     if disposition.instruments_instruction() {
                         // The block has been re-JITed with instrumentation;
@@ -1989,23 +1832,6 @@ impl<'e> AccessRun<'e> {
 
     fn len(self) -> usize {
         self.words.len()
-    }
-
-    /// Slots `start..end`.
-    fn range(self, start: usize, end: usize) -> Self {
-        AccessRun {
-            slots: &self.slots[start..end],
-            words: &self.words[start..end],
-        }
-    }
-
-    /// The end of the maximal `(page, kind)` run starting at `start`.
-    fn run_end(self, start: usize) -> usize {
-        let key = self.words[start].run_key();
-        self.words[start + 1..]
-            .iter()
-            .position(|word| word.run_key() != key)
-            .map_or(self.len(), |offset| start + 1 + offset)
     }
 
     /// The access at `idx` as a [`MemRef`].
@@ -2152,9 +1978,9 @@ mod tests {
     #[test]
     fn batched_kernels_reproduce_the_scalar_reference_exactly() {
         // One row per workload that stresses a fast path the reference
-        // executor swaps out (batched kernels, packed shadow words, inline
-        // checks); `tests/reference_equivalence.rs` covers the rest of the
-        // inputs and the detector state.
+        // executor swaps out (batched kernels with their VM TLB probes,
+        // packed shadow words); `tests/reference_equivalence.rs` covers the
+        // rest of the inputs and the detector state.
         const ALL: &[Mode] = &[Mode::Native, Mode::FullInstrumentation, Mode::Aikido];
         const ANALYSED: &[Mode] = &[Mode::FullInstrumentation, Mode::Aikido];
         let mut barrier_spec = WorkloadSpec::parsec("bodytrack").unwrap().scaled(0.02);
@@ -2646,8 +2472,7 @@ mod tests {
         let sim = Simulator::default();
         let uninterrupted = sim.run(&w, Mode::Aikido);
         let mut analysis = sim.new_fasttrack();
-        let mut run = Run::new(&sim, &w, Mode::Aikido, &mut analysis);
-        let mut states = run.initial_states();
+        let (mut run, mut states) = Run::new(&sim, &w, Mode::Aikido, &mut analysis);
         let midpoint = Some(uninterrupted.counts.block_execs / 2);
         let status = sim.drive(&w, &mut run, &mut states, midpoint).unwrap();
         assert_eq!(status, ExecStatus::Paused);

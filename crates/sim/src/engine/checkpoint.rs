@@ -93,6 +93,34 @@ pub(super) struct SchedState {
 }
 
 impl SchedState {
+    /// The state a fresh run of `workload` starts from: nothing charged,
+    /// only the main thread started, every stream at its opening cursor.
+    pub(super) fn initial(workload: &Workload) -> Self {
+        SchedState {
+            cycles: 0,
+            counts: RunCounts::default(),
+            fatal_accesses: 0,
+            last_scheduled: None,
+            barriers_done: Vec::new(),
+            barrier_arrivals: Vec::new(),
+            lock_owners: Vec::new(),
+            lock_owner_spill: Vec::new(),
+            slots: workload
+                .threads()
+                .into_iter()
+                .map(|id| SlotState {
+                    started: id == ThreadId::MAIN,
+                    finished: false,
+                    at: StreamPos {
+                        cursor: workload.thread_trace(id).cursor(),
+                        skip: 0,
+                    },
+                    stash: None,
+                })
+                .collect(),
+        }
+    }
+
     pub(super) fn decode(
         r: &mut SectionReader,
         workload: &Workload,

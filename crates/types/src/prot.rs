@@ -121,8 +121,14 @@ impl Prot {
 
     /// True if a userspace access of kind `kind` is permitted, also requiring
     /// the user bit.
+    ///
+    /// The same truth table as `self.user() && self.allows(kind)`, written
+    /// as one mask compare: it runs on every software-TLB probe, where the
+    /// short-circuit form compiles to a chain of branches.
+    #[inline]
     pub const fn allows_user(self, kind: AccessKind) -> bool {
-        self.user() && self.allows(kind)
+        let need = Self::READ_BIT | Self::USER_BIT | ((kind.is_write() as u8) * Self::WRITE_BIT);
+        self.bits & need == need
     }
 
     /// The intersection of two protections: an access is allowed only if both
@@ -197,6 +203,20 @@ mod tests {
         let p = Prot::R_USER;
         assert!(p.allows_user(AccessKind::Read));
         assert!(!p.allows_user(AccessKind::Write));
+    }
+
+    #[test]
+    fn allows_user_mask_matches_its_definition_on_every_bit_pattern() {
+        for bits in 0..8u8 {
+            let p = Prot { bits };
+            for kind in [AccessKind::Read, AccessKind::Write] {
+                assert_eq!(
+                    p.allows_user(kind),
+                    p.user() && p.allows(kind),
+                    "{p:?}, {kind:?}"
+                );
+            }
+        }
     }
 
     #[test]

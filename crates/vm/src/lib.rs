@@ -36,11 +36,14 @@
 //! per-thread state can migrate across OS threads or be updated shard-wise
 //! without aliasing the rest of the VM), the shadow page table and protection
 //! table are chunked flat tables (`aikido_types::ChunkMap`), and each thread
-//! carries a direct-mapped software TLB over its recent successful
-//! translations. The TLB is a pure accelerator — it only serves accesses the
-//! shadow table would allow, so hits and misses produce byte-identical
-//! outcomes, charges and statistics — and it is invalidated per page whenever
-//! the thread's shadow state changes.
+//! carries a software TLB over its recent successful translations
+//! ([`AikidoVm::TLB_ENTRIES`] entries, direct-mapped on the page number). The
+//! TLB is a pure accelerator — it only serves accesses the shadow table would
+//! allow, so hits and misses produce byte-identical outcomes, charges and
+//! statistics — and it is invalidated per page whenever the thread's shadow
+//! state changes. [`AikidoVm::tlb`] exposes a thread's TLB read-only as a
+//! [`TlbLane`], so a caller can tell that an access is free without calling
+//! `touch`.
 //!
 //! # Examples
 //!
@@ -97,5 +100,6 @@ pub use hypercall::{AikidoLib, FaultMailbox, Hypercall};
 pub use kernel::{GuestKernel, GuestPte, KernelEvent, Vma, VmaBacking};
 pub use prot_table::ThreadProtTable;
 pub use shadow_pt::{ShadowPageTable, ShadowPte};
+pub use shard::TlbLane;
 pub use stats::VmStats;
 pub use vm::{AikidoVm, Charges, Touch, TouchOutcome, VmConfig};

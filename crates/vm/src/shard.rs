@@ -10,7 +10,7 @@
 //! the property the epoch-parallel engine's design (commit-ordered VM
 //! mutations, shardable per-thread state) rests on.
 
-use aikido_types::{Prot, ThreadId, Vpn};
+use aikido_types::{AccessKind, Prot, ThreadId, Vpn};
 
 use crate::prot_table::ThreadProtTable;
 use crate::shadow_pt::{ShadowPageTable, ShadowPte};
@@ -53,13 +53,8 @@ impl ThreadShard {
     }
 
     #[inline]
-    pub(crate) fn tlb_lookup(&self, page: Vpn) -> Option<Prot> {
-        let (cached_page, prot) = self.tlb[Self::tlb_slot(page)];
-        if cached_page == page {
-            Some(prot)
-        } else {
-            None
-        }
+    pub(crate) fn tlb_lane(&self) -> TlbLane<'_> {
+        TlbLane { entries: &self.tlb }
     }
 
     #[inline]
@@ -94,6 +89,33 @@ impl ThreadShard {
     pub(crate) fn set_shadow_prot(&mut self, page: Vpn, prot: Prot) -> bool {
         self.tlb_invalidate(page);
         self.shadow.set_prot(page, prot)
+    }
+}
+
+/// A read-only view of one thread's software TLB, from [`AikidoVm::tlb`].
+///
+/// [`AikidoVm::tlb`]: crate::AikidoVm::tlb
+#[derive(Copy, Clone, Debug)]
+pub struct TlbLane<'a> {
+    entries: &'a [(Vpn, Prot); TLB_ENTRIES],
+}
+
+impl TlbLane<'_> {
+    /// True if the lane caches a translation of `page` that allows a user
+    /// access of `kind`.
+    ///
+    /// A hit means [`AikidoVm::touch`] by the lane's thread, at any address
+    /// on `page`, with `kind`, would return a free [`TouchOutcome::Ok`] and
+    /// change no state: this probe *is* `touch`'s fast path. Entries hold
+    /// the protection of the thread's shadow entry at fill time, and every
+    /// change to that entry drops the page's slot first.
+    ///
+    /// [`AikidoVm::touch`]: crate::AikidoVm::touch
+    /// [`TouchOutcome::Ok`]: crate::TouchOutcome::Ok
+    #[inline]
+    pub fn hits(self, page: Vpn, kind: AccessKind) -> bool {
+        let (cached, prot) = self.entries[ThreadShard::tlb_slot(page)];
+        cached == page && prot.allows_user(kind)
     }
 }
 

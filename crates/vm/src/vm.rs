@@ -9,9 +9,11 @@
 //!   `Vec<ThreadShard>`); every per-access operation works on slots.
 //! * Each thread's shadow page table and protection table are flat chunked
 //!   tables ([`ShadowPageTable`], [`ThreadProtTable`]).
-//! * Each thread carries a one-entry software TLB caching its last successful
-//!   translation, so the dominant "same page, access allowed" case is a
-//!   compare and two loads before falling into the slow fault loop.
+//! * Each thread carries a software TLB of [`AikidoVm::TLB_ENTRIES`]
+//!   entries, direct-mapped on the page number, caching its recent
+//!   successful translations, so the dominant "recent page, access allowed"
+//!   case is a compare and two loads before falling into the slow fault
+//!   loop.
 
 use aikido_snapshot::{SectionReader, SectionWriter, SnapshotError};
 use aikido_types::{AccessKind, Addr, AikidoError, Prot, Result, ThreadId, Vpn};
@@ -21,7 +23,7 @@ use crate::frames::FrameId;
 use crate::hypercall::{AikidoLib, FaultMailbox, Hypercall};
 use crate::kernel::{GuestKernel, KernelEvent, KernelFaultResolution, Vma};
 use crate::shadow_pt::ShadowPte;
-use crate::shard::ThreadShard;
+use crate::shard::{ThreadShard, TlbLane};
 use crate::snap::{get_kind, get_prot, put_kind, put_prot};
 use crate::stats::VmStats;
 
@@ -126,6 +128,10 @@ pub struct AikidoVm {
 const MAX_FAULT_RETRIES: usize = 8;
 
 impl AikidoVm {
+    /// Entries in each thread's software TLB. Direct-mapped: pages this many
+    /// apart share a slot.
+    pub const TLB_ENTRIES: usize = crate::shard::TLB_ENTRIES;
+
     /// Creates a hypervisor instance with the given configuration.
     pub fn new(config: VmConfig) -> Self {
         let mut vm = AikidoVm {
@@ -172,6 +178,14 @@ impl AikidoVm {
         let mut ids: Vec<ThreadId> = self.threads.iter().map(|s| s.id).collect();
         ids.sort_unstable();
         ids
+    }
+
+    /// `thread`'s software TLB, read-only, or `None` if the thread is not
+    /// registered. See [`TlbLane::hits`] for what a hit guarantees.
+    #[inline]
+    pub fn tlb(&self, thread: ThreadId) -> Option<TlbLane<'_>> {
+        self.slot_of(thread)
+            .map(|slot| self.threads[slot].tlb_lane())
     }
 
     /// The dense slot of `thread`, or `None` if it is not registered.
@@ -345,9 +359,10 @@ impl AikidoVm {
     /// resolved internally and reported only through [`Charges`]; Aikido
     /// faults and fatal faults are surfaced in the [`TouchOutcome`].
     ///
-    /// The fast path — same page as the thread's last translation, access
-    /// allowed — is a one-entry TLB hit and returns a free [`Touch`] without
-    /// consulting the shadow table.
+    /// The fast path — a hit in the thread's direct-mapped software TLB for
+    /// a page it recently translated, access allowed — returns a free
+    /// [`Touch`] without consulting the shadow table. [`AikidoVm::tlb`]
+    /// exposes the same probe without the call.
     ///
     /// # Errors
     ///
@@ -359,13 +374,11 @@ impl AikidoVm {
         let page = addr.page();
 
         // Software-TLB fast path (the dominant case on unshared pages).
-        if let Some(tlb_prot) = self.threads[slot].tlb_lookup(page) {
-            if tlb_prot.allows_user(kind) {
-                return Ok(Touch {
-                    outcome: TouchOutcome::Ok,
-                    charges: Charges::default(),
-                });
-            }
+        if self.threads[slot].tlb_lane().hits(page, kind) {
+            return Ok(Touch {
+                outcome: TouchOutcome::Ok,
+                charges: Charges::default(),
+            });
         }
         self.touch_slow(slot, thread, addr, kind)
     }

@@ -9,9 +9,7 @@ use rand::distributions::{Bernoulli, Distribution, Uniform};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use aikido_types::{
-    AccessKind, Addr, BlockId, LockId, MemRef, Operation, SyncOp, ThreadId, Vpn, PAGE_SHIFT,
-};
+use aikido_types::{AccessKind, Addr, BlockId, LockId, MemRef, Operation, SyncOp, ThreadId, Vpn};
 
 use crate::workload::Workload;
 
@@ -54,13 +52,6 @@ impl AccessWord {
     #[inline]
     pub const fn page(self) -> Vpn {
         self.addr().page()
-    }
-
-    /// Equal for two words exactly when they target the same page with the
-    /// same kind: the key Aikido's whole-block-free path splits runs on.
-    #[inline]
-    pub const fn run_key(self) -> u64 {
-        self.0 >> PAGE_SHIFT
     }
 }
 
@@ -882,21 +873,7 @@ mod tests {
     }
 
     #[test]
-    fn access_words_split_runs_on_page_and_kind() {
-        let base = Addr::new(7 * aikido_types::PAGE_SIZE);
-        let read = AccessWord::new(base, AccessKind::Read);
-        assert_eq!(
-            read.run_key(),
-            AccessWord::new(base.offset(4088), AccessKind::Read).run_key()
-        );
-        assert_ne!(
-            read.run_key(),
-            AccessWord::new(base, AccessKind::Write).run_key()
-        );
-        assert_ne!(
-            read.run_key(),
-            AccessWord::new(base.offset(4096), AccessKind::Read).run_key()
-        );
+    fn access_words_round_trip_up_to_the_address_limit() {
         let top = Addr::new(AccessWord::ADDR_LIMIT - 8);
         let write = AccessWord::new(top, AccessKind::Write);
         assert_eq!((write.addr(), write.kind()), (top, AccessKind::Write));

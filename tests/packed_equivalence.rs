@@ -4,8 +4,8 @@
 //! the enum-based `ShadowStore` representation is kept behind
 //! `FastTrack::with_reference_store()`, the store `Simulator::reference()`
 //! runs on. `tests/reference_equivalence.rs` swaps every fast path at once;
-//! this suite swaps only the store — same default simulator, same kernels,
-//! same inline-check tables — so a mismatch here points at
+//! this suite swaps only the store — same default simulator, same kernels
+//! — so a mismatch here points at
 //! the packed plane alone. It requires the same `RunReport` (cycles
 //! included), detector statistics, races and reconstructed per-block
 //! metadata, serialized and compared as JSON.

@@ -1,11 +1,11 @@
 //! The one equivalence oracle: every fast path against `Simulator::reference()`.
 //!
-//! The default simulator runs the batched per-mode block kernels, FastTrack
-//! on packed shadow words and the per-thread inline-check tables.
-//! `Simulator::reference()` runs the same pipeline with each of those three
-//! swapped for its unoptimised counterpart: the scalar per-access loop, the
-//! enum `ShadowStore` and a `vm.touch` for every access. None of the fast
-//! paths may change what a run reports, so one
+//! The default simulator runs the batched per-mode block kernels, which
+//! probe the VM's per-thread TLB before calling `vm.touch`, and FastTrack on
+//! packed shadow words. `Simulator::reference()` runs the same pipeline with
+//! both swapped for their unoptimised counterparts: the scalar per-access
+//! loop, with a `vm.touch` for every access, and the enum `ShadowStore`.
+//! None of the fast paths may change what a run reports, so one
 //! helper requires, for every input here, the same `RunReport` (cycles
 //! included, so the per-access cost stream matched access by access), the
 //! same detector statistics, the same races, the same reconstructed
@@ -17,14 +17,15 @@
 //! PARSEC presets in every mode, racy and barrier-heavy workloads, the
 //! spill-pressure scenario at thread counts straddling the inline-lane
 //! budget, lock ids past the dense owner table, blocks too wide for the
-//! 64-bit instrumentation mask, and private areas wider than the
-//! direct-mapped inline-check table.
+//! 64-bit instrumentation mask, and private areas wider than the VM's
+//! direct-mapped per-thread TLB.
 //!
 //! The CI `reference-equivalence` lane runs this file in release mode at
 //! `AIKIDO_SCALE=0.05`.
 
 use aikido::fasttrack::FastTrack;
 use aikido::types::LockId;
+use aikido::vm::AikidoVm;
 use aikido::workloads::{racy_workload, spill_pressure_workload};
 use aikido::{
     AccessContext, AnalysisReport, Mode, RunReport, SharedDataAnalysis, SimConfig, Simulator,
@@ -269,15 +270,15 @@ fn wide_blocks_match_the_reference() {
     }
 }
 
-/// A spec whose per-thread private area spans more pages than the
-/// inline-check table has entries, so pages `INLINE_TLB_ENTRIES` apart are
+/// A spec whose per-thread private area spans more pages than the VM's
+/// per-thread TLB has entries, so pages `AikidoVm::TLB_ENTRIES` apart are
 /// hit through the same direct-mapped slot.
 fn aliasing_spec(seed: u64, threads: u32, extra_pages: u64) -> WorkloadSpec {
     WorkloadSpec {
         name: format!("tlb-alias-{seed}"),
         threads,
         mem_accesses_per_thread: 1_500,
-        private_pages_per_thread: Simulator::INLINE_TLB_ENTRIES as u64 + extra_pages,
+        private_pages_per_thread: AikidoVm::TLB_ENTRIES as u64 + extra_pages,
         ..WorkloadSpec::default()
     }
     .with_seed(seed)
@@ -288,7 +289,7 @@ fn colliding_pages_share_a_direct_mapped_slot() {
     // The premise of the aliasing inputs: addresses one table-span apart
     // collide. (A pure arithmetic fact, pinned so a future table resize
     // keeps the workloads below actually aliasing.)
-    let entries = Simulator::INLINE_TLB_ENTRIES;
+    let entries = AikidoVm::TLB_ENTRIES;
     let slot = |page: u64| (page as usize) & (entries - 1);
     assert_eq!(slot(7), slot(7 + entries as u64));
     assert_ne!(slot(7), slot(8));
@@ -306,7 +307,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random seeds, thread counts and area widths: every (thread, page,
-    /// kind) stream — including ones that thrash a single inline-check slot
+    /// kind) stream — including ones that thrash a single TLB slot
     /// from several threads — must be invisible in the report.
     #[test]
     fn aliased_random_workloads_match_the_reference(
