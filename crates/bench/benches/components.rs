@@ -6,9 +6,12 @@ use aikido::dbi::{DbiEngine, Program, StaticInstr};
 use aikido::fasttrack::FastTrack;
 use aikido::shadow::{DualShadow, RegionKind, ShadowStore, TranslationCache};
 use aikido::types::AddrMode;
-use aikido::types::{AccessKind, Addr, BlockId, InstrId, LockId, Prot, ThreadId};
+use aikido::types::{
+    AccessContext, AccessKind, Addr, AnalysisReport, BlockId, InstrId, LockId, Prot,
+    SharedDataAnalysis, ThreadId,
+};
 use aikido::vm::{AikidoVm, Hypercall, VmConfig};
-use aikido::workloads::BlockExec;
+use aikido::workloads::{spill_pressure_workload, BlockExec};
 use aikido::{CheckpointOutcome, Mode, Simulator, Snapshot, Workload, WorkloadSpec};
 
 fn bench_vector_clock_detector(c: &mut Criterion) {
@@ -240,6 +243,158 @@ fn bench_trace_generation(c: &mut Criterion) {
     group.finish();
 }
 
+/// One FastTrack callback as the simulator made it; a batch is a range of
+/// [`Recording::accesses`].
+enum Event {
+    Access(AccessContext),
+    Batch(std::ops::Range<usize>),
+    Acquire(ThreadId, LockId),
+    Release(ThreadId, LockId),
+    Fork(ThreadId, ThreadId),
+    Join(ThreadId, ThreadId),
+    Barrier(Vec<ThreadId>, u32),
+    ThreadExit(ThreadId),
+}
+
+/// A full-mode run's FastTrack callbacks, in order.
+#[derive(Default)]
+struct Recording {
+    accesses: Vec<AccessContext>,
+    events: Vec<Event>,
+}
+
+impl Recording {
+    /// Replays every callback into `analysis`, exactly as the simulator
+    /// delivered them.
+    fn replay(&self, analysis: &mut impl SharedDataAnalysis) {
+        let mut costs = Vec::new();
+        for event in &self.events {
+            match event {
+                Event::Access(cx) => analysis.on_access(*cx),
+                Event::Batch(range) => {
+                    analysis.on_access_batch(&self.accesses[range.clone()], &mut costs)
+                }
+                Event::Acquire(t, l) => analysis.on_acquire(*t, *l),
+                Event::Release(t, l) => analysis.on_release(*t, *l),
+                Event::Fork(p, c) => analysis.on_fork(*p, *c),
+                Event::Join(p, c) => analysis.on_join(*p, *c),
+                Event::Barrier(threads, id) => analysis.on_barrier(threads, *id),
+                Event::ThreadExit(t) => analysis.on_thread_exit(*t),
+            }
+        }
+    }
+}
+
+/// A FastTrack that records every callback it receives. The recorded run
+/// is the real one: the simulator charges FastTrack's own costs, so the
+/// schedule, and with it the event order, is the one a plain run sees.
+#[derive(Default)]
+struct Recorder {
+    inner: FastTrack,
+    log: Recording,
+}
+
+impl SharedDataAnalysis for Recorder {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn on_access(&mut self, cx: AccessContext) {
+        self.log.events.push(Event::Access(cx));
+        self.inner.on_access(cx);
+    }
+    fn on_access_batch(&mut self, run: &[AccessContext], costs: &mut Vec<u64>) {
+        let start = self.log.accesses.len();
+        self.log.accesses.extend_from_slice(run);
+        self.log
+            .events
+            .push(Event::Batch(start..self.log.accesses.len()));
+        self.inner.on_access_batch(run, costs);
+    }
+    fn on_acquire(&mut self, thread: ThreadId, lock: LockId) {
+        self.log.events.push(Event::Acquire(thread, lock));
+        self.inner.on_acquire(thread, lock);
+    }
+    fn on_release(&mut self, thread: ThreadId, lock: LockId) {
+        self.log.events.push(Event::Release(thread, lock));
+        self.inner.on_release(thread, lock);
+    }
+    fn on_fork(&mut self, parent: ThreadId, child: ThreadId) {
+        self.log.events.push(Event::Fork(parent, child));
+        self.inner.on_fork(parent, child);
+    }
+    fn on_join(&mut self, parent: ThreadId, child: ThreadId) {
+        self.log.events.push(Event::Join(parent, child));
+        self.inner.on_join(parent, child);
+    }
+    fn on_barrier(&mut self, threads: &[ThreadId], id: u32) {
+        self.log.events.push(Event::Barrier(threads.to_vec(), id));
+        self.inner.on_barrier(threads, id);
+    }
+    fn on_thread_exit(&mut self, thread: ThreadId) {
+        self.log.events.push(Event::ThreadExit(thread));
+        self.inner.on_thread_exit(thread);
+    }
+    fn reports(&self) -> Vec<AnalysisReport> {
+        self.inner.reports()
+    }
+    fn access_cost_cycles(&self) -> u64 {
+        self.inner.access_cost_cycles()
+    }
+    fn last_access_cost_cycles(&self) -> u64 {
+        self.inner.last_access_cost_cycles()
+    }
+    fn sync_cost_cycles(&self) -> u64 {
+        self.inner.sync_cost_cycles()
+    }
+}
+
+/// FastTrack on its own: each perfbench workload's full-mode callbacks are
+/// recorded once, and every iteration replays them into a fresh detector.
+/// No scheduler, kernel or trace generation runs inside the timed loop;
+/// divide ns/iter by the printed access count for ns per access.
+fn bench_fasttrack_replay(c: &mut Criterion) {
+    let specs = [
+        (
+            "low_sharing",
+            WorkloadSpec::parsec("raytrace").expect("known preset"),
+        ),
+        (
+            "high_sharing",
+            WorkloadSpec::parsec("fluidanimate").expect("known preset"),
+        ),
+        ("read_shared", spill_pressure_workload(8).scaled(8.0)),
+    ];
+    let mut group = c.benchmark_group("fasttrack_replay");
+    group.sample_size(10);
+    for (name, spec) in specs {
+        let workload = Workload::generate(&spec);
+        let mut recorder = Recorder::default();
+        Simulator::default().run_with_analysis(&workload, Mode::FullInstrumentation, &mut recorder);
+        let log = recorder.log;
+        let mut check = FastTrack::new();
+        log.replay(&mut check);
+        assert_eq!(check.stats(), recorder.inner.stats(), "replay of {name}");
+        let stats = check.stats();
+        println!(
+            "fasttrack_replay/{name}: {} accesses ({} same-epoch, {} first touches, \
+             {} spills) in {} callbacks per replay",
+            stats.reads + stats.writes,
+            stats.read_same_epoch + stats.write_same_epoch,
+            stats.blocks_tracked,
+            check.spill_stats().spills,
+            log.events.len()
+        );
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut ft = FastTrack::new();
+                log.replay(&mut ft);
+                black_box(ft.stats().reads)
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_vector_clock_detector,
@@ -248,6 +403,7 @@ criterion_group!(
     bench_dbi,
     bench_checkpoint_period,
     bench_checkpoint_codec,
-    bench_trace_generation
+    bench_trace_generation,
+    bench_fasttrack_replay
 );
 criterion_main!(benches);

@@ -97,11 +97,12 @@ fn read_fast_path(state: &VarState, thread: ThreadId, epoch: Epoch) -> bool {
 /// the unspilled read lane, one for the spilled same-epoch hint, one for
 /// the unspilled write lane and one for the spilled *owned*-write check —
 /// each a single masked compare — plus the packed field itself, which the
-/// unspilled slow paths install. Packed once per scalar access, and once
-/// per batch in [`FastTrack::on_access_batch`]. `None` when the epoch
-/// exceeds the packing budget — exactly when no packed word can match it.
+/// unspilled slow paths install. Packed once per call of the access kernel
+/// (a batch, or one scalar access). `None` when the epoch exceeds the
+/// packing budget — exactly when no packed word can match it.
 #[derive(Copy, Clone)]
 struct EpochProbes {
+    epoch: Epoch,
     field: u64,
     read: u64,
     hint: u64,
@@ -113,6 +114,7 @@ impl EpochProbes {
     #[inline]
     fn pack(epoch: Epoch) -> Option<EpochProbes> {
         pack_epoch(epoch).map(|field| EpochProbes {
+            epoch,
             field,
             read: ShadowWord::read_probe(field),
             hint: ShadowWord::spill_hint_probe(field),
@@ -147,6 +149,89 @@ fn spill_hint_after(state: &VarState, read_epoch: Option<Epoch>) -> u64 {
 fn ownership_word(word: ShadowWord, write: Epoch, field: u64) -> ShadowWord {
     let owned = field != 0 && pack_epoch(write) == Some(field);
     word.with_ownership(field, owned)
+}
+
+/// The hot front of a packed read, on the kernel's split borrows: the
+/// same-epoch word probe and the race-free unspilled word path. Returns the
+/// access's cost when it decided the read (statistics and word updated), or
+/// `None`, leaving everything else — spilled words, promotions, races — to
+/// [`FastTrack::read_packed_tail`] with the word untouched. [`read_slow`]
+/// stays the spec: the word path is proven equal to it on unspilled words.
+#[inline]
+fn read_packed(
+    vars: &mut PackedVars,
+    stats: &mut FastTrackStats,
+    vc: &VectorClock,
+    probes: EpochProbes,
+    handle: SlabHandle,
+    slot: usize,
+    word: ShadowWord,
+) -> Option<u64> {
+    // One masked compare covers "unspilled ∧ exclusive-read epoch equals
+    // ours", a second "spilled ∧ same-epoch hint equals ours" (owner tag
+    // excluded from the mask, so the hint answers whichever thread it
+    // names): either way the side arena is never touched.
+    if word.matches_read(probes.read) || word.matches_spill_hint(probes.hint) {
+        stats.read_same_epoch += 1;
+        return Some(cost::SAME_EPOCH);
+    }
+    if word.is_spilled() {
+        // A hint naming another thread: the slot's epoch lane answers the
+        // first INLINE_LANES threads exactly (see `SpillSlot`).
+        let lane = probes.epoch.thread().index();
+        if lane < INLINE_LANES && vars.spill_slot(word).lane_clock(lane) == probes.epoch.clock() {
+            stats.read_same_epoch += 1;
+            return Some(cost::SAME_EPOCH);
+        }
+        return None;
+    }
+    // The common slow read: the prior read happens-before this one, so our
+    // epoch replaces it in the word (two field compares and one store).
+    match read_word(word, vc, probes.field) {
+        Some((word, out)) if !out.write_race => {
+            vars.set_word_at(handle, slot, word);
+            Some(out.cost)
+        }
+        _ => None,
+    }
+}
+
+/// The hot front of a packed write (see [`read_packed`]): the same-epoch
+/// word probe and the race-free unspilled word path, else `None` for
+/// [`FastTrack::write_packed_tail`]. [`write_slow`] stays the spec.
+#[inline]
+fn write_packed(
+    vars: &mut PackedVars,
+    stats: &mut FastTrackStats,
+    vc: &VectorClock,
+    probes: EpochProbes,
+    handle: SlabHandle,
+    slot: usize,
+    word: ShadowWord,
+) -> Option<u64> {
+    // One masked compare against the write lane, plus the ownership-epoch
+    // compare for spilled blocks: a spilled word whose owner tag is set
+    // carries a hint equal to the block's write epoch, so the owner's
+    // repeat write is answered by the word alone.
+    if word.matches_write(probes.write) || word.matches_owned_write(probes.owned) {
+        stats.write_same_epoch += 1;
+        return Some(cost::SAME_EPOCH);
+    }
+    if word.is_spilled() {
+        if vars.spill_slot(word).write_epoch() == probes.epoch {
+            stats.write_same_epoch += 1;
+            return Some(cost::SAME_EPOCH);
+        }
+        return None;
+    }
+    // An unspilled word holds an exclusive read history, so the write only
+    // replaces the write field.
+    let (word, out) = write_word(word, vc, probes.field);
+    if out.write_race || out.read_race {
+        return None;
+    }
+    vars.set_word_at(handle, slot, word);
+    Some(out.cost)
 }
 
 /// What the slow read path did to a variable's state; the caller applies the
@@ -402,46 +487,148 @@ impl FastTrack {
 
     /// Processes a read, recording the static instruction for reports.
     pub fn read_at(&mut self, thread: ThreadId, addr: Addr, instr: Option<InstrId>) {
-        self.stats.reads += 1;
-        let threads_known = self.threads.len().max(1) as u64;
-        let epoch = self.thread_vc(thread).epoch_of(thread);
-        let probes = EpochProbes::pack(epoch);
-        self.read_with_epoch(thread, addr, instr, epoch, probes, threads_known);
+        self.access_kernel(thread, &[(AccessKind::Read, addr, instr)], |a| a, |_| {});
     }
 
-    /// The body of [`FastTrack::read_at`] with the per-access prolog (thread
-    /// clock ensure + epoch extraction + probe packing + known-thread count)
-    /// hoisted out, so [`FastTrack::on_access_batch`] can snapshot it once
-    /// per batch. Reads and writes never create thread clocks or advance
-    /// epochs, so the hoisted values stay exactly what the scalar path would
-    /// recompute per access.
+    /// The single access kernel: runs `run` — accesses by `thread` with no
+    /// synchronisation between them, each viewed as `(kind, address,
+    /// instruction)` — and hands every access's cost to `sink`, in order.
+    ///
+    /// The prolog runs once: it ensures the thread's clock, packs the epoch
+    /// probes and counts the known threads before and after the ensure.
+    /// Accesses never create clocks or advance epochs, so these are exactly
+    /// what the scalar path recomputes per access, with one exception: an
+    /// access that creates the clock sees the before-ensure count, and only
+    /// the first access can be that one.
+    ///
+    /// On the packed plane with the epoch optimisation and a packable epoch,
+    /// the clock is then borrowed once, and every access — the first
+    /// included — is located and decided inline by the hot fronts
+    /// ([`read_packed`]/[`write_packed`]). An access the fronts leave
+    /// undecided, and every access in any other configuration, takes the
+    /// out-of-line [`FastTrack::access_slow`].
     #[inline]
-    fn read_with_epoch(
+    fn access_kernel<I: Copy>(
         &mut self,
         thread: ThreadId,
-        addr: Addr,
-        instr: Option<InstrId>,
+        run: &[I],
+        view: impl Fn(I) -> (AccessKind, Addr, Option<InstrId>),
+        mut sink: impl FnMut(u64),
+    ) {
+        let known_before = self.threads.len().max(1) as u64;
+        let epoch = self.thread_vc(thread).epoch_of(thread);
+        let known_after = self.threads.len().max(1) as u64;
+        let probes = EpochProbes::pack(epoch);
+        let hot = probes.filter(|_| self.config.epoch_optimization);
+        let mut next = 0;
+        while next < run.len() {
+            let mut missed = None;
+            if let (Some(hot), VarStorage::Packed(vars)) = (hot, &mut self.vars) {
+                let vc = self
+                    .threads
+                    .get(thread.index() as u64)
+                    .expect("the prolog ensured the thread clock");
+                for &item in &run[next..] {
+                    let (kind, addr, _) = view(item);
+                    let (handle, slot) = vars.locate(addr);
+                    let word = vars.word_at(handle, slot);
+                    self.stats.blocks_tracked += u64::from(word.is_empty());
+                    let decided = match kind {
+                        AccessKind::Read => {
+                            self.stats.reads += 1;
+                            read_packed(vars, &mut self.stats, vc, hot, handle, slot, word)
+                        }
+                        AccessKind::Write => {
+                            self.stats.writes += 1;
+                            write_packed(vars, &mut self.stats, vc, hot, handle, slot, word)
+                        }
+                    };
+                    let Some(cost) = decided else {
+                        missed = Some((handle, slot, word));
+                        break;
+                    };
+                    // Both front costs are at least `SAME_EPOCH`, so this is
+                    // what `last_access_cost_cycles` reports.
+                    self.last_cost = cost;
+                    sink(cost);
+                    next += 1;
+                }
+            }
+            let Some(&item) = run.get(next) else {
+                break;
+            };
+            let threads_known = if next == 0 { known_before } else { known_after };
+            self.access_slow(thread, view(item), epoch, probes, threads_known, missed);
+            sink(self.last_access_cost_cycles());
+            next += 1;
+        }
+    }
+
+    /// One access the hot fronts did not decide: everything on the reference
+    /// store, every packed access when the epoch optimisation is off or the
+    /// epoch does not pack, and the packed fronts' misses. `missed` carries
+    /// a front miss's located word, whose statistics the kernel has already
+    /// counted; `None` means the access starts here.
+    ///
+    /// Out of line, but not `#[cold]`: on read_shared two accesses in three
+    /// are spilled read-shared updates that come here, and marking this path
+    /// cold made that workload's FastTrack replay 5–12% slower.
+    #[inline(never)]
+    fn access_slow(
+        &mut self,
+        thread: ThreadId,
+        (kind, addr, instr): (AccessKind, Addr, Option<InstrId>),
         epoch: Epoch,
         probes: Option<EpochProbes>,
         threads_known: u64,
+        missed: Option<(SlabHandle, usize, ShadowWord)>,
     ) {
-        match &mut self.vars {
-            VarStorage::Reference(_) => {
-                self.read_reference(thread, addr, instr, epoch, threads_known);
+        let (handle, slot, word) = match missed {
+            Some(located) => located,
+            None => {
+                match kind {
+                    AccessKind::Read => self.stats.reads += 1,
+                    AccessKind::Write => self.stats.writes += 1,
+                }
+                let VarStorage::Packed(vars) = &mut self.vars else {
+                    return match kind {
+                        AccessKind::Read => {
+                            self.read_reference(thread, addr, instr, epoch, threads_known)
+                        }
+                        AccessKind::Write => {
+                            self.write_reference(thread, addr, instr, epoch, threads_known)
+                        }
+                    };
+                };
+                let (handle, slot) = vars.locate(addr);
+                let word = vars.word_at(handle, slot);
+                self.stats.blocks_tracked += u64::from(word.is_empty());
+                (handle, slot, word)
             }
-            VarStorage::Packed(vars) => {
-                let (handle, slot, _block) = vars.locate(addr);
-                self.read_packed(
-                    handle,
-                    slot,
-                    thread,
-                    addr,
-                    instr,
-                    epoch,
-                    probes,
-                    threads_known,
-                );
-            }
+        };
+        match kind {
+            AccessKind::Read => self.read_packed_tail(
+                handle,
+                slot,
+                word,
+                thread,
+                addr,
+                instr,
+                epoch,
+                probes,
+                threads_known,
+            ),
+            AccessKind::Write => self.write_packed_tail(
+                handle,
+                slot,
+                word,
+                thread,
+                addr,
+                instr,
+                epoch,
+                probes,
+                threads_known,
+            ),
         }
     }
 
@@ -482,16 +669,21 @@ impl FastTrack {
         self.apply_read_outcome(out, thread, addr, instr);
     }
 
-    /// One read against the packed plane. `probes` carries the thread's
-    /// epoch pre-positioned for both word lanes (`None` when the epoch
-    /// exceeds the packing budget, in which case no packed word can match
-    /// it — exactly when the reference fast path would miss too).
+    /// The tail of a packed read, inlined into the out-of-line
+    /// [`FastTrack::access_slow`]: everything [`read_packed`] leaves
+    /// undecided — spilled words, promotions, races, spill creation — plus
+    /// every packed read when the epoch optimisation is off or the epoch
+    /// does not pack (`probes` is `None` exactly when it exceeds the packing
+    /// budget). `word` is the block's word, already counted if it was
+    /// empty. The front's same-epoch word probe applies only when the
+    /// optimisation is on and the epoch packs, so it is never repeated here.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    fn read_packed(
+    fn read_packed_tail(
         &mut self,
         handle: SlabHandle,
         slot: usize,
+        word: ShadowWord,
         thread: ThreadId,
         addr: Addr,
         instr: Option<InstrId>,
@@ -503,26 +695,6 @@ impl FastTrack {
         let VarStorage::Packed(vars) = &mut self.vars else {
             unreachable!("caller matched the packed storage");
         };
-        let word = vars.word_at(handle, slot);
-        if word.is_empty() {
-            self.stats.blocks_tracked += 1;
-        }
-
-        // Same-epoch fast path, decided on the packed word alone: one
-        // masked compare covers "unspilled ∧ exclusive-read epoch equals
-        // ours", a second covers "spilled ∧ same-epoch hint equals ours"
-        // (owner tag excluded from the mask, so the hint answers whichever
-        // thread it names) — either way the side arena is never touched.
-        if use_epochs {
-            if let Some(probes) = probes {
-                if word.matches_read(probes.read) || word.matches_spill_hint(probes.hint) {
-                    self.stats.read_same_epoch += 1;
-                    self.last_cost = cost::SAME_EPOCH;
-                    return;
-                }
-            }
-        }
-
         if word.is_spilled() {
             // Full state in the side arena — one direct index, no second
             // probe. The fast path still applies even when the word hint
@@ -595,10 +767,10 @@ impl FastTrack {
                 .threads
                 .get(thread.index() as u64)
                 .expect("caller ensured the thread clock");
-            // The common slow read — the prior read happens-before this one
-            // and our epoch packs — is decided on the word itself: two field
-            // compares and one store. Promotions, unpackable epochs and the
-            // epoch-free configuration take `read_slow` below.
+            // The front declined this word, so the read races or promotes.
+            // A racy read whose prior read happens-before it still stays in
+            // the word. Promotions, unpackable epochs and the epoch-free
+            // configuration take `read_slow` below.
             if let Some(probes) = probes.filter(|_| use_epochs) {
                 if let Some((word, out)) = read_word(word, vc, probes.field) {
                     vars.set_word_at(handle, slot, word);
@@ -655,43 +827,7 @@ impl FastTrack {
 
     /// Processes a write, recording the static instruction for reports.
     pub fn write_at(&mut self, thread: ThreadId, addr: Addr, instr: Option<InstrId>) {
-        self.stats.writes += 1;
-        let threads_known = self.threads.len().max(1) as u64;
-        let epoch = self.thread_vc(thread).epoch_of(thread);
-        let probes = EpochProbes::pack(epoch);
-        self.write_with_epoch(thread, addr, instr, epoch, probes, threads_known);
-    }
-
-    /// The body of [`FastTrack::write_at`] with the per-access prolog hoisted
-    /// out (see [`FastTrack::read_with_epoch`]).
-    #[inline]
-    fn write_with_epoch(
-        &mut self,
-        thread: ThreadId,
-        addr: Addr,
-        instr: Option<InstrId>,
-        epoch: Epoch,
-        probes: Option<EpochProbes>,
-        threads_known: u64,
-    ) {
-        match &mut self.vars {
-            VarStorage::Reference(_) => {
-                self.write_reference(thread, addr, instr, epoch, threads_known);
-            }
-            VarStorage::Packed(vars) => {
-                let (handle, slot, _block) = vars.locate(addr);
-                self.write_packed(
-                    handle,
-                    slot,
-                    thread,
-                    addr,
-                    instr,
-                    epoch,
-                    probes,
-                    threads_known,
-                );
-            }
-        }
+        self.access_kernel(thread, &[(AccessKind::Write, addr, instr)], |a| a, |_| {});
     }
 
     /// One write against the reference (enum) store.
@@ -728,14 +864,18 @@ impl FastTrack {
         self.apply_write_outcome(out, thread, addr, instr);
     }
 
-    /// One write against the packed plane (see [`FastTrack::read_packed`]
-    /// for the probe contract).
+    /// The tail of a packed write, inlined into the out-of-line
+    /// [`FastTrack::access_slow`]: everything [`write_packed`] leaves
+    /// undecided — spilled words, races, spill creation — plus every packed
+    /// write when the epoch optimisation is off or the epoch does not pack
+    /// (see [`FastTrack::read_packed_tail`]).
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    fn write_packed(
+    fn write_packed_tail(
         &mut self,
         handle: SlabHandle,
         slot: usize,
+        word: ShadowWord,
         thread: ThreadId,
         addr: Addr,
         instr: Option<InstrId>,
@@ -747,26 +887,6 @@ impl FastTrack {
         let VarStorage::Packed(vars) = &mut self.vars else {
             unreachable!("caller matched the packed storage");
         };
-        let word = vars.word_at(handle, slot);
-        if word.is_empty() {
-            self.stats.blocks_tracked += 1;
-        }
-
-        // Same-epoch fast path: one masked compare against the write lane,
-        // plus the ownership-epoch compare for spilled blocks — a spilled
-        // word whose owner tag is set carries a hint equal to the block's
-        // write epoch, so the owner's repeat write is answered by the word
-        // alone, never touching the arena.
-        if use_epochs {
-            if let Some(probes) = probes {
-                if word.matches_write(probes.write) || word.matches_owned_write(probes.owned) {
-                    self.stats.write_same_epoch += 1;
-                    self.last_cost = cost::SAME_EPOCH;
-                    return;
-                }
-            }
-        }
-
         if word.is_spilled() {
             let entry = vars.spill_slot_mut(word);
             if use_epochs && entry.write_epoch() == epoch {
@@ -804,8 +924,10 @@ impl FastTrack {
                 .get(thread.index() as u64)
                 .expect("caller ensured the thread clock");
             // An unspilled word holds an exclusive read history, so when our
-            // epoch packs the write is decided on the word itself; only an
-            // unpackable epoch (which must spill) takes `write_slow` below.
+            // epoch packs the write is decided on the word itself: here a
+            // racy write the front declined, or any write with the epoch
+            // optimisation off. Only an unpackable epoch (which must spill)
+            // takes `write_slow` below.
             if let Some(probes) = probes {
                 let (word, out) = write_word(word, vc, probes.field);
                 vars.set_word_at(handle, slot, word);
@@ -1355,60 +1477,41 @@ fn get_epoch(r: &mut SectionReader<'_>) -> Result<Epoch, SnapshotError> {
     Ok(Epoch::new(clock, ThreadId::new(thread)))
 }
 
+/// An [`AccessContext`] as the access kernel sees it.
+#[inline]
+fn context_view(cx: AccessContext) -> (AccessKind, Addr, Option<InstrId>) {
+    (cx.kind, cx.addr, Some(cx.instr))
+}
+
 impl SharedDataAnalysis for FastTrack {
     fn name(&self) -> &'static str {
         "fasttrack"
     }
 
+    /// A batch of one through the access kernel (see
+    /// [`SharedDataAnalysis::on_access_batch`]).
     fn on_access(&mut self, cx: AccessContext) {
-        match cx.kind {
-            AccessKind::Read => self.read_at(cx.thread, cx.addr, Some(cx.instr)),
-            AccessKind::Write => self.write_at(cx.thread, cx.addr, Some(cx.instr)),
-        }
+        self.access_kernel(cx.thread, &[cx], context_view, |_| {});
     }
 
+    /// The packed store's single access kernel: the thread's clock is
+    /// ensured, the epoch probes packed and the clock borrowed once per
+    /// batch, and every access — the first no longer special — is located
+    /// and decided inline unless it leaves the hot path (spilled words,
+    /// promotions, races, unpackable epochs). The known-thread count each
+    /// access's cost sees is the scalar path's: before the clock ensure for
+    /// the first access, after it for the rest.
     fn on_access_batch(&mut self, run: &[AccessContext], costs: &mut Vec<u64>) {
         costs.clear();
-        let Some((first, rest)) = run.split_first() else {
+        let Some(first) = run.first() else {
             return;
         };
+        debug_assert!(
+            run.iter().all(|cx| cx.thread == first.thread),
+            "a batch belongs to one thread"
+        );
         costs.reserve(run.len());
-        // The first access runs the full scalar path (it may be the one that
-        // creates the thread's clock, in which case the scalar path's
-        // before-ensure `threads_known` must be reproduced exactly).
-        self.on_access(*first);
-        costs.push(self.last_access_cost_cycles());
-        if rest.is_empty() {
-            return;
-        }
-        // Snapshot the per-access prolog once: accesses never create thread
-        // clocks for an already-known thread, never advance its epoch, and a
-        // batch contains no synchronisation, so every remaining access would
-        // recompute exactly these values. Each access still locates its own
-        // slab: a batch may span pages (full mode delivers whole blocks).
-        let thread = first.thread;
-        let threads_known = self.threads.len().max(1) as u64;
-        let epoch = self
-            .threads
-            .get(thread.index() as u64)
-            .expect("first access ensured the thread clock")
-            .epoch_of(thread);
-        let probes = EpochProbes::pack(epoch);
-        for cx in rest {
-            debug_assert_eq!(cx.thread, thread, "a batch belongs to one thread");
-            let instr = Some(cx.instr);
-            match cx.kind {
-                AccessKind::Read => {
-                    self.stats.reads += 1;
-                    self.read_with_epoch(thread, cx.addr, instr, epoch, probes, threads_known);
-                }
-                AccessKind::Write => {
-                    self.stats.writes += 1;
-                    self.write_with_epoch(thread, cx.addr, instr, epoch, probes, threads_known);
-                }
-            }
-            costs.push(self.last_access_cost_cycles());
-        }
+        self.access_kernel(first.thread, run, context_view, |cost| costs.push(cost));
     }
 
     fn on_acquire(&mut self, thread: ThreadId, lock: LockId) {
@@ -1776,6 +1879,76 @@ mod tests {
             assert!(!scalar.races().is_empty());
             assert_eq!(batched.races(), scalar.races());
             assert_eq!(batched.var_states(), scalar.var_states());
+        }
+    }
+
+    #[test]
+    fn batch_that_creates_the_clock_and_promotes_matches_scalar_delivery() {
+        use aikido_types::{BlockId, InstrId};
+        let cx = |thread: u32, a: u64, kind, i: u16| AccessContext {
+            thread: t(thread),
+            addr: Addr::new(a),
+            kind,
+            size: 8,
+            instr: InstrId::new(BlockId::new(8), i),
+        };
+        // Threads 0 and 1 share the read history of 0xa00; thread 0 alone
+        // has read 0xa08.
+        let prefix = [
+            cx(0, 0xa00, AccessKind::Read, 0),
+            cx(1, 0xa00, AccessKind::Read, 1),
+            cx(0, 0xa08, AccessKind::Read, 2),
+        ];
+        // Thread 2's first access creates its clock and reads the shared
+        // history, whose cost counts the known threads *before* the clock
+        // exists. Its second access promotes 0xa08's read history; its
+        // write to 0xa00 counts the threads after and races with both
+        // readers.
+        let batch = [
+            cx(2, 0xa00, AccessKind::Read, 0),
+            cx(2, 0xa08, AccessKind::Read, 1),
+            cx(2, 0xa00, AccessKind::Read, 2),
+            cx(2, 0xa10, AccessKind::Write, 3),
+            cx(2, 0xa00, AccessKind::Write, 4),
+        ];
+        for packed in [true, false] {
+            let mut scalar = FastTrack::with_storage(FastTrackConfig::default(), packed);
+            let mut batched = FastTrack::with_storage(FastTrackConfig::default(), packed);
+            for &p in &prefix {
+                scalar.on_access(p);
+                batched.on_access(p);
+            }
+            let mut scalar_costs = Vec::new();
+            for &a in &batch {
+                scalar.on_access(a);
+                scalar_costs.push(scalar.last_access_cost_cycles());
+            }
+            let mut batched_costs = Vec::new();
+            batched.on_access_batch(&batch, &mut batched_costs);
+
+            let shared =
+                |threads_known| cost::SHARED_BASE + cost::SHARED_PER_THREAD * threads_known;
+            assert_eq!(
+                scalar_costs,
+                [
+                    shared(2),
+                    cost::PROMOTE_SHARED,
+                    cost::SAME_EPOCH,
+                    cost::EXCLUSIVE,
+                    shared(3) + cost::REPORT,
+                ],
+                "packed {packed}"
+            );
+            assert_eq!(batched_costs, scalar_costs, "packed {packed}");
+            assert_eq!(
+                batched.last_access_cost_cycles(),
+                scalar.last_access_cost_cycles()
+            );
+            assert_eq!(batched.stats(), scalar.stats());
+            assert_eq!(batched.stats().read_share_promotions, 2);
+            assert_eq!(batched.var_states(), scalar.var_states());
+            assert_eq!(batched.races().len(), 1);
+            assert_eq!(batched.races(), scalar.races());
         }
     }
 

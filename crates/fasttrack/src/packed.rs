@@ -510,14 +510,11 @@ impl PackedVars {
     }
 
     /// Resolves the slab of `addr`'s block (allocating if needed) and
-    /// returns `(handle, slot, block)`. The handle stays valid until the
-    /// next resolve — spill-table operations never invalidate it — so a run
-    /// of same-page accesses resolves once and indexes by slot thereafter.
+    /// returns `(handle, slot)`. The handle stays valid until the next
+    /// resolve; spill-table operations never invalidate it.
     #[inline]
-    pub fn locate(&mut self, addr: Addr) -> (SlabHandle, usize, u64) {
-        let block = self.block_of(addr);
-        let (handle, slot) = self.slabs.resolve(block);
-        (handle, slot, block)
+    pub fn locate(&mut self, addr: Addr) -> (SlabHandle, usize) {
+        self.slabs.resolve(self.block_of(addr))
     }
 
     /// Resolves the slab containing `block` (see [`PackedVars::locate`]).
@@ -732,9 +729,9 @@ mod tests {
             write: Epoch::new(4, t(0)),
             read: ReadState::Shared(Box::new(rvc)),
         };
-        let (handle, slot, _) = vars.locate(Addr::new(10 * 8));
+        let (handle, slot) = vars.locate(Addr::new(10 * 8));
         vars.set_word_at(handle, slot, encode_state(&packable).expect("fits"));
-        let (handle, slot, _) = vars.locate(Addr::new(700 * 8));
+        let (handle, slot) = vars.locate(Addr::new(700 * 8));
         let marker = vars.spill(spilled.clone());
         vars.set_word_at(handle, slot, marker);
         assert_eq!(vars.len(), 2);
@@ -841,7 +838,7 @@ mod tests {
     #[test]
     fn locate_is_stable_across_spill_operations() {
         let mut vars = PackedVars::new(8);
-        let (handle, slot, _block) = vars.locate(Addr::new(0x2000));
+        let (handle, slot) = vars.locate(Addr::new(0x2000));
         let marker = vars.spill(VarState::default());
         vars.set_word_at(handle, slot, marker);
         assert!(vars.word_at(handle, slot).is_spilled());

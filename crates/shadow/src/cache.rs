@@ -84,7 +84,6 @@ const MAX_DENSE_LANES: usize = 1 << 16;
 /// Resolves (creating if necessary) the lane of thread index `idx`. A free
 /// function over the two lane fields so a caller can hold the lane while
 /// still updating the cache's statistics (disjoint borrows).
-#[inline]
 fn lane_mut<'a>(
     lanes: &'a mut Vec<ThreadLane>,
     spill_lanes: &'a mut Vec<(usize, ThreadLane)>,
@@ -107,9 +106,8 @@ fn lane_mut<'a>(
 }
 
 /// One translation against an already-resolved lane: the exact per-access
-/// semantics of [`TranslationCache::access`] minus the lane lookup, shared by
-/// the scalar and the batched entry points so the two cannot drift apart.
-#[inline]
+/// semantics of [`TranslationCache::access`] minus the lane lookup and the
+/// translation count. Out of line: `access` answers the common hit itself.
 fn probe_one(
     lane: &mut ThreadLane,
     stats: &mut ShadowStats,
@@ -216,9 +214,34 @@ impl TranslationCache {
 
     /// Records a translation of `instr` on `thread` resolving to `region` and
     /// returns which cache level satisfied it.
+    ///
+    /// The common case returns inline: the thread's lane exists, the
+    /// instruction's dense inline slot already holds `region`, and `region`
+    /// is already the FIFO's most recent entry, so nothing moves. Everything
+    /// else — a new lane or a spill lane, a dense table to resize, a wide
+    /// key, a thread-local or full lookup, an inline hit that reorders the
+    /// FIFO — goes out of line.
     #[inline]
     pub fn access(&mut self, thread: ThreadId, instr: InstrId, region: RegionId) -> CacheLevel {
         self.stats.translations += 1;
+        let key = instr_key(instr);
+        if let (Some(lane), true) = (self.lanes.get(thread.index()), key < DENSE_INLINE_KEYS) {
+            let slot = lane.inline_dense.get(key as usize).copied();
+            if slot.is_some_and(|slot| slot != INLINE_EMPTY && u32::from(slot) == region.raw())
+                && lane.recent.last() == Some(&region)
+            {
+                self.stats.inline_hits += 1;
+                return CacheLevel::Inline;
+            }
+        }
+        self.access_slow(thread, instr, region)
+    }
+
+    /// The rest of [`TranslationCache::access`], after the translation count.
+    /// Out of line, but not `#[cold]`: how often a thread moves between
+    /// regions, and so how often this runs, depends on the workload.
+    #[inline(never)]
+    fn access_slow(&mut self, thread: ThreadId, instr: InstrId, region: RegionId) -> CacheLevel {
         let capacity = self.thread_local_entries;
         let lane = lane_mut(&mut self.lanes, &mut self.spill_lanes, thread.index());
         probe_one(lane, &mut self.stats, capacity, instr, region)
@@ -425,6 +448,49 @@ mod tests {
         );
         c.flush();
         assert_eq!(c.access(t, wide, RegionId::new(4)), CacheLevel::Full);
+    }
+
+    #[test]
+    fn hot_path_edge_cases_match_a_fresh_replay() {
+        // Capacity 2, so a missed FIFO reorder shows up as an eviction.
+        let fresh = || TranslationCache::with_thread_local_entries(2);
+        let t = ThreadId::new(0);
+        let r = RegionId::new;
+        let steps = [
+            (instr(0), r(0), CacheLevel::Full),
+            (instr(1), r(1), CacheLevel::Full),
+            // Inline slot hit while region 1 is the most recent: still an
+            // inline hit, and region 0 moves to the back of the FIFO...
+            (instr(0), r(0), CacheLevel::Inline),
+            // ...so region 2 evicts region 1, not region 0.
+            (instr(2), r(2), CacheLevel::Full),
+            (instr(3), r(0), CacheLevel::ThreadLocal),
+            (instr(4), r(1), CacheLevel::Full),
+            // A key past the dense table's end resizes it and misses, then
+            // hits inline on the region that is now most recent.
+            (
+                InstrId::new(BlockId::new(500), 7),
+                r(1),
+                CacheLevel::ThreadLocal,
+            ),
+            (InstrId::new(BlockId::new(500), 7), r(1), CacheLevel::Inline),
+            // An inline hit on the older region reorders once more.
+            (instr(0), r(0), CacheLevel::Inline),
+        ];
+        let mut c = fresh();
+        for (n, &(i, region, want)) in steps.iter().enumerate() {
+            assert_eq!(c.access(t, i, region), want, "step {n}");
+            let mut replay = fresh();
+            for &(i, region, _) in &steps[..=n] {
+                replay.access(t, i, region);
+            }
+            assert_eq!(c.stats(), replay.stats(), "step {n}");
+        }
+        assert_eq!(
+            c.access(ThreadId::new(5), instr(0), r(0)),
+            CacheLevel::Full,
+            "a thread without a lane yet"
+        );
     }
 
     #[test]

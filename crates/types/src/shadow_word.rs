@@ -431,12 +431,25 @@ impl SlabDirectory {
     }
 
     /// Resolves (allocating if necessary) the slab for `chunk` and returns
-    /// its handle. The handle stays valid until the next `resolve` call.
+    /// its handle. The probe hit is inline; inserting a slab (and growing
+    /// the directory) is out of line. A handle is still valid only until
+    /// the next `resolve`, which may grow the directory and move slabs, so
+    /// FastTrack's access kernel, whose batches cross pages, locates every
+    /// access again instead of carrying a handle from one to the next.
+    #[inline]
     pub fn resolve(&mut self, chunk: u64) -> SlabHandle {
         let i = self.probe(chunk);
-        if self.tags[i] != EMPTY_TAG {
+        if self.tags[i] == chunk {
             return SlabHandle(i);
         }
+        self.insert_slab(chunk)
+    }
+
+    /// Allocates the slab for `chunk`, absent from the directory, growing
+    /// the directory first when it would pass the load factor.
+    #[cold]
+    #[inline(never)]
+    fn insert_slab(&mut self, chunk: u64) -> SlabHandle {
         if (self.slab_count + 1) * 100 > self.tags.len() * MAX_LOAD_PCT {
             self.grow();
         }
