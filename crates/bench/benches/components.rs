@@ -374,14 +374,18 @@ fn bench_fasttrack_replay(c: &mut Criterion) {
         let mut check = FastTrack::new();
         log.replay(&mut check);
         assert_eq!(check.stats(), recorder.inner.stats(), "replay of {name}");
+        let spills = check.spill_stats();
+        assert_eq!(spills, recorder.inner.spill_stats(), "replay of {name}");
         let stats = check.stats();
         println!(
             "fasttrack_replay/{name}: {} accesses ({} same-epoch, {} first touches, \
-             {} spills) in {} callbacks per replay",
+             {} spills, {} ownership keeps, {} claims) in {} callbacks per replay",
             stats.reads + stats.writes,
             stats.read_same_epoch + stats.write_same_epoch,
             stats.blocks_tracked,
-            check.spill_stats().spills,
+            spills.spills,
+            spills.ownership_keeps,
+            spills.ownership_claims,
             log.events.len()
         );
         group.bench_function(name, |b| {

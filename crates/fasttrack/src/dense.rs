@@ -53,17 +53,6 @@ impl<V> DenseMap<V> {
         }
     }
 
-    /// Mutable access to the value at `key`.
-    #[inline]
-    pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
-        if key < MAX_DENSE {
-            self.dense.get_mut(key as usize)?.as_mut()
-        } else {
-            let pos = self.spill.binary_search_by_key(&key, |&(k, _)| k).ok()?;
-            Some(&mut self.spill[pos].1)
-        }
-    }
-
     /// Iterates every `(key, value)` pair in ascending key order (dense keys
     /// are all below the spill bound, so dense-then-spill is sorted). This is
     /// the deterministic serialization order of the snapshot plane.
@@ -78,11 +67,23 @@ impl<V> DenseMap<V> {
     }
 
     /// Mutable access to the value at `key`, inserting `make()` first if the
-    /// key is vacant. Inlined like the plain accessors: the thread-clock
-    /// lookup drives this once per event, and the dense arm is a bounds
-    /// check plus an index in the common already-present case.
+    /// key is vacant. The thread-clock lookup drives this once per event, so
+    /// a present dense key — a bounds check plus an index — is answered
+    /// inline and everything else goes out of line.
     #[inline]
     pub fn get_or_insert_with(&mut self, key: u64, make: impl FnOnce() -> V) -> &mut V {
+        let idx = key as usize;
+        if key < MAX_DENSE && matches!(self.dense.get(idx), Some(Some(_))) {
+            return self.dense[idx].as_mut().expect("just checked");
+        }
+        self.insert_with(key, make)
+    }
+
+    /// [`DenseMap::get_or_insert_with`] past its inline hit: a vacant dense
+    /// key, or any key past the dense bound.
+    #[cold]
+    #[inline(never)]
+    fn insert_with(&mut self, key: u64, make: impl FnOnce() -> V) -> &mut V {
         if key < MAX_DENSE {
             let idx = key as usize;
             if idx >= self.dense.len() {
@@ -121,7 +122,7 @@ mod tests {
         assert_eq!(m.get(1 << 40), Some(&40));
         assert_eq!(m.get(4), None);
         assert_eq!(m.len(), 2);
-        *m.get_mut(3).unwrap() += 1;
+        *m.get_or_insert_with(3, || 0) += 1;
         assert_eq!(m.get(3), Some(&31));
     }
 
@@ -160,7 +161,6 @@ mod tests {
         }
         for &k in &keys {
             assert_eq!(m.get(k), Some(&k.wrapping_mul(2)), "key {k:#x}");
-            assert_eq!(m.get_mut(k).copied(), Some(k.wrapping_mul(2)), "key {k:#x}");
         }
         assert_eq!(m.len(), keys.len());
         // Spill-side misses between present keys resolve to None.
@@ -175,12 +175,12 @@ mod tests {
     }
 
     #[test]
-    fn overwriting_through_get_mut_does_not_grow_len() {
+    fn overwriting_an_existing_key_does_not_grow_len() {
         let mut m: DenseMap<u32> = DenseMap::default();
         m.get_or_insert_with(2, || 1);
-        *m.get_mut(2).unwrap() = 2;
+        *m.get_or_insert_with(2, || 9) = 2;
         m.get_or_insert_with(1 << 30, || 3);
-        *m.get_mut(1 << 30).unwrap() = 4;
+        *m.get_or_insert_with(1 << 30, || 9) = 4;
         assert_eq!(m.len(), 2);
         assert_eq!(m.get(2), Some(&2));
         assert_eq!(m.get(1 << 30), Some(&4));

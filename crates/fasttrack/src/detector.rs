@@ -14,7 +14,7 @@ use crate::config::FastTrackConfig;
 use crate::dense::DenseMap;
 use crate::packed::{
     decode_word, encode_state, is_canonical_word, pack_epoch, read_word, write_word, PackedVars,
-    INLINE_LANES, SPILLED_RECORD,
+    SpillSlot, INLINE_LANES, SPILLED_RECORD,
 };
 use crate::state::{ReadState, VarState};
 use crate::stats::{FastTrackStats, SpillStats};
@@ -151,21 +151,47 @@ fn ownership_word(word: ShadowWord, write: Epoch, field: u64) -> ShadowWord {
     word.with_ownership(field, owned)
 }
 
-/// The hot front of a packed read, on the kernel's split borrows: the
-/// same-epoch word probe and the race-free unspilled word path. Returns the
-/// access's cost when it decided the read (statistics and word updated), or
-/// `None`, leaving everything else — spilled words, promotions, races — to
-/// [`FastTrack::read_packed_tail`] with the word untouched. [`read_slow`]
-/// stays the spec: the word path is proven equal to it on unspilled words.
+/// Sticky ownership after a read by thread index `reader` that left its
+/// block spilled: true when the word's `hint` names another lane thread
+/// whose fast path is *still* valid (its epoch lane still carries the
+/// hinted clock). Keeping it leaves the owner's repeat reads on the
+/// one-compare word path while the reader pays the arena hop; otherwise
+/// the reader claims the hint.
 #[inline]
+fn keeps_hint(entry: &SpillSlot, hint: u64, reader: usize) -> bool {
+    hint != 0 && {
+        let owner = ShadowWord::field_thread(hint) as usize;
+        owner != reader
+            && owner < INLINE_LANES
+            && entry.lane_clock(owner) == ShadowWord::field_clock(hint)
+    }
+}
+
+/// A block as the access kernel located it: its slab handle, its slot in
+/// the slab and the word it held before the access.
+type Located = (SlabHandle, usize, ShadowWord);
+
+/// The hot front of a packed read, on the kernel's split borrows: the
+/// same-epoch probes, the race-free unspilled word path and a lane
+/// thread's race-free read of an inline read-shared history, which costs
+/// as one over a shared clock of `threads_known` threads. Returns the
+/// access's cost when it decided the read (statistics, spill counters and
+/// word updated), or `None`, leaving everything else — other spilled
+/// reads, promotions, races — to [`FastTrack::read_packed_tail`] with the
+/// word untouched. [`read_slow`] and [`SpillSlot::read_update`] stay the
+/// spec: the front is proven equal to them on the cases it decides.
+///
+/// Always inlined: with the spilled update in it, a plain `#[inline]` let
+/// the compiler call the front out of line from the kernel's loop, which
+/// made every read a call and the unspilled replays 10–20% slower.
+#[inline(always)]
 fn read_packed(
     vars: &mut PackedVars,
     stats: &mut FastTrackStats,
     vc: &VectorClock,
     probes: EpochProbes,
-    handle: SlabHandle,
-    slot: usize,
-    word: ShadowWord,
+    (handle, slot, word): Located,
+    threads_known: u64,
 ) -> Option<u64> {
     // One masked compare covers "unspilled ∧ exclusive-read epoch equals
     // ours", a second "spilled ∧ same-epoch hint equals ours" (owner tag
@@ -176,14 +202,31 @@ fn read_packed(
         return Some(cost::SAME_EPOCH);
     }
     if word.is_spilled() {
-        // A hint naming another thread: the slot's epoch lane answers the
-        // first INLINE_LANES threads exactly (see `SpillSlot`).
+        // The slot's epoch lanes answer the first INLINE_LANES threads
+        // exactly (see `SpillSlot`): first the same-epoch check for a hint
+        // naming another thread, then the in-slot update.
         let lane = probes.epoch.thread().index();
-        if lane < INLINE_LANES && vars.spill_slot(word).lane_clock(lane) == probes.epoch.clock() {
+        if lane >= INLINE_LANES {
+            return None;
+        }
+        let entry = vars.spill_slot_mut(word);
+        if entry.lane_clock(lane) == probes.epoch.clock() {
             stats.read_same_epoch += 1;
             return Some(cost::SAME_EPOCH);
         }
-        return None;
+        if !entry.read_inline_lane(vc, lane, probes.epoch.clock()) {
+            return None;
+        }
+        // An inline history never re-packs, so the block stays spilled and
+        // the ownership decision is the tail's.
+        let write = entry.write_epoch();
+        if keeps_hint(entry, word.spill_hint_field(), lane) {
+            vars.spill_stats_mut().ownership_keeps += 1;
+        } else {
+            vars.spill_stats_mut().ownership_claims += 1;
+            vars.set_word_at(handle, slot, ownership_word(word, write, probes.field));
+        }
+        return Some(cost::SHARED_BASE + cost::SHARED_PER_THREAD * threads_known);
     }
     // The common slow read: the prior read happens-before this one, so our
     // epoch replaces it in the word (two field compares and one store).
@@ -205,9 +248,7 @@ fn write_packed(
     stats: &mut FastTrackStats,
     vc: &VectorClock,
     probes: EpochProbes,
-    handle: SlabHandle,
-    slot: usize,
-    word: ShadowWord,
+    (handle, slot, word): Located,
 ) -> Option<u64> {
     // One masked compare against the write lane, plus the ownership-epoch
     // compare for spilled blocks: a spilled word whose owner tag is set
@@ -464,20 +505,11 @@ impl FastTrack {
         self.stats.races_detected
     }
 
-    /// The vector clock of `thread` (creating it on first use).
-    fn thread_vc(&mut self, thread: ThreadId) -> &mut VectorClock {
-        self.threads.get_or_insert_with(thread.index() as u64, || {
-            let mut vc = VectorClock::new();
-            vc.set(thread, 1);
-            vc
-        })
-    }
-
     /// Ensures a thread exists and returns a snapshot of its vector clock.
-    /// Only the (rare) synchronisation operations snapshot; the per-access
-    /// paths borrow the clock in place.
+    /// Only fork and join snapshot; the per-access paths and the other
+    /// synchronisation operations borrow the clock in place.
     fn thread_vc_snapshot(&mut self, thread: ThreadId) -> VectorClock {
-        self.thread_vc(thread).clone()
+        thread_clock(&mut self.threads, thread).clone()
     }
 
     /// Processes a read of the block containing `addr` by `thread`.
@@ -516,7 +548,7 @@ impl FastTrack {
         mut sink: impl FnMut(u64),
     ) {
         let known_before = self.threads.len().max(1) as u64;
-        let epoch = self.thread_vc(thread).epoch_of(thread);
+        let epoch = thread_clock(&mut self.threads, thread).epoch_of(thread);
         let known_after = self.threads.len().max(1) as u64;
         let probes = EpochProbes::pack(epoch);
         let hot = probes.filter(|_| self.config.epoch_optimization);
@@ -533,18 +565,20 @@ impl FastTrack {
                     let (handle, slot) = vars.locate(addr);
                     let word = vars.word_at(handle, slot);
                     self.stats.blocks_tracked += u64::from(word.is_empty());
+                    let located = (handle, slot, word);
                     let decided = match kind {
                         AccessKind::Read => {
                             self.stats.reads += 1;
-                            read_packed(vars, &mut self.stats, vc, hot, handle, slot, word)
+                            let known = if next == 0 { known_before } else { known_after };
+                            read_packed(vars, &mut self.stats, vc, hot, located, known)
                         }
                         AccessKind::Write => {
                             self.stats.writes += 1;
-                            write_packed(vars, &mut self.stats, vc, hot, handle, slot, word)
+                            write_packed(vars, &mut self.stats, vc, hot, located)
                         }
                     };
                     let Some(cost) = decided else {
-                        missed = Some((handle, slot, word));
+                        missed = Some(located);
                         break;
                     };
                     // Both front costs are at least `SAME_EPOCH`, so this is
@@ -570,9 +604,12 @@ impl FastTrack {
     /// a front miss's located word, whose statistics the kernel has already
     /// counted; `None` means the access starts here.
     ///
-    /// Out of line, but not `#[cold]`: on read_shared two accesses in three
-    /// are spilled read-shared updates that come here, and marking this path
-    /// cold made that workload's FastTrack replay 5–12% slower.
+    /// Out of line and `#[cold]`: since the read front decides race-free
+    /// inline read-shared reads, no workload's common case comes here. In
+    /// the `fasttrack_replay` bench (40 interleaved pairs) the cold mark
+    /// made low_sharing 5.8% and high_sharing 3.1% faster and left
+    /// read_shared at parity (+0.4%).
+    #[cold]
     #[inline(never)]
     fn access_slow(
         &mut self,
@@ -671,12 +708,15 @@ impl FastTrack {
 
     /// The tail of a packed read, inlined into the out-of-line
     /// [`FastTrack::access_slow`]: everything [`read_packed`] leaves
-    /// undecided — spilled words, promotions, races, spill creation — plus
-    /// every packed read when the epoch optimisation is off or the epoch
-    /// does not pack (`probes` is `None` exactly when it exceeds the packing
-    /// budget). `word` is the block's word, already counted if it was
-    /// empty. The front's same-epoch word probe applies only when the
-    /// optimisation is on and the epoch packs, so it is never repeated here.
+    /// undecided — spilled reads other than a lane thread's race-free read
+    /// of an `Inline` history (so `Exclusive` and `Boxed` histories,
+    /// readers past the lanes and racing reads), promotions, races, spill
+    /// creation — plus every packed read when the epoch optimisation is off
+    /// or the epoch does not pack (`probes` is `None` exactly when it
+    /// exceeds the packing budget). `word` is the block's word, already
+    /// counted if it was empty. The front's same-epoch word probe applies
+    /// only when the optimisation is on and the epoch packs, so it is never
+    /// repeated here.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn read_packed_tail(
@@ -720,19 +760,8 @@ impl FastTrack {
             let was_boxed = entry.is_boxed();
             let out = entry.read_update(vc, thread, epoch, use_epochs, threads_known);
             let repacked = entry.repack();
-            // Sticky ownership: when the word's hint belongs to another
-            // thread whose fast path is *still* valid after this update
-            // (its epoch lane still carries the hinted clock), keep it —
-            // the owner's repeat reads stay on the one-compare word path
-            // while we pay the arena hop, and the word store is skipped
-            // entirely. Otherwise this thread claims the hint.
-            let cur = word.spill_hint_field();
-            let keep = repacked.is_none() && cur != 0 && {
-                let owner = ShadowWord::field_thread(cur) as usize;
-                owner != thread.index()
-                    && owner < INLINE_LANES
-                    && entry.lane_clock(owner) == ShadowWord::field_clock(cur)
-            };
+            let keep =
+                repacked.is_none() && keeps_hint(entry, word.spill_hint_field(), thread.index());
             let entry_write = entry.write_epoch();
             let now_boxed = entry.is_boxed();
             match repacked {
@@ -981,11 +1010,7 @@ impl FastTrack {
     /// Processes `thread` acquiring `lock`.
     pub fn acquire(&mut self, thread: ThreadId, lock: LockId) {
         self.stats.acquires += 1;
-        self.thread_vc(thread);
-        let tvc = self
-            .threads
-            .get_mut(thread.index() as u64)
-            .expect("just ensured");
+        let tvc = thread_clock(&mut self.threads, thread);
         if let Some(lvc) = self.locks.get(lock.raw()) {
             tvc.join(lvc);
         }
@@ -994,15 +1019,11 @@ impl FastTrack {
     /// Processes `thread` releasing `lock`.
     pub fn release(&mut self, thread: ThreadId, lock: LockId) {
         self.stats.releases += 1;
-        self.thread_vc(thread);
-        let tvc = self
-            .threads
-            .get(thread.index() as u64)
-            .expect("just ensured");
+        let tvc = thread_clock(&mut self.threads, thread);
         self.locks
             .get_or_insert_with(lock.raw(), VectorClock::new)
             .copy_from(tvc);
-        self.thread_vc(thread).increment(thread);
+        tvc.increment(thread);
     }
 
     /// Processes `parent` spawning `child`: the child inherits the parent's
@@ -1010,11 +1031,11 @@ impl FastTrack {
     pub fn fork(&mut self, parent: ThreadId, child: ThreadId) {
         self.stats.forks += 1;
         let pvc = self.thread_vc_snapshot(parent);
-        let cvc = self.thread_vc(child);
+        let cvc = thread_clock(&mut self.threads, child);
         cvc.join(&pvc);
         let child_clock = cvc.get(child).max(1);
         cvc.set(child, child_clock);
-        self.thread_vc(parent).increment(parent);
+        thread_clock(&mut self.threads, parent).increment(parent);
     }
 
     /// Processes `parent` joining `child`: the parent inherits the child's
@@ -1022,21 +1043,22 @@ impl FastTrack {
     pub fn join(&mut self, parent: ThreadId, child: ThreadId) {
         self.stats.joins += 1;
         let cvc = self.thread_vc_snapshot(child);
-        self.thread_vc(parent).join(&cvc);
-        self.thread_vc(child).increment(child);
+        thread_clock(&mut self.threads, parent).join(&cvc);
+        thread_clock(&mut self.threads, child).increment(child);
     }
 
     /// Processes a barrier joining all `threads`: everyone's history is
-    /// merged and every participant starts a new epoch.
+    /// merged and every participant starts a new epoch. The merge reads
+    /// the stored clocks in place, creating missing ones in participant
+    /// order.
     pub fn barrier(&mut self, threads: &[ThreadId]) {
         self.stats.barriers += 1;
         let mut merged = VectorClock::new();
         for &t in threads {
-            let vc = self.thread_vc_snapshot(t);
-            merged.join(&vc);
+            merged.join(thread_clock(&mut self.threads, t));
         }
         for &t in threads {
-            let vc = self.thread_vc(t);
+            let vc = thread_clock(&mut self.threads, t);
             vc.join(&merged);
             vc.increment(t);
         }
@@ -1386,6 +1408,18 @@ impl FastTrack {
     }
 }
 
+/// The vector clock of `thread`, created at clock 1 on first use. A free
+/// function over the thread map, so a caller can hold the clock while it
+/// touches the lock map or the variable storage.
+#[inline]
+fn thread_clock(threads: &mut DenseMap<VectorClock>, thread: ThreadId) -> &mut VectorClock {
+    threads.get_or_insert_with(thread.index() as u64, || {
+        let mut vc = VectorClock::new();
+        vc.set(thread, 1);
+        vc
+    })
+}
+
 /// Writes a vector clock's exact backing array (FTRK wire layout).
 pub(crate) fn put_clock(out: &mut SectionWriter, clocks: &[u32]) {
     out.put_usize(clocks.len());
@@ -1497,7 +1531,8 @@ impl SharedDataAnalysis for FastTrack {
     /// The packed store's single access kernel: the thread's clock is
     /// ensured, the epoch probes packed and the clock borrowed once per
     /// batch, and every access — the first no longer special — is located
-    /// and decided inline unless it leaves the hot path (spilled words,
+    /// and decided inline unless it leaves the hot path (spilled words
+    /// other than a lane thread's race-free inline read-shared read,
     /// promotions, races, unpackable epochs). The known-thread count each
     /// access's cost sees is the scalar path's: before the clock ensure for
     /// the first access, after it for the rest.
@@ -2120,6 +2155,233 @@ mod tests {
             "state bytes differ at {differing:?}"
         );
         assert_eq!((packed[storage_flag], reference[storage_flag]), (1, 0));
+    }
+
+    /// The detector an FTRK image of `ft` restores to.
+    fn restored(ft: &FastTrack) -> FastTrack {
+        let mut w = SectionWriter::new(*b"FTRK", 3);
+        ft.encode_snapshot(&mut w);
+        let mut builder = aikido_snapshot::SnapshotBuilder::new();
+        builder.push(w);
+        let snap = builder.finish();
+        let mut reader = snap.reader().expect("valid image");
+        let mut section = reader.section(*b"FTRK", 3).expect("section present");
+        FastTrack::decode_snapshot(&mut section).expect("decodes")
+    }
+
+    /// One step of a scripted history for [`drive_front`].
+    #[derive(Clone, Copy)]
+    enum Step {
+        Read(u32, u64),
+        Write(u32, u64),
+        /// Reads of the given blocks by one thread, as one batch.
+        Batch(u32, &'static [u64]),
+        Acquire(u32, u64),
+        Release(u32, u64),
+        /// A snapshot round trip: spilled words come back without a hint.
+        Restore,
+        /// Packed plane only: re-hints a spilled block's word with the
+        /// epoch `(clock, thread)`, untagged.
+        Rehint(u64, u32, u32),
+    }
+
+    /// Runs `steps` on `ft`; for every access step, logs the cost of each
+    /// access and the ownership keeps and claims the step added.
+    fn drive_front(mut ft: FastTrack, steps: &[Step]) -> (FastTrack, Vec<(Vec<u64>, u64, u64)>) {
+        let mut log = Vec::new();
+        for &step in steps {
+            let before = ft.spill_stats();
+            let costs = match step {
+                Step::Read(th, a) => {
+                    ft.read(t(th), addr(a));
+                    vec![ft.last_access_cost_cycles()]
+                }
+                Step::Write(th, a) => {
+                    ft.write(t(th), addr(a));
+                    vec![ft.last_access_cost_cycles()]
+                }
+                Step::Batch(th, blocks) => {
+                    let run: Vec<AccessContext> = blocks
+                        .iter()
+                        .map(|&a| AccessContext {
+                            thread: t(th),
+                            addr: addr(a),
+                            kind: AccessKind::Read,
+                            size: 8,
+                            instr: InstrId::new(aikido_types::BlockId::new(1), 0),
+                        })
+                        .collect();
+                    let mut costs = Vec::new();
+                    ft.on_access_batch(&run, &mut costs);
+                    costs
+                }
+                Step::Acquire(th, l) => {
+                    ft.acquire(t(th), LockId::new(l));
+                    continue;
+                }
+                Step::Release(th, l) => {
+                    ft.release(t(th), LockId::new(l));
+                    continue;
+                }
+                Step::Restore => {
+                    ft = restored(&ft);
+                    continue;
+                }
+                Step::Rehint(a, clock, th) => {
+                    if let VarStorage::Packed(vars) = &mut ft.vars {
+                        let (handle, slot) = vars.locate(addr(a));
+                        let word = vars.word_at(handle, slot);
+                        assert!(word.is_spilled());
+                        let field = ShadowWord::pack_field(clock, th).expect("packs");
+                        vars.set_word_at(handle, slot, word.with_ownership(field, false));
+                    }
+                    continue;
+                }
+            };
+            let after = ft.spill_stats();
+            log.push((
+                costs,
+                after.ownership_keeps - before.ownership_keeps,
+                after.ownership_claims - before.ownership_claims,
+            ));
+        }
+        (ft, log)
+    }
+
+    #[test]
+    fn the_read_front_decides_race_free_inline_shared_reads_as_the_tail_does() {
+        use Step::*;
+        const W: u64 = 0x1008;
+        const X: u64 = 0x1000;
+        let (w, x, y, z) = (W, X, 0x2000, 0x3000);
+        let (l, m) = (1, 2);
+        let shared = |known| cost::SHARED_BASE + cost::SHARED_PER_THREAD * known;
+        let steps = [
+            Read(0, x),
+            Read(0, w),
+            Read(1, x), // promotes x to an inline history hinted to t1
+            Read(1, w), // the same for w
+            Read(2, x), // keep: t1's lane still carries its hint
+            Release(1, l),
+            Read(1, x), // claim: the owner is the reader
+            // The plane itself never leaves an inline history's hint stale,
+            // but the front must not trust one: t1's lane now holds 2.
+            Rehint(x, 1, 1),
+            Read(3, x),        // claim: the owner's lane is stale
+            Batch(4, &[X, W]), // keeps, counting the threads before and after t4's clock
+            Restore,
+            Release(0, m),
+            Read(0, x), // claim: no hint
+            Write(0, y),
+            Release(0, l),
+            Acquire(1, l),
+            Read(1, y),
+            Acquire(2, l),
+            Read(2, y), // promotes y, ordered after t0's write
+            Read(3, y), // races with t0's write: the tail reports it
+            Read(8, x), // a reader past the lanes overflows x into a boxed clock
+            Release(2, m),
+            Read(2, x),      // a boxed history
+            Write(200, z),   // an unpackable write epoch spills z exclusive
+            Release(200, m), // and orders it before t1's read
+            Acquire(1, m),
+            Read(1, z), // an exclusive spilled slot
+        ];
+        let (packed, log) = drive_front(FastTrack::new(), &steps);
+        let (reference, reference_log) =
+            drive_front(FastTrack::new().with_reference_store(), &steps);
+        let costs = |log: &[(Vec<u64>, u64, u64)]| -> Vec<Vec<u64>> {
+            log.iter().map(|(costs, ..)| costs.clone()).collect()
+        };
+        assert_eq!(costs(&log), costs(&reference_log));
+        assert_eq!(packed.stats(), reference.stats());
+        assert_eq!(packed.races(), reference.races());
+        assert_eq!(packed.var_states(), reference.var_states());
+
+        let one = |cost, keeps, claims| (vec![cost], keeps, claims);
+        let expected = [
+            one(cost::EXCLUSIVE, 0, 0),
+            one(cost::EXCLUSIVE, 0, 0),
+            one(cost::PROMOTE_SHARED, 0, 0),
+            one(cost::PROMOTE_SHARED, 0, 0),
+            one(shared(2), 1, 0),
+            one(shared(3), 0, 1),
+            one(shared(3), 0, 1),
+            (vec![shared(4), shared(5)], 2, 0),
+            one(shared(5), 0, 1),
+            one(cost::EXCLUSIVE, 0, 0),
+            one(cost::EXCLUSIVE, 0, 0),
+            one(cost::PROMOTE_SHARED, 0, 0),
+            one(shared(5) + cost::REPORT, 1, 0),
+            one(shared(5), 1, 0),
+            one(shared(6), 1, 0),
+            one(cost::EXCLUSIVE, 0, 0),
+            one(cost::EXCLUSIVE, 0, 1),
+        ];
+        assert_eq!(log, expected);
+        let races: Vec<_> = packed
+            .races()
+            .iter()
+            .map(|r| (r.addr.raw(), r.thread))
+            .collect();
+        assert_eq!(races, [(y, t(3))]);
+        assert_eq!(packed.spill_stats().boxed_overflows, 1);
+        let states: std::collections::HashMap<u64, VarState> =
+            packed.var_states().into_iter().collect();
+        assert!(states[&(x / 8)].read.is_shared());
+        assert_eq!(
+            states[&(z / 8)].read,
+            ReadState::Exclusive(Epoch::new(2, t(1)))
+        );
+    }
+
+    /// The exact backing array of the clock at `key` of `map`.
+    fn raw(map: &DenseMap<VectorClock>, key: u64) -> &[u32] {
+        map.get(key).expect("clock exists").raw_clocks()
+    }
+
+    #[test]
+    fn sync_callbacks_keep_the_exact_clock_arrays() {
+        let mut ft = FastTrack::new();
+        ft.read(t(1), addr(0x10));
+        ft.read(t(5), addr(0x18));
+        // An acquire of a lock nobody released creates only the thread's
+        // clock.
+        ft.acquire(t(3), LockId::new(0));
+        assert_eq!(raw(&ft.threads, 3), [0, 0, 0, 1]);
+        assert!(ft.locks.get(0).is_none());
+        ft.release(t(1), LockId::new(0));
+        assert_eq!(raw(&ft.locks, 0), [0, 1]);
+        assert_eq!(raw(&ft.threads, 1), [0, 2]);
+        // Joining a shorter lock clock keeps the thread's longer array.
+        ft.acquire(t(3), LockId::new(0));
+        ft.acquire(t(5), LockId::new(0));
+        assert_eq!(raw(&ft.threads, 3), [0, 1, 0, 1]);
+        assert_eq!(raw(&ft.threads, 5), [0, 1, 0, 0, 0, 1]);
+        // A release copies the thread's array, shrinking the lock's.
+        ft.release(t(5), LockId::new(1));
+        assert_eq!(raw(&ft.locks, 1), [0, 1, 0, 0, 0, 1]);
+        ft.release(t(3), LockId::new(1));
+        assert_eq!(raw(&ft.locks, 1), [0, 1, 0, 1]);
+        assert_eq!(raw(&ft.threads, 3), [0, 1, 0, 2]);
+        // A barrier creates t7's clock first, then every participant joins
+        // the merge of all four arrays and starts a new epoch.
+        ft.barrier(&[t(7), t(3), t(5), t(1)]);
+        assert_eq!(raw(&ft.threads, 7), [0, 2, 0, 2, 0, 2, 0, 2]);
+        assert_eq!(raw(&ft.threads, 3), [0, 2, 0, 3, 0, 2, 0, 1]);
+        assert_eq!(raw(&ft.threads, 5), [0, 2, 0, 2, 0, 3, 0, 1]);
+        assert_eq!(raw(&ft.threads, 1), [0, 3, 0, 2, 0, 2, 0, 1]);
+        assert_eq!(ft.threads.len(), 4);
+        assert_eq!(raw(&ft.locks, 0), [0, 1]);
+        assert_eq!(raw(&ft.locks, 1), [0, 1, 0, 1]);
+        assert_eq!(
+            (
+                ft.stats().acquires,
+                ft.stats().releases,
+                ft.stats().barriers
+            ),
+            (3, 3, 1)
+        );
     }
 
     #[test]

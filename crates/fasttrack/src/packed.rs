@@ -399,6 +399,25 @@ impl SpillSlot {
         }
     }
 
+    /// The detector's hot front's share of [`SpillSlot::read_update`]: a read
+    /// by lane thread `lane < INLINE_LANES` at `clock` of an `Inline`
+    /// history whose write epoch happens-before the reader's clock `vc`.
+    /// Exactly `read_update`'s `Inline` arm for that reader, which races
+    /// with nothing: the lane takes the clock and the width covers it.
+    /// Returns false, changing nothing, for any other slot or a racing read.
+    #[inline]
+    pub fn read_inline_lane(&mut self, vc: &VectorClock, lane: usize, clock: u32) -> bool {
+        let SpillRead::Inline { width } = &mut self.read else {
+            return false;
+        };
+        if !self.write.happens_before(vc) {
+            return false;
+        }
+        self.lanes[lane] = clock;
+        *width = (*width).max(lane as u32 + 1);
+        true
+    }
+
     /// The slow write update, mirroring the reference `write_slow`: both
     /// race checks, the write record and the read-history collapse. The
     /// read-write check of an inline history scans the lanes — same
@@ -587,7 +606,7 @@ impl PackedVars {
         self.stats
     }
 
-    /// Mutable representation counters (slow-path bookkeeping only).
+    /// Mutable representation counters (spill bookkeeping only).
     #[inline]
     pub fn spill_stats_mut(&mut self) -> &mut SpillStats {
         &mut self.stats

@@ -59,8 +59,10 @@ impl FastTrackStats {
 /// serialized into snapshots, while these counters describe the packed
 /// storage representation only (the reference store has no arena — its
 /// counters stay zero). Like the arena free list, they are invisible to the
-/// equivalence surface: updated exclusively on slow paths, never serialized,
-/// never costed.
+/// equivalence surface: updated wherever the packed plane spills, un-spills
+/// or moves a hint (the read front's in-slot shared reads included), never
+/// serialized, never costed. `tests/packed_equivalence.rs` pins them for
+/// one run instead.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SpillStats {
     /// States moved from their word into the side arena.
@@ -73,11 +75,12 @@ pub struct SpillStats {
     /// Read histories that overflowed the inline lanes into a boxed clock
     /// (a participating thread index past the lane budget).
     pub boxed_overflows: u64,
-    /// Slow reads that kept another thread's still-valid ownership hint on
-    /// the word instead of claiming it (the hint stays sticky, so the
+    /// Spilled reads that kept another thread's still-valid ownership hint
+    /// on the word instead of claiming it (the hint stays sticky, so the
     /// owner's repeat accesses keep hitting the word).
     pub ownership_keeps: u64,
-    /// Hints (re)claimed by the accessing thread after a slow access.
+    /// Hints (re)claimed by the reading thread after a spilled read that
+    /// left the block spilled.
     pub ownership_claims: u64,
 }
 

@@ -94,3 +94,27 @@ fn packed_words_match_the_reference_store_on_racy_and_barrier_workloads() {
     let barriers = Workload::generate(&spec);
     assert_equivalent(&barriers, Mode::Aikido, "bodytrack barriers");
 }
+
+#[test]
+fn spill_counters_of_a_full_mode_read_shared_run_are_pinned() {
+    // `SpillStats` are outside the equivalence surface above: the reference
+    // store has no arena, so nothing else notices when a change to the
+    // packed plane moves a spill or an ownership decision. The values are
+    // the plane's before its hot front decided spilled read-shared reads;
+    // the front makes the same keeps and claims the out-of-line tail made.
+    use aikido::fasttrack::SpillStats;
+    use aikido::workloads::spill_pressure_workload;
+    let workload = Workload::generate(&spill_pressure_workload(8));
+    let (_, ft) = run_with(&workload, Mode::FullInstrumentation, FastTrack::new());
+    assert_eq!(
+        ft.spill_stats(),
+        SpillStats {
+            spills: 491,
+            unspills: 0,
+            inline_promotions: 491,
+            boxed_overflows: 0,
+            ownership_keeps: 16_227,
+            ownership_claims: 2_326,
+        }
+    );
+}
