@@ -5,13 +5,13 @@
 //! once — and then proves, request by request, that the serving layer added
 //! *nothing* to the simulation: every delivered report must be
 //! byte-identical to a direct `Simulator::from_config` run of the same
-//! request, placement must be deterministic for the fixed request sequence,
+//! request, admission must be deterministic for the fixed request sequence,
 //! and an over-quota tenant must be refused with a structured error (never a
 //! panic or hang).
 //!
 //! ```bash
 //! AIKIDO_SCALE=0.05 cargo run --release -p aikido-bench --bin loadgen
-//! LOADGEN_RUNS=512 LOADGEN_SHARDS=8 cargo run --release -p aikido-bench --bin loadgen
+//! LOADGEN_RUNS=512 LOADGEN_WORKERS=8 cargo run --release -p aikido-bench --bin loadgen
 //! ```
 //!
 //! Writes three documents (paths overridable via `LOADGEN_OUT` prefix):
@@ -73,12 +73,10 @@ fn request_sequence(runs: usize, scale: f64) -> Vec<RunRequest> {
     requests
 }
 
-fn service(shards: usize, runs: usize) -> SimService {
+fn service(runs: usize) -> SimService {
     let config = ServiceConfig {
-        shards,
         fleet_workers: env_usize("LOADGEN_WORKERS", 4),
         queue_capacity: runs * 2,
-        shard_capacity: (runs / shards).max(1),
         default_budget: TenantBudget::default()
             .with_max_queued(runs)
             .with_max_in_flight(runs),
@@ -96,20 +94,18 @@ fn fail(reason: &str) -> ! {
 fn main() {
     let scale = scale_from_env();
     let runs = env_usize("LOADGEN_RUNS", 256);
-    let shards = env_usize("LOADGEN_SHARDS", 6);
     let requests = request_sequence(runs, scale);
     println!(
-        "loadgen: {} requests ({} expected admissions) from {} tenants over {} shards, scale {}",
+        "loadgen: {} requests ({} expected admissions) from {} tenants, scale {}",
         requests.len(),
         runs,
         TENANTS.len() + 1,
-        shards,
         scale
     );
 
     // Submit the fixed sequence. Paying tenants must all be admitted; the
     // broke tenant must be refused with the structured quota error.
-    let mut svc = service(shards, runs);
+    let mut svc = service(runs);
     let mut tickets = Vec::new();
     let mut quota_rejections = 0u64;
     for request in &requests {
@@ -131,9 +127,9 @@ fn main() {
         fail("the zero-quota tenant was never refused");
     }
 
-    // Placement determinism: a second control plane fed the same sequence
-    // must issue identical tickets.
-    let mut replay = service(shards, runs);
+    // Admission determinism: a second service fed the same sequence must
+    // issue identical tickets.
+    let mut replay = service(runs);
     let mut replayed = Vec::new();
     for request in &requests {
         if let Ok(ticket) = replay.submit(request.clone()) {
@@ -141,7 +137,7 @@ fn main() {
         }
     }
     if replayed != tickets {
-        fail("shard placement is not deterministic for a fixed request sequence");
+        fail("admission is not deterministic for a fixed request sequence");
     }
 
     // Execute on the fleet.
@@ -170,13 +166,15 @@ fn main() {
             failure.error.as_deref().unwrap_or("?")
         ));
     }
-    for shard in &report.shards {
-        if shard.assigned == 0 {
-            fail(&format!("shard {} was never assigned a run", shard.shard));
-        }
-        if shard.pending != 0 {
-            fail(&format!("shard {} still has pending runs", shard.shard));
-        }
+    if report.queue.depth != 0 {
+        fail(&format!("{} runs still queued", report.queue.depth));
+    }
+    if let Some(t) = report
+        .tenants
+        .iter()
+        .find(|t| t.completed + t.failed != t.admitted)
+    {
+        fail(&format!("tenant {} still has pending runs", t.tenant));
     }
     let admitted_tenants = report.tenants.iter().filter(|t| t.admitted > 0).count();
     if admitted_tenants < 4 {

@@ -109,7 +109,7 @@ pub mod exitcode {
     pub const BASELINE_CORRUPT: i32 = 4;
     /// `loadgen`: a service-delivered report diverged from the direct
     /// `Simulator` run of the same request, or the fleet violated one of its
-    /// invariants (placement determinism, admission accounting).
+    /// invariants (admission determinism, admission accounting).
     pub const SERVICE_MISMATCH: i32 = 5;
 }
 

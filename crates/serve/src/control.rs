@@ -1,10 +1,9 @@
-//! The control plane: a deterministic admission/placement/accounting state
-//! machine.
+//! The control plane: a deterministic admission/accounting state machine.
 //!
 //! The control plane is single-threaded plain data on purpose. Every
-//! decision — admit or refuse, which shard, which timestamps — is a pure
-//! function of the request sequence and the service configuration, which is
-//! what makes fleet reports reproducible. The worker fleet
+//! decision (admit or refuse) and every timestamp is a pure function of the
+//! request sequence and the service configuration, which is what makes fleet
+//! reports reproducible. The worker fleet
 //! ([`SimService`](crate::SimService)) is the only concurrent part, and it
 //! reports completions back here in run-id order.
 
@@ -12,26 +11,17 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 use crate::budget::{AdmitError, TenantBudget};
-use crate::clock::{EventClock, ServiceClock};
-use crate::placement;
-use crate::report::{
-    FleetReport, QueueMetrics, RejectionRecord, RunOutcome, ShardMetrics, TenantUsage,
-};
+use crate::report::{FleetReport, QueueMetrics, RejectionRecord, RunOutcome, TenantUsage};
 use crate::request::RunRequest;
 use serde::Serialize;
 
 /// Static service configuration: pool sizes and the default tenant budget.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServiceConfig {
-    /// Simulator shards runs are placed onto.
-    pub shards: usize,
     /// OS worker threads the fleet executes runs on.
     pub fleet_workers: usize,
     /// Global queue capacity (across all tenants).
     pub queue_capacity: usize,
-    /// Pending runs per shard before the load-aware placement override
-    /// diverts new work elsewhere.
-    pub shard_capacity: usize,
     /// Budget applied to tenants without an explicit one.
     pub default_budget: TenantBudget,
 }
@@ -39,10 +29,8 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            shards: 4,
             fleet_workers: 4,
             queue_capacity: 1024,
-            shard_capacity: 64,
             default_budget: TenantBudget::default(),
         }
     }
@@ -51,17 +39,11 @@ impl Default for ServiceConfig {
 impl ServiceConfig {
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), String> {
-        if self.shards == 0 {
-            return Err("shards must be at least 1".into());
-        }
         if self.fleet_workers == 0 {
             return Err("fleet_workers must be at least 1".into());
         }
         if self.queue_capacity == 0 {
             return Err("queue_capacity must be at least 1".into());
-        }
-        if self.shard_capacity == 0 {
-            return Err("shard_capacity must be at least 1".into());
         }
         Ok(())
     }
@@ -75,17 +57,14 @@ pub struct RunTicket {
     pub run_id: u64,
     /// The tenant billed.
     pub tenant: String,
-    /// The shard the run was placed on.
-    pub shard: usize,
-    /// Whether the load-aware override diverted placement.
-    pub overridden: bool,
-    /// Logical admission timestamp.
+    /// Logical admission timestamp: the request's position in the
+    /// submission sequence (admissions and refusals alike).
     pub admitted_at: u64,
 }
 
 /// An admitted run waiting for a fleet worker.
 #[derive(Debug, Clone)]
-pub struct QueuedRun {
+pub(crate) struct QueuedRun {
     /// The admission ticket.
     pub ticket: RunTicket,
     /// The admitted request, verbatim.
@@ -104,22 +83,10 @@ struct TenantState {
     spent: u64,
 }
 
-#[derive(Debug, Default, Clone)]
-struct ShardState {
-    assigned: u64,
-    completed: u64,
-    failed: u64,
-    overridden: u64,
-    pending: usize,
-    peak_pending: usize,
-}
-
-/// The deterministic admission / placement / accounting state machine.
-pub struct ControlPlane {
+/// The deterministic admission / accounting state machine.
+pub(crate) struct ControlPlane {
     config: ServiceConfig,
-    clock: Box<dyn ServiceClock>,
     tenants: BTreeMap<String, TenantState>,
-    shards: Vec<ShardState>,
     queue: VecDeque<QueuedRun>,
     outcomes: Vec<RunOutcome>,
     rejections: Vec<RejectionRecord>,
@@ -140,30 +107,16 @@ impl std::fmt::Debug for ControlPlane {
 }
 
 impl ControlPlane {
-    /// A control plane with the default [`EventClock`].
+    /// An empty control plane.
     ///
     /// # Errors
     ///
     /// Returns the validation failure if `config` is invalid.
     pub fn new(config: ServiceConfig) -> Result<Self, String> {
-        Self::with_clock(config, Box::<EventClock>::default())
-    }
-
-    /// A control plane stamping events from a caller-provided clock (tests
-    /// use [`VirtualClock`](crate::VirtualClock) for deterministic
-    /// timestamps).
-    ///
-    /// # Errors
-    ///
-    /// Returns the validation failure if `config` is invalid.
-    pub fn with_clock(config: ServiceConfig, clock: Box<dyn ServiceClock>) -> Result<Self, String> {
         config.validate()?;
-        let shards = vec![ShardState::default(); config.shards];
         Ok(ControlPlane {
             config,
-            clock,
             tenants: BTreeMap::new(),
-            shards,
             queue: VecDeque::new(),
             outcomes: Vec::new(),
             rejections: Vec::new(),
@@ -178,9 +131,7 @@ impl ControlPlane {
         &self.config
     }
 
-    /// Installs an explicit budget for `tenant` (otherwise the default
-    /// budget applies on first contact). Replaces any previous budget;
-    /// accounting state is kept.
+    /// See [`SimService::set_budget`](crate::SimService::set_budget).
     pub fn set_budget(&mut self, tenant: impl Into<String>, budget: TenantBudget) {
         let default = self.config.default_budget.clone();
         self.tenants
@@ -192,21 +143,15 @@ impl ControlPlane {
             .budget = budget;
     }
 
-    /// Admits or refuses `request`. Admission validates the request, checks
-    /// the global queue, the tenant's backlog and outstanding caps, and the
-    /// tenant's access quota (charged here, at admission), then places the
-    /// run on a shard via rendezvous hashing with the load-aware override.
-    ///
-    /// # Errors
-    ///
-    /// A structured [`AdmitError`]; the refusal is also recorded in the
-    /// rejection log. Never panics, never blocks.
+    /// See [`SimService::submit`](crate::SimService::submit).
     pub fn submit(&mut self, request: RunRequest) -> Result<RunTicket, AdmitError> {
+        // Timestamps are logical: a request's position in the submission
+        // sequence, never a wall clock.
+        let at = self.submitted;
         self.submitted += 1;
-        match self.admit(request) {
+        match self.admit(request, at) {
             Ok(ticket) => Ok(ticket),
             Err((tenant, err)) => {
-                let at = self.clock.now();
                 self.rejections.push(RejectionRecord {
                     tenant: tenant.clone(),
                     at,
@@ -226,7 +171,7 @@ impl ControlPlane {
         }
     }
 
-    fn admit(&mut self, request: RunRequest) -> Result<RunTicket, (String, AdmitError)> {
+    fn admit(&mut self, request: RunRequest, at: u64) -> Result<RunTicket, (String, AdmitError)> {
         let tenant_name = request.tenant.clone();
         let refuse = |err| (tenant_name.clone(), err);
 
@@ -281,29 +226,15 @@ impl ControlPlane {
             ));
         }
 
-        // Admitted: charge the quota now, place, queue.
+        // Admitted: charge the quota now, queue.
         tenant.spent += cost;
         tenant.queued += 1;
-        let tenant_seq = tenant.admitted;
         tenant.admitted += 1;
-
-        let pending: Vec<usize> = self.shards.iter().map(|s| s.pending).collect();
-        let key = format!("{tenant_name}#{tenant_seq}");
-        let placement = placement::place(&key, &pending, self.config.shard_capacity);
-        let shard = &mut self.shards[placement.shard];
-        shard.assigned += 1;
-        shard.pending += 1;
-        shard.peak_pending = shard.peak_pending.max(shard.pending);
-        if placement.overridden {
-            shard.overridden += 1;
-        }
 
         let ticket = RunTicket {
             run_id: self.next_run_id,
             tenant: tenant_name,
-            shard: placement.shard,
-            overridden: placement.overridden,
-            admitted_at: self.clock.now(),
+            admitted_at: at,
         };
         self.next_run_id += 1;
         self.queue.push_back(QueuedRun {
@@ -335,14 +266,10 @@ impl ControlPlane {
             .get_mut(&outcome.tenant)
             .expect("completions belong to known tenants");
         tenant.in_flight -= 1;
-        let shard = &mut self.shards[outcome.shard];
-        shard.pending -= 1;
         if outcome.report.is_some() {
             tenant.completed += 1;
-            shard.completed += 1;
         } else {
             tenant.failed += 1;
-            shard.failed += 1;
         }
         self.outcomes.push(outcome);
     }
@@ -352,27 +279,13 @@ impl ControlPlane {
         self.queue.len()
     }
 
-    /// The aggregated fleet report: every outcome in run-id order plus shard
-    /// / tenant / queue metrics and the rejection log. Deterministic for a
+    /// The aggregated fleet report: every outcome in run-id order plus
+    /// tenant / queue metrics and the rejection log. Deterministic for a
     /// fixed request sequence.
     pub fn report(&self) -> FleetReport {
         let mut runs = self.outcomes.clone();
         runs.sort_by_key(|r| r.run_id);
         FleetReport {
-            shards: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(shard, s)| ShardMetrics {
-                    shard,
-                    assigned: s.assigned,
-                    completed: s.completed,
-                    failed: s.failed,
-                    overridden: s.overridden,
-                    peak_pending: s.peak_pending,
-                    pending: s.pending,
-                })
-                .collect(),
             tenants: self
                 .tenants
                 .iter()
@@ -403,7 +316,6 @@ impl ControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::VirtualClock;
     use aikido_sim::{Mode, SimConfig};
     use aikido_workloads::WorkloadSpec;
 
@@ -416,19 +328,13 @@ mod tests {
         .with_config(SimConfig::default().with_scale(0.05))
     }
 
-    fn plane(config: ServiceConfig) -> (ControlPlane, VirtualClock) {
-        let clock = VirtualClock::new();
-        let plane = ControlPlane::with_clock(config, Box::new(clock.clone())).unwrap();
-        (plane, clock)
+    fn plane(config: ServiceConfig) -> ControlPlane {
+        ControlPlane::new(config).unwrap()
     }
 
     #[test]
     fn rejects_invalid_service_configs() {
         for config in [
-            ServiceConfig {
-                shards: 0,
-                ..ServiceConfig::default()
-            },
             ServiceConfig {
                 fleet_workers: 0,
                 ..ServiceConfig::default()
@@ -437,31 +343,30 @@ mod tests {
                 queue_capacity: 0,
                 ..ServiceConfig::default()
             },
-            ServiceConfig {
-                shard_capacity: 0,
-                ..ServiceConfig::default()
-            },
         ] {
             assert!(ControlPlane::new(config).is_err());
         }
     }
 
     #[test]
-    fn admission_stamps_tickets_from_the_virtual_clock() {
-        let (mut plane, clock) = plane(ServiceConfig::default());
-        clock.set(41);
+    fn admissions_and_refusals_are_stamped_with_their_submission_position() {
+        let mut plane = plane(ServiceConfig::default());
+        plane.set_budget("broke", TenantBudget::default().with_access_quota(0));
         let ticket = plane.submit(request("acme")).unwrap();
-        assert_eq!(ticket.run_id, 0);
-        assert_eq!(ticket.admitted_at, 41);
-        clock.advance(9);
+        assert_eq!((ticket.run_id, ticket.admitted_at), (0, 0));
+        plane.submit(request("broke")).unwrap_err();
         let ticket = plane.submit(request("acme")).unwrap();
-        assert_eq!(ticket.run_id, 1);
-        assert_eq!(ticket.admitted_at, 50);
+        assert_eq!(
+            (ticket.run_id, ticket.admitted_at),
+            (1, 2),
+            "the refusal took position 1"
+        );
+        assert_eq!(plane.report().rejections[0].at, 1);
     }
 
     #[test]
     fn invalid_spec_and_config_are_refused_up_front() {
-        let (mut plane, _clock) = plane(ServiceConfig::default());
+        let mut plane = plane(ServiceConfig::default());
         let mut bad_spec = request("acme");
         bad_spec.spec.threads = 0;
         let err = plane.submit(bad_spec).unwrap_err();
@@ -487,7 +392,7 @@ mod tests {
             queue_capacity: 2,
             ..ServiceConfig::default()
         };
-        let (mut plane, _clock) = plane(config);
+        let mut plane = plane(config);
         plane.submit(request("a")).unwrap();
         plane.submit(request("b")).unwrap();
         let err = plane.submit(request("c")).unwrap_err();
@@ -502,7 +407,7 @@ mod tests {
                 .with_max_in_flight(3),
             ..ServiceConfig::default()
         };
-        let (mut plane, _clock) = plane(config);
+        let mut plane = plane(config);
         plane.submit(request("greedy")).unwrap();
         plane.submit(request("greedy")).unwrap();
         let err = plane.submit(request("greedy")).unwrap_err();
@@ -540,7 +445,7 @@ mod tests {
             default_budget: TenantBudget::default().with_access_quota(cost * 2),
             ..ServiceConfig::default()
         };
-        let (mut plane, _clock) = plane(config);
+        let mut plane = plane(config);
         plane.submit(request("umbrella")).unwrap();
         plane.submit(request("umbrella")).unwrap();
         let err = plane.submit(request("umbrella")).unwrap_err();
@@ -562,55 +467,30 @@ mod tests {
 
     #[test]
     fn explicit_budgets_override_the_default() {
-        let (mut plane, _clock) = plane(ServiceConfig::default());
+        let mut plane = plane(ServiceConfig::default());
         plane.set_budget("vip", TenantBudget::default().with_access_quota(0));
         let err = plane.submit(request("vip")).unwrap_err();
         assert_eq!(err.kind(), "quota_exhausted");
     }
 
     #[test]
-    fn placement_is_deterministic_and_spreads_load() {
-        let submit_all = || {
-            let (mut plane, _clock) = plane(ServiceConfig::default());
-            let mut shards = Vec::new();
-            for i in 0..64 {
-                let tenant = format!("tenant-{}", i % 5);
-                shards.push(plane.submit(request(&tenant)).unwrap().shard);
-            }
-            shards
-        };
-        let first = submit_all();
-        let second = submit_all();
-        assert_eq!(first, second, "same sequence, same placement");
-        let distinct: std::collections::BTreeSet<usize> = first.iter().copied().collect();
-        assert!(
-            distinct.len() >= 3,
-            "64 runs over 4 shards should spread: {distinct:?}"
-        );
-    }
-
-    #[test]
-    fn override_engages_when_the_preferred_shard_saturates() {
-        let config = ServiceConfig {
-            shard_capacity: 1,
-            ..ServiceConfig::default()
-        };
-        let (mut plane, _clock) = plane(config);
-        let mut overridden = 0;
-        for _ in 0..16 {
-            if plane.submit(request("acme")).unwrap().overridden {
-                overridden += 1;
-            }
-        }
-        assert!(
-            overridden > 0,
-            "16 pending runs at shard_capacity 1 must divert some placements"
-        );
-        let report = plane.report();
-        let total: u64 = report.shards.iter().map(|s| s.overridden).sum();
-        assert_eq!(total, overridden);
-        for shard in &report.shards {
-            assert!(shard.pending > 0, "override should have spread the load");
+    fn an_access_count_past_u64_is_refused_by_quota_not_a_panic() {
+        // 2^62 accesses on 4 threads, and a scale that saturates the
+        // per-thread count: both costs overflow u64 unless the charge
+        // saturates.
+        for wire in [
+            r#"{"tenant": "t", "workload": {"preset": "vips", "threads": 4, "mem_accesses_per_thread": 4611686018427387904}, "mode": "native"}"#,
+            r#"{"tenant": "t", "workload": {"preset": "vips", "threads": 4}, "mode": "native", "config": {"scale": 1e300}}"#,
+        ] {
+            let mut plane = plane(ServiceConfig {
+                default_budget: TenantBudget::default().with_access_quota(1000),
+                ..ServiceConfig::default()
+            });
+            let err = plane
+                .submit(RunRequest::from_json(wire).unwrap())
+                .unwrap_err();
+            assert_eq!(err.kind(), "quota_exhausted", "{wire}: {err}");
+            assert_eq!(plane.queue_depth(), 0);
         }
     }
 }

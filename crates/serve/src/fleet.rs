@@ -19,13 +19,13 @@ use aikido_sim::Simulator;
 use aikido_workloads::Workload;
 
 use crate::budget::{AdmitError, TenantBudget};
-use crate::clock::ServiceClock;
 use crate::control::{ControlPlane, QueuedRun, RunTicket, ServiceConfig};
 use crate::report::{FleetReport, RunOutcome};
 use crate::request::RunRequest;
 
-/// The long-running multi-tenant simulation service: a [`ControlPlane`]
-/// fronted by `submit`, executed by a bounded worker fleet on `drain`.
+/// The long-running multi-tenant simulation service: an admission queue
+/// with tenant budgets, fronted by `submit` and executed by a bounded worker
+/// fleet on `drain`.
 ///
 /// ```
 /// use aikido_serve::{RunRequest, ServiceConfig, SimService};
@@ -47,7 +47,7 @@ pub struct SimService {
 }
 
 impl SimService {
-    /// A service with the default event clock.
+    /// An empty service.
     ///
     /// # Errors
     ///
@@ -58,28 +58,22 @@ impl SimService {
         })
     }
 
-    /// A service stamping control-plane events from a caller-provided clock.
-    ///
-    /// # Errors
-    ///
-    /// Returns the validation failure if `config` is invalid.
-    pub fn with_clock(config: ServiceConfig, clock: Box<dyn ServiceClock>) -> Result<Self, String> {
-        Ok(SimService {
-            plane: ControlPlane::with_clock(config, clock)?,
-        })
-    }
-
-    /// Installs an explicit budget for `tenant` (see
-    /// [`ControlPlane::set_budget`]).
+    /// Installs an explicit budget for `tenant` (otherwise the default
+    /// budget applies on first contact). Replaces any previous budget;
+    /// accounting state is kept.
     pub fn set_budget(&mut self, tenant: impl Into<String>, budget: TenantBudget) {
         self.plane.set_budget(tenant, budget);
     }
 
-    /// Admits or refuses a request (see [`ControlPlane::submit`]).
+    /// Admits or refuses a request. Admission validates the request, checks
+    /// the global queue, the tenant's backlog and outstanding caps, and the
+    /// tenant's access quota (charged here, at admission), then queues the
+    /// run.
     ///
     /// # Errors
     ///
-    /// A structured [`AdmitError`]; never a panic, never a hang.
+    /// A structured [`AdmitError`], also recorded in the rejection log;
+    /// never a panic, never a hang.
     pub fn submit(&mut self, request: RunRequest) -> Result<RunTicket, AdmitError> {
         self.plane.submit(request)
     }
@@ -167,7 +161,8 @@ fn execute(jobs: Vec<QueuedRun>, workers: usize) -> Vec<RunOutcome> {
 
 /// Executes one admitted run: generate the scaled workload, build the
 /// simulator from the request's config verbatim, run, and wrap the result.
-/// Failures become structured outcomes, never fleet panics.
+/// A `SimError` becomes `RunOutcome.error`. A panic is not caught: it ends
+/// the drain (release builds abort on panic).
 fn run_one(job: QueuedRun) -> RunOutcome {
     let QueuedRun { ticket, request } = job;
     let mut outcome = RunOutcome {
@@ -175,8 +170,6 @@ fn run_one(job: QueuedRun) -> RunOutcome {
         tenant: ticket.tenant,
         workload: request.spec.name.clone(),
         mode: request.mode.label().to_string(),
-        shard: ticket.shard,
-        overridden: ticket.overridden,
         admitted_at: ticket.admitted_at,
         report: None,
         error: None,
@@ -271,7 +264,9 @@ mod tests {
         let report = service.drain();
         assert_eq!(report.runs.len(), 2, "outcomes accumulate across drains");
         assert_eq!(report.queue.admitted, 2);
-        assert_eq!(report.shards.iter().map(|s| s.pending).sum::<usize>(), 0);
+        assert_eq!(report.queue.depth, 0, "nothing pending after drain");
+        let usage = &report.tenants[0];
+        assert_eq!(usage.completed + usage.failed, usage.admitted);
     }
 
     #[test]

@@ -1,34 +1,32 @@
 //! Multi-tenant simulation service: the serving layer over the Aikido
 //! reproduction's re-entrant [`Simulator`](aikido_sim::Simulator).
 //!
-//! The engine itself has been safe to run many-at-once since the epoch
-//! engine landed (multiple `Simulator` instances on concurrent threads
-//! produce byte-identical reports); this crate adds everything *around* that
-//! property that a production service needs — the request lifecycle is
+//! The engine itself is safe to run many-at-once (multiple `Simulator`
+//! instances on concurrent threads produce byte-identical reports); this
+//! crate adds an admission queue with tenant budgets and a worker pool
+//! around that property. The request lifecycle is
 //!
 //! ```text
-//!            admit                place                 run        aggregate
-//! RunRequest ──────► RunTicket ─────────► shard queue ──────► RunOutcome ──► FleetReport
-//!      │  validate spec+config      HRW hash + load     bounded scoped
-//!      │  queue / tenant caps       override            worker fleet,
-//!      └─► AdmitError (structured   (deterministic)     Simulator::from_config
-//!          rejection, never a                           per run
+//!            admit                           run                  aggregate
+//! RunRequest ──────► RunTicket ─► FIFO queue ──────► RunOutcome ─────────► FleetReport
+//!      │  validate spec+config              bounded scoped        run-id order
+//!      │  queue / tenant caps, quota        worker fleet,
+//!      └─► AdmitError (structured           Simulator::from_config
+//!          rejection, never a               per run
 //!          panic or hang)
 //! ```
 //!
 //! * [`RunRequest`] — the unified request API: tenant, workload spec,
 //!   mode, and a [`SimConfig`](aikido_sim::SimConfig) embedded verbatim.
-//! * [`ControlPlane`] — deterministic admission against per-tenant
+//! * [`SimService`] — deterministic admission against per-tenant
 //!   [`TenantBudget`]s (backlog, outstanding, cumulative access quota;
-//!   structured [`AdmitError`] refusals), rendezvous-hashed shard placement
-//!   with a load-aware override, and all fleet accounting.
-//! * [`SimService`] — the control plane plus a bounded worker fleet
-//!   (`std::thread::scope` + bounded mpsc, the epoch engine's idiom):
-//!   `submit` requests, `drain` the queue, read the [`FleetReport`].
+//!   structured [`AdmitError`] refusals) into one FIFO queue, plus a bounded
+//!   worker fleet (`std::thread::scope` + bounded mpsc): `submit` requests,
+//!   `drain` the queue, read the [`FleetReport`].
 //! * [`FleetReport`] — per-run reports (each byte-identical to a direct
-//!   `Simulator` run of the same request) plus queue depth, per-shard
-//!   occupancy and per-tenant spend. Deterministic: logical clocks only,
-//!   outcomes applied in run-id order.
+//!   `Simulator` run of the same request) plus queue depth, per-tenant
+//!   spend and the rejection log. Deterministic: timestamps are positions
+//!   in the submission sequence, outcomes are applied in run-id order.
 //!
 //! The `loadgen` harness in `aikido-bench` drives hundreds of concurrent
 //! scaled-down runs through a service and `cmp`s every delivered report
@@ -39,19 +37,13 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod budget;
-mod clock;
 mod control;
 mod fleet;
-mod placement;
 mod report;
 mod request;
 
 pub use budget::{AdmitError, TenantBudget};
-pub use clock::{EventClock, ServiceClock, VirtualClock};
-pub use control::{ControlPlane, QueuedRun, RunTicket, ServiceConfig};
+pub use control::{RunTicket, ServiceConfig};
 pub use fleet::SimService;
-pub use placement::{hrw_shard, place, Placement};
-pub use report::{
-    FleetReport, QueueMetrics, RejectionRecord, RunOutcome, ShardMetrics, TenantUsage,
-};
+pub use report::{FleetReport, QueueMetrics, RejectionRecord, RunOutcome, TenantUsage};
 pub use request::RunRequest;

@@ -4,26 +4,6 @@
 use aikido_sim::RunReport;
 use serde::Serialize;
 
-/// Occupancy and throughput counters for one simulator shard.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ShardMetrics {
-    /// Shard index.
-    pub shard: usize,
-    /// Runs ever assigned to this shard.
-    pub assigned: u64,
-    /// Runs this shard completed successfully.
-    pub completed: u64,
-    /// Runs that finished with an error.
-    pub failed: u64,
-    /// Assigned runs that landed here via the load-aware override rather
-    /// than rendezvous preference.
-    pub overridden: u64,
-    /// Highest pending (queued + in flight) count ever observed.
-    pub peak_pending: usize,
-    /// Current pending count.
-    pub pending: usize,
-}
-
 /// Admission and spend accounting for one tenant.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TenantUsage {
@@ -66,7 +46,8 @@ pub struct QueueMetrics {
 pub struct RejectionRecord {
     /// The refused tenant.
     pub tenant: String,
-    /// Logical admission-clock timestamp of the refusal.
+    /// Logical timestamp of the refusal: the request's position in the
+    /// submission sequence.
     pub at: u64,
     /// Machine-readable category (`AdmitError::kind`).
     pub kind: String,
@@ -85,10 +66,6 @@ pub struct RunOutcome {
     pub workload: String,
     /// Execution mode label.
     pub mode: String,
-    /// The shard that executed the run.
-    pub shard: usize,
-    /// Whether placement was diverted by the load-aware override.
-    pub overridden: bool,
     /// Logical admission timestamp.
     pub admitted_at: u64,
     /// The simulation report — byte-identical to a direct
@@ -99,18 +76,16 @@ pub struct RunOutcome {
 }
 
 /// Everything the service knows, as one deterministic serializable document:
-/// per-run outcomes (in run-id order), per-shard occupancy, per-tenant
-/// spend, queue statistics and the full rejection log. Two services fed the
+/// per-run outcomes (in run-id order), per-tenant spend, queue statistics
+/// and the full rejection log. Two services fed the
 /// same request sequence serialize byte-identical fleet reports.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FleetReport {
-    /// Per-shard metrics, indexed by shard.
-    pub shards: Vec<ShardMetrics>,
     /// Per-tenant accounting, sorted by tenant name.
     pub tenants: Vec<TenantUsage>,
     /// Global queue statistics.
     pub queue: QueueMetrics,
-    /// Every refusal, in admission-clock order.
+    /// Every refusal, in submission order.
     pub rejections: Vec<RejectionRecord>,
     /// Every delivered run, in run-id order.
     pub runs: Vec<RunOutcome>,

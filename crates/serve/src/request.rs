@@ -1,7 +1,7 @@
 //! The unified request API: one serializable value describing a run.
 
 use aikido_sim::{Mode, SimConfig};
-use aikido_workloads::WorkloadSpec;
+use aikido_workloads::{wire, WorkloadSpec};
 use serde::Serialize;
 
 /// One tenant-attributed simulation request: who is asking, what workload to
@@ -54,8 +54,8 @@ impl RunRequest {
 
     /// Parses a request from its JSON wire format. `tenant`, `workload` and
     /// `mode` are required; `config` is optional (default config when
-    /// absent). Unknown fields and invalid values are structured errors —
-    /// the admission layer rejects, it never panics.
+    /// absent). Unknown or repeated fields and invalid values are structured
+    /// errors — the admission layer rejects, it never panics.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let value = serde_json::from_str(text).map_err(|e| format!("request is not JSON: {e}"))?;
         Self::from_json_value(&value)
@@ -63,9 +63,7 @@ impl RunRequest {
 
     /// [`RunRequest::from_json`] on an already-parsed value.
     pub fn from_json_value(value: &serde_json::Value) -> Result<Self, String> {
-        let serde_json::Value::Object(entries) = value else {
-            return Err("request must be a JSON object".into());
-        };
+        let entries = wire::object(value).map_err(|e| format!("request {e}"))?;
         let mut tenant = None;
         let mut spec = None;
         let mut mode = None;
@@ -170,6 +168,10 @@ mod tests {
             ),
             ("not json", "not JSON"),
             ("[1]", "must be a JSON object"),
+            (
+                r#"{"tenant": "acme", "tenant": "umbrella", "workload": {"preset": "vips"}, "mode": "native"}"#,
+                "repeats the key 'tenant'",
+            ),
         ] {
             let err = RunRequest::from_json(bad).unwrap_err();
             assert!(err.contains(needle), "{bad} -> {err}");

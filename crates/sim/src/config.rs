@@ -17,6 +17,7 @@
 //! [`Simulator::reference`](crate::Simulator::reference), which no config,
 //! wire form or environment variable can select.
 
+use aikido_workloads::wire;
 use serde::{Deserialize, Serialize};
 
 /// A structured configuration error: which field is invalid and why.
@@ -179,32 +180,26 @@ impl SimConfig {
 
     /// Parses a configuration from a JSON object (as produced by serializing
     /// a `SimConfig`), starting from the defaults: absent fields keep their
-    /// default, unknown fields and type mismatches are structured errors,
-    /// and the result is validated before it is returned.
+    /// default; unknown or repeated fields, type mismatches and integers
+    /// outside a field's range are structured errors; and the result is
+    /// validated before it is returned.
     ///
     /// This is the wire format of the service request API: a `RunRequest`'s
     /// `config` member is exactly this object.
     pub fn from_json_value(value: &serde_json::Value) -> Result<Self, SimConfigError> {
-        let serde_json::Value::Object(entries) = value else {
-            return Err(SimConfigError::new("config", "must be a JSON object"));
-        };
+        let entries = wire::object(value).map_err(|e| SimConfigError::new("config", e))?;
         let mut config = SimConfig::default();
         for (key, value) in entries {
+            let int = |field: &'static str, max: u64| {
+                wire::uint(value, max).map_err(|e| SimConfigError::new(field, e))
+            };
             match key.as_str() {
-                "quantum" => {
-                    let quantum = json_u64(value, "quantum")?;
-                    config.quantum = u32::try_from(quantum).map_err(|_| {
-                        SimConfigError::new(
-                            "quantum",
-                            format!("must be at most {}, got {quantum}", u32::MAX),
-                        )
-                    })?
-                }
-                "workers" => config.workers = json_u64(value, "workers")? as usize,
+                "quantum" => config.quantum = int("quantum", u32::MAX.into())? as u32,
+                "workers" => config.workers = int("workers", usize::MAX as u64)? as usize,
                 "checkpoint_every" => {
                     config.checkpoint_every = match value {
                         serde_json::Value::Null => None,
-                        other => Some(json_u64(other, "checkpoint_every")?),
+                        _ => Some(int("checkpoint_every", u64::MAX)?),
                     }
                 }
                 "scale" => {
@@ -229,23 +224,6 @@ impl SimConfig {
 /// unparsable).
 fn parse_env<T: std::str::FromStr>(name: &str) -> Option<T> {
     std::env::var(name).ok().and_then(|v| v.parse::<T>().ok())
-}
-
-/// A JSON number as a non-negative integer, rejecting fractions, negatives
-/// and values `u64` cannot hold with a structured error.
-fn json_u64(value: &serde_json::Value, field: &'static str) -> Result<u64, SimConfigError> {
-    let n = value
-        .as_f64()
-        .ok_or_else(|| SimConfigError::new(field, "must be a JSON number"))?;
-    // `u64::MAX as f64` rounds up to exactly 2^64, the first value `as u64`
-    // would saturate.
-    if n < 0.0 || n.fract() != 0.0 || n >= u64::MAX as f64 {
-        return Err(SimConfigError::new(
-            field,
-            format!("must be a non-negative integer, got {n}"),
-        ));
-    }
-    Ok(n as u64)
 }
 
 #[cfg(test)]
@@ -341,6 +319,12 @@ mod tests {
             SimConfig::from_json_value(&bad).unwrap_err().field,
             "config"
         );
+
+        // A repeated key is refused by name, never resolved to the last copy.
+        let bad = serde_json::from_str(r#"{"quantum": 4, "quantum": 9}"#).unwrap();
+        let err = SimConfig::from_json_value(&bad).unwrap_err();
+        assert_eq!(err.field, "config");
+        assert!(err.reason.contains("'quantum'"), "{err}");
     }
 
     #[test]

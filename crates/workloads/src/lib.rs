@@ -50,6 +50,7 @@ mod scenario;
 mod scenarios;
 mod spec;
 mod trace;
+pub mod wire;
 mod workload;
 
 pub use layout::MemoryLayout;

@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::wire;
+
 /// Names of the ten PARSEC benchmarks used in the paper's evaluation, in the
 /// order of Figure 5 / Table 2.
 pub const PARSEC_BENCHMARKS: [&str; 10] = [
@@ -289,14 +291,12 @@ impl WorkloadSpec {
     /// ```
     ///
     /// Recognised overrides: `threads`, `mem_accesses_per_thread`,
-    /// `racy_pairs`, `barrier_every`. Unknown keys, type mismatches, unknown
-    /// presets and overrides that fail [`WorkloadSpec::validate`] are all
-    /// errors — a service admission layer rejects the request instead of
+    /// `racy_pairs`, `barrier_every`. Unknown or repeated keys, type
+    /// mismatches, integers outside the field's range, unknown presets and
+    /// overrides that fail [`WorkloadSpec::validate`] are all errors — a service admission layer rejects the request instead of
     /// running a workload the caller did not describe.
     pub fn from_json_value(value: &serde_json::Value) -> Result<Self, String> {
-        let serde_json::Value::Object(entries) = value else {
-            return Err("workload spec must be a JSON object".into());
-        };
+        let entries = wire::object(value).map_err(|e| format!("workload spec {e}"))?;
         let preset = entries
             .iter()
             .find(|(k, _)| k == "preset")
@@ -307,23 +307,17 @@ impl WorkloadSpec {
         let mut spec =
             Self::parsec(preset).ok_or_else(|| format!("unknown PARSEC preset '{preset}'"))?;
         for (key, value) in entries {
-            let int = |field: &str| {
-                let n = value
-                    .as_f64()
-                    .ok_or_else(|| format!("'{field}' must be a JSON number"))?;
-                if n < 0.0 || n.fract() != 0.0 {
-                    return Err(format!("'{field}' must be a non-negative integer, got {n}"));
-                }
-                Ok(n as u64)
+            let int = |field: &str, max: u64| {
+                wire::uint(value, max).map_err(|e| format!("'{field}' {e}"))
             };
             match key.as_str() {
                 "preset" => {}
-                "threads" => spec.threads = int("threads")?.min(u32::MAX as u64) as u32,
+                "threads" => spec.threads = int("threads", u32::MAX.into())? as u32,
                 "mem_accesses_per_thread" => {
-                    spec.mem_accesses_per_thread = int("mem_accesses_per_thread")?
+                    spec.mem_accesses_per_thread = int("mem_accesses_per_thread", u64::MAX)?
                 }
-                "racy_pairs" => spec.racy_pairs = int("racy_pairs")?.min(u32::MAX as u64) as u32,
-                "barrier_every" => spec.barrier_every = int("barrier_every")?,
+                "racy_pairs" => spec.racy_pairs = int("racy_pairs", u32::MAX.into())? as u32,
+                "barrier_every" => spec.barrier_every = int("barrier_every", u64::MAX)?,
                 unknown => return Err(format!("unknown workload spec field '{unknown}'")),
             }
         }
@@ -338,9 +332,11 @@ impl WorkloadSpec {
     }
 
     /// Total dynamic memory accesses across all worker threads (excluding the
-    /// main thread's initialisation writes).
+    /// main thread's initialisation writes). Saturates at `u64::MAX`, so a
+    /// huge spec never wraps to a small count.
     pub fn total_mem_accesses(&self) -> u64 {
-        self.mem_accesses_per_thread * self.threads as u64
+        self.mem_accesses_per_thread
+            .saturating_mul(self.threads as u64)
     }
 
     /// Validates the specification, returning a description of the first
@@ -493,6 +489,40 @@ mod tests {
             let value = serde_json::from_str(bad).unwrap();
             assert!(WorkloadSpec::from_json_value(&value).is_err(), "{bad}");
         }
+
+        // A repeated key is refused by name, never resolved to one copy.
+        let value = serde_json::from_str(
+            r#"{"preset": "vips", "preset": "canneal", "threads": 2, "threads": 3}"#,
+        )
+        .unwrap();
+        let err = WorkloadSpec::from_json_value(&value).unwrap_err();
+        assert!(err.contains("'preset'"), "{err}");
+
+        // Out-of-range integers are refused, never clamped or saturated.
+        for (bad, field) in [
+            (r#"{"preset": "vips", "threads": 4294967296}"#, "threads"),
+            (
+                r#"{"preset": "vips", "racy_pairs": 4294967296}"#,
+                "racy_pairs",
+            ),
+            (
+                r#"{"preset": "vips", "mem_accesses_per_thread": 18446744073709551616}"#,
+                "mem_accesses_per_thread",
+            ),
+            (
+                r#"{"preset": "vips", "barrier_every": 18446744073709551616}"#,
+                "barrier_every",
+            ),
+        ] {
+            let value = serde_json::from_str(bad).unwrap();
+            let err = WorkloadSpec::from_json_value(&value).unwrap_err();
+            assert!(err.contains(field), "{bad} -> {err}");
+        }
+        let value = serde_json::from_str(r#"{"preset": "vips", "threads": 4294967295}"#).unwrap();
+        assert_eq!(
+            WorkloadSpec::from_json_value(&value).unwrap().threads,
+            u32::MAX
+        );
     }
 
     #[test]

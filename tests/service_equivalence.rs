@@ -1,21 +1,19 @@
 //! Service ↔ direct-run equivalence and admission behaviour, end to end.
 //!
 //! The serving layer must be a transparent multiplexer: a report delivered
-//! through admit → place → run → aggregate is byte-identical to running the
-//! same `RunRequest` directly on a `Simulator`, and the whole `FleetReport`
-//! is a deterministic function of the request sequence. Budget refusals are
-//! structured errors, never panics. All tests use the deterministic
-//! [`VirtualClock`] so no wall-clock value can leak into assertions.
+//! through admit → run → aggregate is byte-identical to running the same
+//! `RunRequest` directly on a `Simulator`, and the whole `FleetReport` is a
+//! deterministic function of the request sequence. Budget refusals are
+//! structured errors, never panics. Timestamps are positions in the
+//! submission sequence, so no wall-clock value can leak into assertions.
 
 use aikido::prelude::*;
-use aikido_serve::{AdmitError, RunRequest, ServiceConfig, SimService, TenantBudget, VirtualClock};
+use aikido_serve::{AdmitError, RunRequest, ServiceConfig, SimService, TenantBudget};
 
 fn small_config() -> ServiceConfig {
     ServiceConfig {
-        shards: 4,
         fleet_workers: 3,
         queue_capacity: 64,
-        shard_capacity: 16,
         default_budget: TenantBudget::default(),
     }
 }
@@ -39,11 +37,9 @@ fn requests() -> Vec<RunRequest> {
 
 #[test]
 fn delivered_reports_are_byte_identical_to_direct_runs() {
-    let clock = VirtualClock::new();
-    let mut service = SimService::with_clock(small_config(), Box::new(clock.clone())).unwrap();
+    let mut service = SimService::new(small_config()).unwrap();
     let batch = requests();
     for request in &batch {
-        clock.advance(10);
         service.submit(request.clone()).expect("within budget");
     }
     let fleet = service.drain();
@@ -68,10 +64,8 @@ fn delivered_reports_are_byte_identical_to_direct_runs() {
 #[test]
 fn the_fleet_report_is_a_deterministic_function_of_the_request_sequence() {
     let run = || {
-        let clock = VirtualClock::new();
-        let mut service = SimService::with_clock(small_config(), Box::new(clock.clone())).unwrap();
+        let mut service = SimService::new(small_config()).unwrap();
         for request in requests() {
-            clock.advance(7);
             service.submit(request).expect("within budget");
         }
         serde_json::to_string(&service.drain()).unwrap()
@@ -85,8 +79,7 @@ fn the_fleet_report_is_a_deterministic_function_of_the_request_sequence() {
 
 #[test]
 fn budget_refusals_are_structured_and_the_fleet_still_drains() {
-    let clock = VirtualClock::new();
-    let mut service = SimService::with_clock(small_config(), Box::new(clock.clone())).unwrap();
+    let mut service = SimService::new(small_config()).unwrap();
     service.set_budget("umbrella", TenantBudget::default().with_access_quota(0));
 
     let paying = WorkloadSpec::parsec("blackscholes").unwrap();
@@ -95,7 +88,6 @@ fn budget_refusals_are_structured_and_the_fleet_still_drains() {
         .submit(RunRequest::new("acme", paying.clone(), Mode::Aikido).with_config(config.clone()))
         .expect("paying tenant admitted");
 
-    clock.set(99);
     let refused = service
         .submit(RunRequest::new("umbrella", paying, Mode::Native).with_config(config))
         .expect_err("zero quota must refuse");
@@ -114,7 +106,7 @@ fn budget_refusals_are_structured_and_the_fleet_still_drains() {
     assert_eq!(fleet.rejections.len(), 1);
     assert_eq!(fleet.rejections[0].tenant, "umbrella");
     assert_eq!(
-        fleet.rejections[0].at, 99,
-        "rejection stamped by the virtual clock"
+        fleet.rejections[0].at, 1,
+        "the refusal is stamped with its position in the submission sequence"
     );
 }
