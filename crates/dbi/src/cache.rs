@@ -283,8 +283,13 @@ impl CodeCache {
 
     /// Rebuilds a cache from its serialized form. Slots are filled directly
     /// (never through [`CodeCache::execute`]) so statistics and generation
-    /// counters come back exactly as recorded.
-    pub(crate) fn decode_snapshot(r: &mut SectionReader) -> Result<Self, SnapshotError> {
+    /// counters come back exactly as recorded. A cache holds at most one
+    /// slot per block of the program, so a slot count above
+    /// `program_blocks` is refused before anything is allocated for it.
+    pub(crate) fn decode_snapshot(
+        r: &mut SectionReader,
+        program_blocks: usize,
+    ) -> Result<Self, SnapshotError> {
         let hot_threshold = r.get_u64()?;
         if hot_threshold == 0 {
             return Err(SnapshotError::new(
@@ -299,6 +304,13 @@ impl CodeCache {
             generations.push(r.get_u32()?);
         }
         let slots = r.get_usize()?;
+        if slots > program_blocks {
+            return Err(SnapshotError::new(
+                r.section_name(),
+                r.offset(),
+                format!("{slots} code cache slots for a program of {program_blocks} blocks"),
+            ));
+        }
         let resident = r.get_usize()?;
         let mut blocks: Vec<Option<CachedBlock>> = Vec::new();
         blocks.resize_with(slots, || None);

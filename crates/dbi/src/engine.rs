@@ -224,9 +224,10 @@ impl DbiEngine {
             instrumented.insert(id);
             mark_in_masks(&mut masks, id);
         }
-        let cache = CodeCache::decode_snapshot(r)?;
+        let program: Arc<Program> = program.into();
+        let cache = CodeCache::decode_snapshot(r, program.len())?;
         Ok(DbiEngine {
-            program: program.into(),
+            program,
             cache,
             instrumented,
             masks,

@@ -16,8 +16,9 @@
 //! * metadata lives in shadow memory. The hot-path representation is one
 //!   packed 64-bit word per block ([`aikido_types::ShadowWord`]: write epoch
 //!   and exclusive-read epoch bit-packed side by side) in page-granular
-//!   dense slabs ([`aikido_shadow::ShadowSlabs`]) whose directory finds a
-//!   page's slab in about one probe; states that outgrow the
+//!   dense slabs ([`aikido_types::SlabDirectory`], the word form of the
+//!   page-indexed directory every VM table also uses) whose directory finds
+//!   a page's slab in about one probe; states that outgrow the
 //!   word — promoted read-shared vector clocks, oversized clocks or thread
 //!   ids — escape through a tag bit into a spilled side table. The enum-based
 //!   [`aikido_shadow::ShadowStore`] representation is retained as the

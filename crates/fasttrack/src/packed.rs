@@ -20,9 +20,8 @@
 //! proven equivalent by the `packed_words_model` property suite and by the
 //! end-to-end `reference_equivalence` suite.
 
-use aikido_shadow::ShadowSlabs;
 use aikido_snapshot::SectionWriter;
-use aikido_types::{Addr, ShadowWord, SlabHandle, ThreadId, SLAB_WORDS};
+use aikido_types::{Addr, ShadowWord, SlabDirectory, SlabHandle, ThreadId, SLAB_WORDS};
 
 use crate::clock::{Epoch, VectorClock};
 use crate::detector::{cost, put_clock, put_epoch, ReadOutcome, WriteOutcome};
@@ -493,7 +492,7 @@ pub(crate) struct PackedVars {
     /// log2(granularity), so `block_of` is a shift instead of a division.
     shift: u32,
     /// The dense word plane, keyed by block index.
-    slabs: ShadowSlabs,
+    slabs: SlabDirectory,
     /// Arena of spilled states, indexed by the word's spill slot.
     arena: Vec<SpillSlot>,
     /// Recycled arena slots (their stale states are dead until reused).
@@ -515,7 +514,7 @@ impl PackedVars {
         );
         PackedVars {
             shift: granularity.trailing_zeros(),
-            slabs: ShadowSlabs::new(),
+            slabs: SlabDirectory::new(),
             arena: Vec::new(),
             free: Vec::new(),
             stats: SpillStats::default(),
@@ -533,13 +532,14 @@ impl PackedVars {
     /// resolve; spill-table operations never invalidate it.
     #[inline]
     pub fn locate(&mut self, addr: Addr) -> (SlabHandle, usize) {
-        self.slabs.resolve(self.block_of(addr))
+        let (chunk, slot) = SlabDirectory::split(self.block_of(addr));
+        (self.slabs.resolve(chunk), slot)
     }
 
     /// Resolves the slab containing `block` (see [`PackedVars::locate`]).
     #[inline]
     pub fn resolve_block(&mut self, block: u64) -> SlabHandle {
-        self.slabs.resolve(block).0
+        self.slabs.resolve(SlabDirectory::split(block).0)
     }
 
     /// The word at `slot` of a resolved slab.
@@ -683,7 +683,7 @@ impl PackedVars {
     /// order — the serialization surface the equivalence oracle compares.
     pub fn states(&self) -> Vec<(u64, VarState)> {
         self.slabs
-            .iter()
+            .iter_nonempty()
             .map(|(block, word)| {
                 let state = if word.is_spilled() {
                     self.spill_slot(word).to_state()
@@ -734,6 +734,50 @@ mod tests {
             read: ReadState::default(),
         };
         assert_eq!(encode_state(&big_thread), None);
+    }
+
+    #[test]
+    fn resolve_then_index_matches_keyed_access() {
+        let mut vars = PackedVars::new(8);
+        let addr = Addr::new(0x10_0008);
+        let block = vars.block_of(addr);
+        assert_eq!(block, 0x10_0008 >> 3);
+        let (handle, slot) = vars.locate(addr);
+        assert_eq!(vars.resolve_block(block), handle);
+        assert_eq!(slot, SlabDirectory::split(block).1);
+        vars.set_word_at(handle, slot, ShadowWord::from_raw(9));
+        assert_eq!(vars.slabs.get(block).raw(), 9);
+        assert_eq!(vars.word_at(handle, slot).raw(), 9);
+        assert_eq!(vars.len(), 1);
+        assert_eq!(vars.slabs.slab_count(), 1);
+    }
+
+    #[test]
+    fn same_page_blocks_share_a_slab() {
+        let mut vars = PackedVars::new(8);
+        // At 8-byte granularity a 4 KiB page holds exactly one slab's worth
+        // of blocks, so every block of the page resolves to the same handle.
+        let base = Addr::new(0x40_0000);
+        let (h0, _) = vars.locate(base);
+        for off in (8..4096).step_by(8) {
+            assert_eq!(vars.locate(base.offset(off)).0, h0);
+        }
+        assert_ne!(vars.locate(base.offset(4096)).0, h0);
+    }
+
+    #[test]
+    fn iter_reports_blocks_in_order() {
+        let mut vars = PackedVars::new(8);
+        let state = VarState {
+            write: Epoch::new(1, t(0)),
+            read: ReadState::default(),
+        };
+        for b in [700u64, 2, 513] {
+            let (handle, slot) = vars.locate(Addr::new(b * 8));
+            vars.set_word_at(handle, slot, encode_state(&state).expect("fits"));
+        }
+        let got: Vec<u64> = vars.states().into_iter().map(|(b, _)| b).collect();
+        assert_eq!(got, vec![2, 513, 700]);
     }
 
     #[test]

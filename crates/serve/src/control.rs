@@ -214,7 +214,14 @@ impl ControlPlane {
             ));
         }
         let cost = request.cost_accesses();
-        if tenant.spent.saturating_add(cost) > tenant.budget.access_quota {
+        // The cost saturates at `u64::MAX`, so that value is a count past
+        // u64, never a runnable one: refused even under an unlimited quota.
+        let within_quota = cost < u64::MAX
+            && tenant
+                .spent
+                .checked_add(cost)
+                .is_some_and(|total| total <= tenant.budget.access_quota);
+        if !within_quota {
             return Err((
                 tenant_name.clone(),
                 AdmitError::QuotaExhausted {
@@ -477,13 +484,22 @@ mod tests {
     fn an_access_count_past_u64_is_refused_by_quota_not_a_panic() {
         // 2^62 accesses on 4 threads, and a scale that saturates the
         // per-thread count: both costs overflow u64 unless the charge
-        // saturates.
-        for wire in [
+        // saturates, and the saturated cost is refused under a small quota
+        // and under the default, unlimited one alike.
+        let wires = [
             r#"{"tenant": "t", "workload": {"preset": "vips", "threads": 4, "mem_accesses_per_thread": 4611686018427387904}, "mode": "native"}"#,
             r#"{"tenant": "t", "workload": {"preset": "vips", "threads": 4}, "mode": "native", "config": {"scale": 1e300}}"#,
-        ] {
+        ];
+        let budgets = [
+            TenantBudget::default().with_access_quota(1000),
+            TenantBudget::default(),
+        ];
+        for (wire, budget) in wires
+            .into_iter()
+            .flat_map(|wire| budgets.iter().map(move |budget| (wire, budget)))
+        {
             let mut plane = plane(ServiceConfig {
-                default_budget: TenantBudget::default().with_access_quota(1000),
+                default_budget: budget.clone(),
                 ..ServiceConfig::default()
             });
             let err = plane

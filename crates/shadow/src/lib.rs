@@ -14,16 +14,17 @@
 //! table walk. [`TranslationCache`] models those layers and reports which one
 //! hit so the simulator can charge the right cost.
 //!
-//! Metadata storage comes in two flavours. [`ShadowStore`] is the generic
-//! typed store (a chunked slab of `Option<T>` slots, keyed by application
-//! address at a configurable granularity). [`ShadowSlabs`] is the *packed*
-//! metadata plane: page-granular dense slabs of raw 64-bit
-//! [`aikido_types::ShadowWord`]s whose directory resolves a page's slab in
-//! one probe per access — the address→slab half of the unified translation
-//! whose pricing half is [`TranslationCache::access`]. One lookup prices the
-//! model, one resolves the real metadata; the sharing detector's page-state
-//! table keys the same directory structure by page number so both planes
-//! agree on one page-indexed layout.
+//! Metadata storage sits on the one page-indexed directory of
+//! `aikido-types`, in either of its leaf forms. [`ShadowStore`] is the
+//! generic typed store: an [`aikido_types::ChunkMap`] of `Option<T>` slots,
+//! keyed by application address at a configurable granularity. The *packed*
+//! metadata plane is an [`aikido_types::SlabDirectory`] of raw 64-bit
+//! [`aikido_types::ShadowWord`]s, which FastTrack keys by block index and
+//! resolves in one probe per access; [`TranslationCache::access`] prices
+//! that access. One lookup prices the model, one resolves the real
+//! metadata. The sharing detector's page-state table keys the same
+//! directory by page number, so both planes agree on one page-indexed
+//! layout.
 //!
 //! # Examples
 //!
@@ -51,13 +52,11 @@
 mod cache;
 mod dual;
 mod region;
-mod slabs;
 mod stats;
 mod store;
 
 pub use cache::{CacheLevel, TranslationCache};
 pub use dual::DualShadow;
 pub use region::{Region, RegionId, RegionKind, RegionTable};
-pub use slabs::ShadowSlabs;
 pub use stats::ShadowStats;
 pub use store::ShadowStore;

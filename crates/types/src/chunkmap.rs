@@ -1,90 +1,46 @@
-//! A flat, chunked map keyed by `u64` indices — the storage engine behind
-//! every per-access table in the reproduction.
+//! A flat, chunked map keyed by `u64` indices — the typed-slot form of the
+//! page-indexed directory behind every per-access table in the reproduction.
 //!
 //! The per-access hot paths (shadow page-table lookups, per-thread protection
-//! checks, shadow-metadata loads, page sharing states) were originally backed
-//! by `BTreeMap`/`HashMap`, so every simulated access paid pointer chasing or
-//! hashing. [`ChunkMap`] replaces them with index arithmetic:
-//!
-//! * Keys are split into a *chunk* (`key >> CHUNK_BITS`) and a *slot*
-//!   (`key & CHUNK_MASK`). Each chunk owns a lazily boxed leaf array of
-//!   [`CHUNK_LEN`] slots — page-granular when keys are 8-byte block indices,
-//!   2 MiB-granular when keys are page numbers.
-//! * Chunks live in a fixed-size, power-of-two *directory* addressed by
-//!   open addressing with linear probing. A chunk's home slot is `home`:
-//!   the top bits of a Fibonacci (multiplicative) hash of the chunk index,
-//!   so consecutive chunks spread over the whole directory. The directory
-//!   doubles when it fills past 70 %.
-//!
-//! Identity homing (`chunk & mask`) looks free but fails on the simulated
-//! layout. In a block-keyed map the chunk is the page number, and the region
-//! bases (shared at page `0x10000`, private from page `0x200_0000`) are
-//! multiples of every directory size. Every region's chunks then start at
-//! slot 0, and all regions pile into one linear-probe cluster: about 20 tag
-//! compares per lookup on fluidanimate's full-mode stream. With hashed
-//! homes a lookup is one multiply, two array loads and (almost always) one
-//! tag compare — no tree descent, no allocation — which is what lets the
-//! simulator's fast path approach native speed.
+//! checks, shadow-metadata loads) were originally backed by
+//! `BTreeMap`/`HashMap`, so every simulated access paid pointer chasing or
+//! hashing. [`ChunkMap`] replaces them with index arithmetic: keys split
+//! into a *chunk* (`key >> CHUNK_BITS`) and a *slot* (`key & CHUNK_MASK`),
+//! and each chunk owns a lazily boxed leaf of [`CHUNK_LEN`] `Option<T>`
+//! slots — page-granular when keys are 8-byte block indices, 2 MiB-granular
+//! when keys are page numbers. The chunks live in the hashed, open-addressed
+//! directory `directory.rs` shares with [`crate::SlabDirectory`], whose
+//! leaves are bare words instead; a lookup is one multiply, two array loads
+//! and (almost always) one tag compare, which is what lets the simulator's
+//! fast path approach native speed.
 
 use std::fmt;
+
+use crate::directory::{Directory, Leaf};
 
 /// log2 of the number of slots per leaf chunk.
 pub const CHUNK_BITS: u32 = 9;
 /// Number of slots per leaf chunk (512 — one page of 8-byte blocks).
 pub const CHUNK_LEN: usize = 1 << CHUNK_BITS;
 const CHUNK_MASK: u64 = (CHUNK_LEN as u64) - 1;
-/// Initial directory capacity (power of two).
-const INITIAL_DIR: usize = 64;
-/// Directory load factor (in percent) beyond which it doubles.
-const MAX_LOAD_PCT: usize = 70;
 
-/// Directory tag meaning "no chunk here". Keys are full `u64`s but chunk
-/// indices are `key >> CHUNK_BITS < 2^55`, so the sentinel can never collide.
-const EMPTY_TAG: u64 = u64::MAX;
-
-/// The Fibonacci hashing multiplier: 2^64 divided by the golden ratio.
-const FIB_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// The home slot of `chunk` in a power-of-two directory of `mask + 1` slots
-/// (`mask` ≥ 1): the top `log2(mask + 1)` bits of `chunk` times the Fibonacci
-/// multiplier. Shared by [`ChunkMap`] and [`crate::SlabDirectory`].
-#[inline]
-pub(crate) fn home(chunk: u64, mask: u64) -> usize {
-    (chunk.wrapping_mul(FIB_MULTIPLIER) >> mask.leading_zeros()) as usize
+impl<T> Leaf for [Option<T>; CHUNK_LEN] {
+    fn vacant() -> Box<Self> {
+        let slots: Box<[Option<T>]> = (0..CHUNK_LEN).map(|_| None).collect();
+        match slots.try_into() {
+            Ok(leaf) => leaf,
+            Err(_) => unreachable!("collected exactly CHUNK_LEN slots"),
+        }
+    }
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Directory tag compares made on this thread (unit tests only).
-    pub(crate) static TAG_COMPARES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Counts one directory tag compare; compiles to nothing outside unit tests.
-#[inline(always)]
-pub(crate) fn count_tag_compare() {
-    #[cfg(test)]
-    TAG_COMPARES.with(|c| c.set(c.get() + 1));
-}
-
-fn new_leaf<T>() -> Box<[Option<T>]> {
-    let mut slots = Vec::with_capacity(CHUNK_LEN);
-    slots.resize_with(CHUNK_LEN, || None);
-    slots.into_boxed_slice()
-}
-
-/// A sparse `u64 → T` map stored as a fixed directory of flat leaf chunks.
+/// A sparse `u64 → T` map stored as a directory of flat leaf chunks.
 ///
 /// See the module docs for the layout. The API mirrors the subset of
 /// `HashMap` the tables need; iteration is in ascending key order.
+#[derive(Clone)]
 pub struct ChunkMap<T> {
-    /// Open-addressed chunk tags ([`EMPTY_TAG`] = vacant). Kept separate from
-    /// the leaves so probing touches a dense 8-byte lane.
-    tags: Vec<u64>,
-    /// Leaf arrays, parallel to `tags` (`Some` iff the tag is occupied).
-    leaves: Vec<Option<Box<[Option<T>]>>>,
-    /// `tags.len() - 1`; the directory length is always a power of two.
-    mask: u64,
-    chunks: usize,
+    dir: Directory<[Option<T>; CHUNK_LEN]>,
     entries: usize,
 }
 
@@ -100,26 +56,11 @@ impl<T: fmt::Debug> fmt::Debug for ChunkMap<T> {
     }
 }
 
-impl<T: Clone> Clone for ChunkMap<T> {
-    fn clone(&self) -> Self {
-        let mut copy = ChunkMap::new();
-        for (k, v) in self.iter() {
-            copy.insert(k, v.clone());
-        }
-        copy
-    }
-}
-
 impl<T> ChunkMap<T> {
     /// Creates an empty map.
     pub fn new() -> Self {
-        let mut leaves = Vec::with_capacity(INITIAL_DIR);
-        leaves.resize_with(INITIAL_DIR, || None);
         ChunkMap {
-            tags: vec![EMPTY_TAG; INITIAL_DIR],
-            leaves,
-            mask: (INITIAL_DIR as u64) - 1,
-            chunks: 0,
+            dir: Directory::new(),
             entries: 0,
         }
     }
@@ -136,11 +77,7 @@ impl<T> ChunkMap<T> {
 
     /// Removes every entry but keeps the directory allocation.
     pub fn clear(&mut self) {
-        self.tags.fill(EMPTY_TAG);
-        for leaf in &mut self.leaves {
-            *leaf = None;
-        }
-        self.chunks = 0;
+        self.dir.clear();
         self.entries = 0;
     }
 
@@ -149,39 +86,18 @@ impl<T> ChunkMap<T> {
         (key >> CHUNK_BITS, (key & CHUNK_MASK) as usize)
     }
 
-    /// Directory index holding `chunk`, or the empty slot where it belongs.
-    #[inline]
-    fn probe(&self, chunk: u64) -> usize {
-        let mut i = home(chunk, self.mask);
-        loop {
-            count_tag_compare();
-            let tag = self.tags[i];
-            if tag == chunk || tag == EMPTY_TAG {
-                return i;
-            }
-            i = (i + 1) & self.mask as usize;
-        }
-    }
-
     /// Shared access to the value at `key`.
     #[inline]
     pub fn get(&self, key: u64) -> Option<&T> {
         let (chunk, slot) = Self::split(key);
-        match &self.leaves[self.probe(chunk)] {
-            Some(leaf) => leaf[slot].as_ref(),
-            None => None,
-        }
+        self.dir.get(chunk)?[slot].as_ref()
     }
 
     /// Mutable access to the value at `key`.
     #[inline]
     pub fn get_mut(&mut self, key: u64) -> Option<&mut T> {
         let (chunk, slot) = Self::split(key);
-        let i = self.probe(chunk);
-        match &mut self.leaves[i] {
-            Some(leaf) => leaf[slot].as_mut(),
-            None => None,
-        }
+        self.dir.get_mut(chunk)?[slot].as_mut()
     }
 
     /// True if `key` has a value.
@@ -190,68 +106,20 @@ impl<T> ChunkMap<T> {
         self.get(key).is_some()
     }
 
-    fn grow(&mut self) {
-        let new_len = self.tags.len() * 2;
-        let mut new_tags = vec![EMPTY_TAG; new_len];
-        let mut new_leaves: Vec<Option<Box<[Option<T>]>>> = Vec::with_capacity(new_len);
-        new_leaves.resize_with(new_len, || None);
-        let new_mask = (new_len as u64) - 1;
-        for (tag, leaf) in self.tags.drain(..).zip(self.leaves.drain(..)) {
-            if tag != EMPTY_TAG {
-                let mut i = home(tag, new_mask);
-                while new_tags[i] != EMPTY_TAG {
-                    i = (i + 1) & new_mask as usize;
-                }
-                new_tags[i] = tag;
-                new_leaves[i] = leaf;
-            }
-        }
-        self.tags = new_tags;
-        self.leaves = new_leaves;
-        self.mask = new_mask;
-    }
-
-    /// Directory index of the chunk for `key`, allocating the chunk (and
-    /// growing the directory) if needed.
-    fn chunk_for_insert(&mut self, chunk: u64) -> usize {
-        let i = self.probe(chunk);
-        if self.tags[i] != EMPTY_TAG {
-            return i;
-        }
-        if (self.chunks + 1) * 100 > self.tags.len() * MAX_LOAD_PCT {
-            self.grow();
-        }
-        let i = self.probe(chunk);
-        self.tags[i] = chunk;
-        self.leaves[i] = Some(new_leaf());
-        self.chunks += 1;
-        i
-    }
-
     /// Inserts `value` at `key`, returning the previous value if any.
     pub fn insert(&mut self, key: u64, value: T) -> Option<T> {
         let (chunk, slot) = Self::split(key);
-        let i = self.chunk_for_insert(chunk);
-        let leaf = self.leaves[i].as_mut().expect("chunk just ensured");
-        let old = leaf[slot].replace(value);
-        if old.is_none() {
-            self.entries += 1;
-        }
+        let i = self.dir.resolve(chunk);
+        let old = self.dir.leaf_mut(i)[slot].replace(value);
+        self.entries += usize::from(old.is_none());
         old
     }
 
-    /// Removes and returns the value at `key`.
+    /// Removes and returns the value at `key`. Its chunk stays allocated.
     pub fn remove(&mut self, key: u64) -> Option<T> {
         let (chunk, slot) = Self::split(key);
-        let i = self.probe(chunk);
-        let leaf = self.leaves[i].as_mut()?;
-        let old = leaf[slot].take();
-        if old.is_some() {
-            self.entries -= 1;
-            // Chunks are kept once allocated (tombstone-free removal would
-            // break the probe sequence and churn is rare); an empty chunk
-            // still answers lookups correctly.
-        }
+        let old = self.dir.get_mut(chunk)?[slot].take();
+        self.entries -= usize::from(old.is_some());
         old
     }
 
@@ -274,28 +142,17 @@ impl<T> ChunkMap<T> {
         T: Default,
     {
         let (chunk, slot) = Self::split(key);
-        let i = self.chunk_for_insert(chunk);
-        let leaf = self.leaves[i].as_mut().expect("chunk just ensured");
-        let entry = &mut leaf[slot];
+        let i = self.dir.resolve(chunk);
+        let entry = &mut self.dir.leaf_mut(i)[slot];
         let is_new = entry.is_none();
-        if is_new {
-            *entry = Some(T::default());
-            self.entries += 1;
-        }
-        (is_new, entry.as_mut().expect("just filled"))
+        self.entries += usize::from(is_new);
+        (is_new, entry.get_or_insert_with(T::default))
     }
 
     /// Iterates over `(key, &value)` pairs in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
-        let mut chunk_order: Vec<(u64, &[Option<T>])> = self
-            .tags
-            .iter()
-            .zip(&self.leaves)
-            .filter_map(|(&tag, leaf)| leaf.as_ref().map(|l| (tag, &l[..])))
-            .collect();
-        chunk_order.sort_by_key(|&(tag, _)| tag);
-        chunk_order.into_iter().flat_map(|(tag, slots)| {
-            let base = tag << CHUNK_BITS;
+        self.dir.sorted().into_iter().flat_map(|(chunk, slots)| {
+            let base = chunk << CHUNK_BITS;
             slots
                 .iter()
                 .enumerate()
@@ -305,7 +162,7 @@ impl<T> ChunkMap<T> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
 
     #[test]
@@ -370,32 +227,9 @@ pub(crate) mod tests {
         assert_eq!(m.len(), 200);
     }
 
-    /// The chunk indices of a high_sharing-shaped address space: 64 shared
-    /// pages from page `0x10000`, plus 8 private regions of 16 pages spaced
-    /// 32 pages apart from page `0x200_0000`.
-    pub(crate) fn workload_layout_chunks() -> Vec<u64> {
-        let shared = 0x10000..0x10040u64;
-        let private =
-            (0..8u64).flat_map(|region| (0..16).map(move |page| 0x200_0000 + region * 32 + page));
-        shared.chain(private).collect()
-    }
-
-    /// Mean and maximum tag compares of one lookup per chunk.
-    pub(crate) fn probe_lengths(chunks: &[u64], mut lookup: impl FnMut(u64)) -> (f64, u64) {
-        let mut total = 0;
-        let mut max = 0;
-        for &chunk in chunks {
-            let before = TAG_COMPARES.with(|c| c.get());
-            lookup(chunk);
-            let compares = TAG_COMPARES.with(|c| c.get()) - before;
-            total += compares;
-            max = max.max(compares);
-        }
-        (total as f64 / chunks.len() as f64, max)
-    }
-
     #[test]
     fn lookups_on_the_workload_layout_probe_about_once() {
+        use crate::directory::tests::{probe_lengths, workload_layout_chunks};
         let chunks = workload_layout_chunks();
         let mut m = ChunkMap::new();
         for &chunk in &chunks {

@@ -25,6 +25,7 @@
 
 mod analysis;
 pub mod chunkmap;
+mod directory;
 mod error;
 mod ids;
 mod ops;
@@ -37,4 +38,4 @@ pub use error::{AikidoError, Result};
 pub use ids::{Addr, BlockId, InstrId, LockId, ThreadId, Vpn, PAGE_SHIFT, PAGE_SIZE};
 pub use ops::{AccessKind, AddrMode, MemRef, Operation, SyncOp};
 pub use prot::Prot;
-pub use shadow_word::{ShadowSlab, ShadowWord, SlabDirectory, SlabHandle, SLAB_BITS, SLAB_WORDS};
+pub use shadow_word::{ShadowWord, SlabDirectory, SlabHandle, SLAB_BITS, SLAB_WORDS};

@@ -13,16 +13,17 @@
 //!   past 2^24, or a thread id past 2^7). The all-zero word doubles as
 //!   "never tracked", which works because every real access installs an
 //!   epoch with a non-zero clock.
-//! * [`ShadowSlab`] / [`SlabDirectory`] — dense, page-sized slabs of raw
-//!   `u64` words keyed by block index. Unlike [`crate::ChunkMap`], slots are
-//!   bare words (no `Option`, no enum tag), so a probe is two loads and the
-//!   per-entry footprint is exactly 8 bytes. The directory hands out a
-//!   [`SlabHandle`] so a caller resolves a slab once and then reads and
-//!   writes its words by slot (an access's load and store share one probe).
+//! * [`SlabDirectory`] — dense, page-sized slabs of raw `u64` words keyed by
+//!   block index: the word form of the directory [`crate::ChunkMap`] uses.
+//!   Unlike the chunk map's `Option<T>` slots, slots are bare words (no enum
+//!   tag), so a probe is two loads and the per-entry footprint is exactly 8
+//!   bytes. The directory hands out a [`SlabHandle`] so a caller resolves a
+//!   slab once and then reads and writes its words by slot (an access's load
+//!   and store share one probe).
 
 use std::fmt;
 
-use crate::chunkmap::{count_tag_compare, home};
+use crate::directory::{Directory, Leaf};
 
 /// log2 of the number of words per slab.
 pub const SLAB_BITS: u32 = 9;
@@ -279,41 +280,11 @@ impl fmt::Debug for ShadowWord {
     }
 }
 
-/// One dense slab: [`SLAB_WORDS`] raw words covering one aligned group of
-/// consecutive block indices (one application page at 8-byte granularity).
-#[derive(Clone)]
-pub struct ShadowSlab {
-    words: [u64; SLAB_WORDS],
-}
-
-impl ShadowSlab {
-    fn new() -> Box<ShadowSlab> {
-        Box::new(ShadowSlab {
-            words: [0; SLAB_WORDS],
-        })
-    }
-
-    /// The word at `slot`.
-    #[inline]
-    pub fn word(&self, slot: usize) -> ShadowWord {
-        ShadowWord(self.words[slot])
+impl Leaf for [u64; SLAB_WORDS] {
+    fn vacant() -> Box<Self> {
+        Box::new([0; SLAB_WORDS])
     }
 }
-
-impl fmt::Debug for ShadowSlab {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let used = self.words.iter().filter(|&&w| w != 0).count();
-        write!(f, "ShadowSlab({used}/{SLAB_WORDS} words)")
-    }
-}
-
-/// Directory tag meaning "no slab here". Slab indices are `key >> SLAB_BITS`
-/// (< 2^55), so the sentinel can never collide with a real slab.
-const EMPTY_TAG: u64 = u64::MAX;
-/// Initial directory capacity (power of two).
-const INITIAL_DIR: usize = 64;
-/// Directory load factor (in percent) beyond which it doubles.
-const MAX_LOAD_PCT: usize = 70;
 
 /// A resolved slab: an index into the directory, valid until the next
 /// [`SlabDirectory::resolve`] call (which may grow the directory and move
@@ -322,24 +293,18 @@ const MAX_LOAD_PCT: usize = 70;
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct SlabHandle(usize);
 
-/// An open-addressed directory of dense [`ShadowSlab`]s keyed by
-/// `key >> SLAB_BITS` — the storage engine of the packed metadata plane.
+/// Dense slabs of [`SLAB_WORDS`] raw words keyed by `key >> SLAB_BITS` —
+/// the word form of the page-indexed directory, the storage engine of the
+/// packed metadata plane and the sharing detector's page states.
 ///
-/// Compared to [`crate::ChunkMap`], slots hold bare `u64` words (zero =
-/// absent) instead of `Option<T>`, so the per-entry footprint is 8 bytes and
-/// a lookup never touches an enum tag. The directory itself mirrors the
-/// chunk map's probing scheme: power-of-two tag lane, the same hashed home
-/// slot, linear probing, doubling past 70 % load.
+/// It shares its directory with [`crate::ChunkMap`] (hashed home slot,
+/// linear probing, doubling past 70 % load, ascending-chunk iteration), but
+/// its slots hold bare `u64` words (zero = absent) instead of `Option<T>`,
+/// so the per-entry footprint is 8 bytes and a lookup never touches an enum
+/// tag.
 #[derive(Clone)]
 pub struct SlabDirectory {
-    /// Open-addressed slab tags ([`EMPTY_TAG`] = vacant), probed as a dense
-    /// 8-byte lane.
-    tags: Vec<u64>,
-    /// Slabs, parallel to `tags` (`Some` iff the tag is occupied).
-    slabs: Vec<Option<Box<ShadowSlab>>>,
-    /// `tags.len() - 1`; the directory length is always a power of two.
-    mask: u64,
-    slab_count: usize,
+    dir: Directory<[u64; SLAB_WORDS]>,
     /// Number of non-zero words across all slabs.
     entries: usize,
 }
@@ -355,7 +320,8 @@ impl fmt::Debug for SlabDirectory {
         write!(
             f,
             "SlabDirectory({} slabs, {} words)",
-            self.slab_count, self.entries
+            self.dir.chunks(),
+            self.entries
         )
     }
 }
@@ -363,13 +329,8 @@ impl fmt::Debug for SlabDirectory {
 impl SlabDirectory {
     /// Creates an empty directory.
     pub fn new() -> Self {
-        let mut slabs = Vec::with_capacity(INITIAL_DIR);
-        slabs.resize_with(INITIAL_DIR, || None);
         SlabDirectory {
-            tags: vec![EMPTY_TAG; INITIAL_DIR],
-            slabs,
-            mask: (INITIAL_DIR as u64) - 1,
-            slab_count: 0,
+            dir: Directory::new(),
             entries: 0,
         }
     }
@@ -386,48 +347,13 @@ impl SlabDirectory {
 
     /// Number of slabs allocated.
     pub fn slab_count(&self) -> usize {
-        self.slab_count
+        self.dir.chunks()
     }
 
     /// Splits a word key into `(slab index, slot)`.
     #[inline]
     pub const fn split(key: u64) -> (u64, usize) {
         (key >> SLAB_BITS, (key & SLAB_MASK) as usize)
-    }
-
-    /// Directory index holding `chunk`, or the empty slot where it belongs.
-    #[inline]
-    fn probe(&self, chunk: u64) -> usize {
-        let mut i = home(chunk, self.mask);
-        loop {
-            count_tag_compare();
-            let tag = self.tags[i];
-            if tag == chunk || tag == EMPTY_TAG {
-                return i;
-            }
-            i = (i + 1) & self.mask as usize;
-        }
-    }
-
-    fn grow(&mut self) {
-        let new_len = self.tags.len() * 2;
-        let mut new_tags = vec![EMPTY_TAG; new_len];
-        let mut new_slabs: Vec<Option<Box<ShadowSlab>>> = Vec::with_capacity(new_len);
-        new_slabs.resize_with(new_len, || None);
-        let new_mask = (new_len as u64) - 1;
-        for (tag, slab) in self.tags.drain(..).zip(self.slabs.drain(..)) {
-            if tag != EMPTY_TAG {
-                let mut i = home(tag, new_mask);
-                while new_tags[i] != EMPTY_TAG {
-                    i = (i + 1) & new_mask as usize;
-                }
-                new_tags[i] = tag;
-                new_slabs[i] = slab;
-            }
-        }
-        self.tags = new_tags;
-        self.slabs = new_slabs;
-        self.mask = new_mask;
     }
 
     /// Resolves (allocating if necessary) the slab for `chunk` and returns
@@ -438,52 +364,25 @@ impl SlabDirectory {
     /// access again instead of carrying a handle from one to the next.
     #[inline]
     pub fn resolve(&mut self, chunk: u64) -> SlabHandle {
-        let i = self.probe(chunk);
-        if self.tags[i] == chunk {
-            return SlabHandle(i);
-        }
-        self.insert_slab(chunk)
-    }
-
-    /// Allocates the slab for `chunk`, absent from the directory, growing
-    /// the directory first when it would pass the load factor.
-    #[cold]
-    #[inline(never)]
-    fn insert_slab(&mut self, chunk: u64) -> SlabHandle {
-        if (self.slab_count + 1) * 100 > self.tags.len() * MAX_LOAD_PCT {
-            self.grow();
-        }
-        let i = self.probe(chunk);
-        self.tags[i] = chunk;
-        self.slabs[i] = Some(ShadowSlab::new());
-        self.slab_count += 1;
-        SlabHandle(i)
+        SlabHandle(self.dir.resolve(chunk))
     }
 
     /// The handle of `chunk`'s slab, if one has been allocated.
     #[inline]
     pub fn handle(&self, chunk: u64) -> Option<SlabHandle> {
-        let i = self.probe(chunk);
-        (self.tags[i] != EMPTY_TAG).then_some(SlabHandle(i))
+        self.dir.find(chunk).map(SlabHandle)
     }
 
     /// The word at `slot` of a resolved slab: one load, no probing.
     #[inline]
     pub fn word_at(&self, handle: SlabHandle, slot: usize) -> ShadowWord {
-        self.slabs[handle.0]
-            .as_ref()
-            .expect("handles only reference occupied directory slots")
-            .word(slot)
+        ShadowWord(self.dir.leaf(handle.0)[slot])
     }
 
     /// Stores `word` at `slot` of a resolved slab.
     #[inline]
     pub fn set_word_at(&mut self, handle: SlabHandle, slot: usize, word: ShadowWord) {
-        let slab = self.slabs[handle.0]
-            .as_mut()
-            .expect("handles only reference occupied directory slots");
-        let old = slab.words[slot];
-        slab.words[slot] = word.raw();
+        let old = std::mem::replace(&mut self.dir.leaf_mut(handle.0)[slot], word.raw());
         self.entries += usize::from(old == 0 && word.raw() != 0);
         self.entries -= usize::from(old != 0 && word.raw() == 0);
     }
@@ -492,8 +391,8 @@ impl SlabDirectory {
     #[inline]
     pub fn get(&self, key: u64) -> ShadowWord {
         let (chunk, slot) = Self::split(key);
-        match self.handle(chunk) {
-            Some(h) => self.word_at(h, slot),
+        match self.dir.get(chunk) {
+            Some(words) => ShadowWord(words[slot]),
             None => ShadowWord::EMPTY,
         }
     }
@@ -509,14 +408,7 @@ impl SlabDirectory {
     /// Every allocated slab as `(slab index, words)`, in ascending slab
     /// order (a slab's words are its slots' raw values, zero = absent).
     pub fn slabs(&self) -> Vec<(u64, &[u64; SLAB_WORDS])> {
-        let mut order: Vec<(u64, &[u64; SLAB_WORDS])> = self
-            .tags
-            .iter()
-            .zip(&self.slabs)
-            .filter_map(|(&tag, slab)| slab.as_deref().map(|s| (tag, &s.words)))
-            .collect();
-        order.sort_unstable_by_key(|&(tag, _)| tag);
-        order
+        self.dir.sorted()
     }
 
     /// Iterates over `(key, word)` pairs with non-zero words, in ascending
@@ -678,7 +570,7 @@ mod tests {
 
     #[test]
     fn lookups_on_the_workload_layout_probe_about_once() {
-        use crate::chunkmap::tests::{probe_lengths, workload_layout_chunks};
+        use crate::directory::tests::{probe_lengths, workload_layout_chunks};
         let chunks = workload_layout_chunks();
         let mut d = SlabDirectory::new();
         for &chunk in &chunks {

@@ -1,11 +1,13 @@
 //! `ChunkMap` model tests: the flat chunked directory must behave exactly
 //! like an ordered map under any interleaving of inserts, removes and
 //! lookups — including the directory-collision, growth and extreme-key edges
-//! the unit tests cannot reach generically.
+//! the unit tests cannot reach generically. The interleaved model also
+//! drives a `SlabDirectory`, the word form of the same directory.
 
 use std::collections::BTreeMap;
 
 use aikido_types::chunkmap::{ChunkMap, CHUNK_LEN};
+use aikido_types::{ShadowWord, SlabDirectory};
 use proptest::prelude::*;
 
 /// The largest chunk index is `u64::MAX >> CHUNK_BITS`; the directory's
@@ -132,24 +134,49 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
+/// The word a `SlabDirectory` stores for model value `v`: non-zero, since
+/// the zero word means "absent".
+fn word_of(v: u32) -> u64 {
+    u64::from(v) + 1
+}
+
 proptest! {
     /// Any interleaving of inserts/removes/gets matches a `BTreeMap` model:
-    /// same return values, same length, same sorted iteration.
+    /// same return values, same length, same sorted iteration. A
+    /// `SlabDirectory` runs the same ops beside the `ChunkMap`, storing a
+    /// non-zero word per insert and the empty word per remove.
     #[test]
     fn interleaved_ops_match_a_btreemap_model(ops in arb_ops()) {
         let mut map: ChunkMap<u32> = ChunkMap::new();
+        let mut words = SlabDirectory::new();
         let mut model: BTreeMap<u64, u32> = BTreeMap::new();
         for op in &ops {
+            let key = match *op {
+                Op::Insert(k, _) | Op::Remove(k) | Op::Get(k) => k,
+            };
+            prop_assert_eq!(words.get(key).raw(), model.get(&key).map_or(0, |&v| word_of(v)));
             match *op {
-                Op::Insert(k, v) => prop_assert_eq!(map.insert(k, v), model.insert(k, v)),
-                Op::Remove(k) => prop_assert_eq!(map.remove(k), model.remove(&k)),
+                Op::Insert(k, v) => {
+                    words.set(k, ShadowWord::from_raw(word_of(v)));
+                    prop_assert_eq!(map.insert(k, v), model.insert(k, v));
+                }
+                Op::Remove(k) => {
+                    words.set(k, ShadowWord::EMPTY);
+                    prop_assert_eq!(map.remove(k), model.remove(&k));
+                }
                 Op::Get(k) => prop_assert_eq!(map.get(k), model.get(&k)),
             }
+            prop_assert_eq!(words.get(key).raw(), model.get(&key).map_or(0, |&v| word_of(v)));
             prop_assert_eq!(map.len(), model.len());
             prop_assert_eq!(map.is_empty(), model.is_empty());
+            prop_assert_eq!(words.len(), model.len());
+            prop_assert_eq!(words.is_empty(), model.is_empty());
         }
         let flattened: Vec<(u64, u32)> = map.iter().map(|(k, &v)| (k, v)).collect();
         let expected: Vec<(u64, u32)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+        prop_assert_eq!(flattened, expected);
+        let flattened: Vec<(u64, u64)> = words.iter_nonempty().map(|(k, w)| (k, w.raw())).collect();
+        let expected: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, word_of(v))).collect();
         prop_assert_eq!(flattened, expected);
     }
 }

@@ -34,8 +34,10 @@
 //! per-thread `ThreadShard`s at registration (each shard — shadow page
 //! table, protection table, TLB — is self-contained and `Send`, so the
 //! per-thread state can migrate across OS threads or be updated shard-wise
-//! without aliasing the rest of the VM), the shadow page table and protection
-//! table are chunked flat tables (`aikido_types::ChunkMap`), and each thread
+//! without aliasing the rest of the VM), the shadow page table, protection
+//! table and guest page table are [`aikido_types::ChunkMap`]s (the typed
+//! form of the page-indexed directory the sharing detector and FastTrack
+//! also sit on), and each thread
 //! carries a software TLB over its recent successful translations
 //! ([`AikidoVm::TLB_ENTRIES`] entries, direct-mapped on the page number). The
 //! TLB is a pure accelerator — it only serves accesses the shadow table would

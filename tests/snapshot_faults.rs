@@ -9,7 +9,9 @@
 //!
 //! Semantic corruption gets the same guarantee: SCHD images whose checksums
 //! are fixed up but whose trace cursors are out of range, or whose section
-//! version is the retired v1, are refused with a structured SCHD error.
+//! version is the retired v1, are refused with a structured SCHD error, and
+//! a DBIE image claiming more code cache slots than the program has blocks
+//! is refused with a structured DBIE error before anything is allocated.
 //!
 //! The harness's fifth fault family — a worker thread panicking mid-run —
 //! is exercised at the engine layer (`aikido-sim`'s
@@ -206,14 +208,14 @@ const FORK_NEXT: usize = 59;
 const SKIP: usize = 93;
 const STASH_CODE: usize = 97;
 
-/// The SCHD entry of a valid image's section table.
-fn schd_section(image: &[u8]) -> aikido::snapshot::SectionInfo {
+/// The `tag` entry of a valid image's section table.
+fn section(image: &[u8], tag: &[u8; 4]) -> aikido::snapshot::SectionInfo {
     let snapshot = Snapshot::from_bytes(image.to_vec()).expect("valid image parses");
     *snapshot
         .sections()
         .iter()
-        .find(|s| &s.tag == b"SCHD")
-        .expect("every image has a SCHD section")
+        .find(|s| &s.tag == tag)
+        .expect("the image has the section")
 }
 
 /// Recomputes a section's checksum in place, so only the decoder's own
@@ -226,7 +228,7 @@ fn refresh_checksum(image: &mut [u8], section: &aikido::snapshot::SectionInfo) {
 
 /// Overwrites `bytes` at field offset `at` of thread slot `slot`.
 fn patch_slot(image: &[u8], threads: usize, slot: usize, at: usize, bytes: &[u8]) -> Vec<u8> {
-    let schd = schd_section(image);
+    let schd = section(image, b"SCHD");
     let slot_start = schd.payload_offset() + schd.payload_len - (threads - slot) * SLOT_BYTES;
     let mut out = image.to_vec();
     out[slot_start + at..slot_start + at + bytes.len()].copy_from_slice(bytes);
@@ -234,12 +236,12 @@ fn patch_slot(image: &[u8], threads: usize, slot: usize, at: usize, bytes: &[u8]
     out
 }
 
-/// Resumes `image` and requires a structured SCHD refusal.
-fn refused_by_schd(sim: &Simulator, w: &Workload, image: Vec<u8>, what: &str) -> String {
+/// Resumes `image` and requires a structured refusal from section `tag`.
+fn refused_by(sim: &Simulator, w: &Workload, image: Vec<u8>, tag: &str, what: &str) -> String {
     let snapshot = Snapshot::from_bytes(image).expect("the checksum was fixed up");
     match sim.resume(w, &snapshot) {
         Err(aikido::SimError::Snapshot(err)) => {
-            assert_eq!(err.section, "SCHD", "{what}: {err}");
+            assert_eq!(err.section, tag, "{what}: {err}");
             err.reason
         }
         Err(other) => panic!("{what}: expected a snapshot error, got {other:?}"),
@@ -290,7 +292,7 @@ fn out_of_range_schd_cursors_are_refused_with_structured_errors() {
     for (what, slot, at, bytes) in cases {
         let corrupted = patch_slot(&image, threads, slot, at, &bytes);
         assert_ne!(corrupted, image, "{what}: nothing was tampered with");
-        let reason = refused_by_schd(&sim, &w, corrupted, what);
+        let reason = refused_by(&sim, &w, corrupted, "SCHD", what);
         assert!(!reason.is_empty(), "{what}");
     }
 }
@@ -302,9 +304,36 @@ fn a_v1_schd_section_is_refused_by_the_version_check() {
     let w = small("vips");
     let sim = Simulator::default();
     let mut image = midpoint_image(&sim, &w, Mode::Aikido);
-    let schd = schd_section(&image);
+    let schd = section(&image, b"SCHD");
     image[schd.offset + 4..schd.offset + 6].copy_from_slice(&1u16.to_le_bytes());
     refresh_checksum(&mut image, &schd);
-    let reason = refused_by_schd(&sim, &w, image, "v1 SCHD");
+    let reason = refused_by(&sim, &w, image, "SCHD", "v1 SCHD");
     assert!(reason.contains("version"), "{reason}");
+}
+
+#[test]
+fn a_dbie_slot_count_past_the_program_is_refused_before_allocating() {
+    // DBIE payload: the decision count and its (u32 block, u16 index)
+    // records, then the code cache's hot threshold, generation count and
+    // u32 generations, then its slot count. A slot count of 2^40 would ask
+    // for a 64 TiB slot vector if the decoder trusted it.
+    let w = small("blackscholes");
+    let sim = Simulator::default();
+    let mut image = midpoint_image(&sim, &w, Mode::FullInstrumentation);
+    let dbie = section(&image, b"DBIE");
+    let u64_at = |image: &[u8], at: usize| {
+        u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize
+    };
+    let decisions = u64_at(&image, dbie.payload_offset());
+    let generations_at = dbie.payload_offset() + 8 + 6 * decisions + 8;
+    let slots_at = generations_at + 8 + 4 * u64_at(&image, generations_at);
+    let slots = u64_at(&image, slots_at);
+    assert!(
+        (1..=w.program().len()).contains(&slots),
+        "slot count {slots} is not where the layout puts it"
+    );
+    image[slots_at..slots_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    refresh_checksum(&mut image, &dbie);
+    let reason = refused_by(&sim, &w, image, "DBIE", "2^40 code cache slots");
+    assert!(reason.contains("slots"), "{reason}");
 }
