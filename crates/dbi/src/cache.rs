@@ -66,6 +66,16 @@ impl CachedBlock {
     pub fn mask_is_exact(&self) -> bool {
         self.instrumented.len() <= 64
     }
+
+    /// Counts one execution of this copy and promotes it into a trace on
+    /// its `hot_threshold`-th; returns true on promotion.
+    #[inline]
+    fn record_execution(&mut self, hot_threshold: u64) -> bool {
+        self.executions += 1;
+        let promote = !self.in_trace && self.executions >= hot_threshold;
+        self.in_trace |= promote;
+        promote
+    }
 }
 
 /// The thread-shared basic-block code cache.
@@ -132,86 +142,87 @@ impl CodeCache {
     ///
     /// `should_instrument` is consulted for every instruction when the block
     /// is built (this is the tool callback DynamoRIO gives its clients).
-    /// Returns `(was_built, &CachedBlock)`.
+    /// Returns `(was_built, &CachedBlock)`. The resident case — the dispatch
+    /// counters, the copy's execution count and trace promotion — is inline;
+    /// building a block is out of line.
     ///
     /// # Panics
     ///
     /// Panics if `block` does not exist in `program`.
+    #[inline]
     pub fn execute<F>(
         &mut self,
         program: &Program,
         block: BlockId,
-        mut should_instrument: F,
+        should_instrument: F,
     ) -> (bool, &CachedBlock)
     where
         F: FnMut(InstrId) -> bool,
     {
         self.stats.dispatches += 1;
         let idx = block.raw() as usize;
-        // Hot path: the block is resident — one lookup, no rebuild. The
-        // borrow is scoped so the cold build path below stays legal, and the
-        // returned reference is re-derived afterwards (a no-op at runtime).
-        let resident = matches!(self.blocks.get(idx), Some(Some(_)));
-        if resident {
-            self.stats.linked_dispatches += 1;
-            let hot_threshold = self.hot_threshold;
-            let entry = self.blocks[idx].as_mut().expect("checked resident");
-            entry.executions += 1;
-            if !entry.in_trace && entry.executions >= hot_threshold {
-                entry.in_trace = true;
-                self.stats.traces_built += 1;
-            }
-            return (false, &*entry);
+        if !matches!(self.blocks.get(idx), Some(Some(_))) {
+            return (true, self.build(program, block, should_instrument));
         }
-        // Cold path: build (and instrument) the block.
-        {
-            let static_block = program
-                .block(block)
-                .unwrap_or_else(|| panic!("{block:?} not present in program"));
-            let mut instrumented_mem_instrs = 0;
-            let mut instr_mask = 0u64;
-            let instrumented: Vec<bool> = static_block
-                .iter_ids()
-                .enumerate()
-                .map(|(pos, (id, instr))| {
-                    let inst = should_instrument(id);
-                    if inst && instr.is_mem() {
-                        instrumented_mem_instrs += 1;
-                    }
-                    if inst && pos < 64 {
-                        instr_mask |= 1u64 << pos;
-                    }
-                    inst
-                })
-                .collect();
-            if idx >= self.generations.len() {
-                self.generations.resize(idx + 1, 0);
-            }
-            self.generations[idx] += 1;
-            self.stats.blocks_built += 1;
-            self.stats.instrs_emitted += static_block.len() as u64;
-            if idx >= self.blocks.len() {
-                self.blocks.resize_with(idx + 1, || None);
-            }
-            self.blocks[idx] = Some(CachedBlock {
-                block,
-                instrumented,
-                instr_mask,
-                instrumented_mem_instrs,
-                executions: 0,
-                generation: self.generations[idx],
-                in_trace: false,
-            });
-        }
+        self.stats.linked_dispatches += 1;
+        let entry = self.blocks[idx].as_mut().expect("checked resident");
+        self.stats.traces_built += u64::from(entry.record_execution(self.hot_threshold));
+        (false, entry)
+    }
 
-        let hot_threshold = self.hot_threshold;
-        let entry = self.blocks[idx].as_mut().expect("just inserted");
-        entry.executions += 1;
-        if !entry.in_trace && entry.executions >= hot_threshold {
-            entry.in_trace = true;
-            self.stats.traces_built += 1;
+    /// Builds (and instruments) `block` into its slot, a copy of the next
+    /// generation, and records its first execution.
+    #[cold]
+    #[inline(never)]
+    fn build<F>(
+        &mut self,
+        program: &Program,
+        block: BlockId,
+        mut should_instrument: F,
+    ) -> &CachedBlock
+    where
+        F: FnMut(InstrId) -> bool,
+    {
+        let idx = block.raw() as usize;
+        let static_block = program
+            .block(block)
+            .unwrap_or_else(|| panic!("{block:?} not present in program"));
+        let mut instrumented_mem_instrs = 0;
+        let mut instr_mask = 0u64;
+        let instrumented: Vec<bool> = static_block
+            .iter_ids()
+            .enumerate()
+            .map(|(pos, (id, instr))| {
+                let inst = should_instrument(id);
+                if inst && instr.is_mem() {
+                    instrumented_mem_instrs += 1;
+                }
+                if inst && pos < 64 {
+                    instr_mask |= 1u64 << pos;
+                }
+                inst
+            })
+            .collect();
+        if idx >= self.generations.len() {
+            self.generations.resize(idx + 1, 0);
         }
-        (true, &*entry)
+        self.generations[idx] += 1;
+        self.stats.blocks_built += 1;
+        self.stats.instrs_emitted += static_block.len() as u64;
+        if idx >= self.blocks.len() {
+            self.blocks.resize_with(idx + 1, || None);
+        }
+        let entry = self.blocks[idx].insert(CachedBlock {
+            block,
+            instrumented,
+            instr_mask,
+            instrumented_mem_instrs,
+            executions: 0,
+            generation: self.generations[idx],
+            in_trace: false,
+        });
+        self.stats.traces_built += u64::from(entry.record_execution(self.hot_threshold));
+        entry
     }
 
     /// Flushes every cached block containing `instr` (in this model, the one

@@ -122,11 +122,13 @@ impl DbiEngine {
     }
 
     /// Executes `block` through the code cache, building (and instrumenting
-    /// according to current decisions) if needed.
+    /// according to current decisions) if needed. A resident block is
+    /// answered inline, with no call; only a build leaves the caller.
     ///
     /// # Panics
     ///
     /// Panics if `block` is not part of the program.
+    #[inline]
     pub fn execute_block(&mut self, block: BlockId) -> BlockExecution {
         let instrumented = &self.instrumented;
         let masks = &self.masks;
@@ -296,6 +298,43 @@ mod tests {
             let id = e.program().block(b).unwrap().instr_id(i);
             assert_eq!(exec.instr_mask & (1 << i) != 0, e.is_instrumented(id));
         }
+    }
+
+    #[test]
+    fn dispatch_bookkeeping_counts_hits_builds_and_promotion() {
+        let (mut e, b) = engine();
+        let hot = CodeCache::DEFAULT_HOT_THRESHOLD;
+        for k in 1..=hot + 2 {
+            let exec = e.execute_block(b);
+            assert_eq!(exec.built, k == 1);
+            assert_eq!(exec.in_trace, k >= hot, "promoted on execution {hot}");
+            let copy = e.cache.get(b).unwrap();
+            assert_eq!(copy.executions, k);
+            assert_eq!(copy.in_trace, k >= hot);
+            assert_eq!(e.cache_stats().traces_built, u64::from(k >= hot));
+        }
+        let stats = e.cache_stats();
+        assert_eq!(stats.dispatches, hot + 2);
+        assert_eq!(stats.linked_dispatches, hot + 1);
+        assert_eq!(stats.blocks_built, 1);
+        assert_eq!(stats.traces_built, 1);
+        assert_eq!(e.cache.get(b).unwrap().generation, 1);
+
+        let instr = e.program().block(b).unwrap().instr_id(0);
+        assert!(e.request_instrumentation(instr));
+        let exec = e.execute_block(b);
+        assert!(exec.built);
+        assert!(!exec.in_trace);
+        assert_eq!(exec.instrumented_mem_instrs, 1);
+        let stats = e.cache_stats();
+        assert_eq!(stats.dispatches, hot + 3);
+        assert_eq!(stats.linked_dispatches, hot + 1);
+        assert_eq!(stats.blocks_built, 2);
+        assert_eq!(stats.traces_built, 1);
+        let copy = e.cache.get(b).unwrap();
+        assert_eq!(copy.executions, 1);
+        assert!(!copy.in_trace);
+        assert_eq!(copy.generation, 2);
     }
 
     #[test]

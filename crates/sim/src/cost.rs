@@ -94,6 +94,11 @@ impl Default for CostModel {
 
 impl CostModel {
     /// The amortised DBI overhead for `instrs` dynamic instructions.
+    ///
+    /// The block kernels do not call this per block: a run computes
+    /// `dbi_overhead(1)` once, with `alu_cycles + dbi_overhead(1)` and
+    /// `mem_cycles + dbi_overhead(1)`, and adds those constants per
+    /// instruction. The scalar reference executor still calls it.
     pub fn dbi_overhead(&self, instrs: u64) -> u64 {
         (instrs * self.dbi_per_instr_milli_cycles) / 1_000
     }

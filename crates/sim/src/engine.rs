@@ -759,6 +759,16 @@ struct Run<'a, 'w, A: SharedDataAnalysis> {
     engine: Option<DbiEngine>,
     cache: TranslationCache,
     region_lookup: DualShadow,
+    /// The last region an instrumented kernel resolved an address to.
+    region_memo: RegionMemo,
+    /// `sim.cost`'s per-instruction charges under instrumentation, computed
+    /// once per run so the kernels add a constant instead of dividing on
+    /// every block: a compute instruction (`alu_cycles + dbi_overhead(1)`),
+    /// a memory instruction (`mem_cycles + dbi_overhead(1)`) and one DBI
+    /// dispatch (`dbi_overhead(1)`, a sync operation's).
+    compute_charge: u64,
+    mem_charge: u64,
+    dispatch_charge: u64,
     // Shared-region bounds for the contention model and for counting shared
     // accesses under full instrumentation.
     shared_range: (u64, u64),
@@ -815,6 +825,45 @@ impl SharedPageInfo {
         region: None,
         mirror: Vpn::new(u64::MAX),
     };
+}
+
+/// The byte range and id of the last region an address resolved to. Regions
+/// are fixed for a run and disjoint, so an address inside the range belongs
+/// to that region; a hit is two compares where the table lookup is a
+/// directory probe. A miss refills the memo from the table, and an address
+/// outside every region leaves it as it was.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+struct RegionMemo {
+    /// First byte of the region.
+    start: u64,
+    /// One past the region's last byte.
+    end: u64,
+    id: RegionId,
+}
+
+impl RegionMemo {
+    /// A memo no address hits.
+    const EMPTY: RegionMemo = RegionMemo {
+        start: 0,
+        end: 0,
+        id: RegionId::new(0),
+    };
+
+    /// The id of the region of `shadow` containing `addr`, as
+    /// [`DualShadow::region_id_of`] answers it.
+    #[inline]
+    fn region_id_of(&mut self, shadow: &DualShadow, addr: Addr) -> Option<RegionId> {
+        if self.start <= addr.raw() && addr.raw() < self.end {
+            return Some(self.id);
+        }
+        let region = shadow.region_of(addr)?;
+        *self = RegionMemo {
+            start: region.base.raw(),
+            end: region.base.raw() + region.bytes(),
+            id: region.id,
+        };
+        Some(region.id)
+    }
 }
 
 /// Which threads have arrived at one barrier: a flag per thread slot plus
@@ -937,6 +986,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
             layout.shared_base().raw() + layout.shared_bytes(),
         );
         let contention = sim.cost.contention_factor(threads.len() as u32);
+        let dispatch_charge = sim.cost.dbi_overhead(1);
         let mut region_lookup = DualShadow::new();
         for (base, pages) in layout.regions() {
             region_lookup
@@ -975,6 +1025,10 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
             engine,
             cache,
             region_lookup,
+            region_memo: RegionMemo::EMPTY,
+            compute_charge: sim.cost.alu_cycles + dispatch_charge,
+            mem_charge: sim.cost.mem_cycles + dispatch_charge,
+            dispatch_charge,
             shared_range,
             contention,
             last_scheduled: sched.last_scheduled,
@@ -1228,7 +1282,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         self.counts.dynamic_instrs += 1;
         self.cycles += self.sim.cost.sync_native_cycles;
         if self.mode != Mode::Native {
-            self.cycles += self.sim.cost.dbi_overhead(1);
+            self.cycles += self.dispatch_charge;
         }
     }
 
@@ -1310,9 +1364,11 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     //   `Ok` and change no state, so skipping the call is unobservable; the
     //   free scan probes every access against one lane borrow, which stays
     //   exact because nothing touches the VM until the first miss;
-    // * region lookup (full mode): the region table is fixed at run
-    //   construction and workload regions are page-aligned, so one lookup
-    //   covers a page.
+    // * region memo (full mode, Aikido's instrumented private accesses):
+    //   the region table is fixed at run construction and regions are
+    //   disjoint, so an address inside the last region's byte range belongs
+    //   to that region; an address outside every region is never memoized,
+    //   and takes the table lookup each time.
 
     /// Native kernel: no engine, no analysis — the block's shape alone
     /// gives the counts and native cycles.
@@ -1330,7 +1386,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     fn charge_computes(&mut self, shape: &BlockShape) {
         let computes = u64::from(shape.computes());
         self.counts.dynamic_instrs += computes;
-        self.cycles += computes * (self.sim.cost.alu_cycles + self.sim.cost.dbi_overhead(1));
+        self.cycles += computes * self.compute_charge;
     }
 
     /// Full-instrumentation kernel: every access is instrumented and a work
@@ -1355,27 +1411,21 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         self.counts.dynamic_instrs += n;
         self.counts.mem_accesses += n;
         self.counts.instrumented_accesses += n;
-        self.cycles += n * (self.sim.cost.mem_cycles + self.sim.cost.dbi_overhead(1));
+        self.cycles += n * self.mem_charge;
         if all.len() <= 1 {
             // A batch of one is the scalar call; skip the scratch round-trip.
             if let Some(m) = all.iter().next() {
                 let shared = self.in_shared_region(m.addr);
                 self.counts.shared_accesses += u64::from(shared);
-                self.charge_translation(thread, &m);
+                let region = self.region_memo.region_id_of(&self.region_lookup, m.addr);
+                self.charge_translation_resolved(thread, m.instr, region);
                 self.charge_analysis_access(context(thread, &m), shared);
             }
             return;
         }
         self.cx_scratch.clear();
-        // Regions are page-aligned, so one lookup covers consecutive
-        // accesses to the same page.
-        let mut page = Vpn::new(u64::MAX);
-        let mut region = None;
         for m in all.iter() {
-            if m.addr.page() != page {
-                page = m.addr.page();
-                region = self.region_lookup.region_id_of(m.addr);
-            }
+            let region = self.region_memo.region_id_of(&self.region_lookup, m.addr);
             self.charge_translation_resolved(thread, m.instr, region);
             self.cx_scratch.push(context(thread, &m));
         }
@@ -1410,7 +1460,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
         let mems = all.len() as u64;
         self.counts.dynamic_instrs += mems;
         self.counts.mem_accesses += mems;
-        self.cycles += mems * (self.sim.cost.mem_cycles + self.sim.cost.dbi_overhead(1));
+        self.cycles += mems * self.mem_charge;
         // A block is whole-block free when no fault has instrumented any of
         // its memory instructions, however wide it is. Aikido only ever
         // instruments memory instructions, so every access of such a block
@@ -1472,7 +1522,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                     }
                 }
                 None => {
-                    let region = self.region_lookup.region_id_of(m.addr);
+                    let region = self.region_memo.region_id_of(&self.region_lookup, m.addr);
                     self.charge_translation_resolved(thread, m.instr, region);
                     if m.mode.is_indirect() {
                         self.cycles += self.sim.cost.indirect_check_cycles;
@@ -1870,6 +1920,50 @@ mod tests {
                 .scaled(scale)
                 .with_threads(4),
         )
+    }
+
+    #[test]
+    fn region_memo_answers_as_the_table_from_every_state() {
+        use aikido_types::PAGE_SIZE;
+        // Two adjacent regions, then one past a gap, so the byte past the
+        // first region is the second region's first byte.
+        let mut shadow = DualShadow::new();
+        let regions = [(0x10_000u64, 2u64), (0x12_000, 1), (0x20_000, 3)];
+        for (base, pages) in regions {
+            shadow
+                .register_region(Addr::new(base), pages, RegionKind::Other)
+                .unwrap();
+        }
+        let mut probes = vec![0x18_000u64]; // in the gap
+        for (base, pages) in regions {
+            let end = base + pages * PAGE_SIZE;
+            probes.extend([base, end - 1, base - 1, end]);
+        }
+        let mut states = vec![RegionMemo::EMPTY];
+        for (base, _) in regions {
+            let mut memo = RegionMemo::EMPTY;
+            memo.region_id_of(&shadow, Addr::new(base));
+            assert_ne!(memo, RegionMemo::EMPTY, "a hit in the table fills the memo");
+            states.push(memo);
+        }
+        for &state in &states {
+            for &probe in &probes {
+                let addr = Addr::new(probe);
+                let mut memo = state;
+                let want = shadow.region_id_of(addr);
+                assert_eq!(
+                    memo.region_id_of(&shadow, addr),
+                    want,
+                    "{probe:#x} from {state:?}"
+                );
+                if want.is_none() {
+                    assert_eq!(
+                        memo, state,
+                        "{probe:#x} outside every region is not memoized"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

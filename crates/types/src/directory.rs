@@ -114,13 +114,6 @@ impl<L: Leaf> Directory<L> {
         }
     }
 
-    /// The directory index of `chunk`'s leaf, if one has been allocated.
-    #[inline]
-    pub(crate) fn find(&self, chunk: u64) -> Option<usize> {
-        let i = self.probe(chunk);
-        (self.tags[i] != EMPTY_TAG).then_some(i)
-    }
-
     /// `chunk`'s leaf, if one has been allocated.
     #[inline]
     pub(crate) fn get(&self, chunk: u64) -> Option<&L> {
@@ -134,8 +127,7 @@ impl<L: Leaf> Directory<L> {
         self.leaves[i].as_deref_mut()
     }
 
-    /// The leaf at directory index `i` (from [`Directory::find`] or
-    /// [`Directory::resolve`]).
+    /// The leaf at directory index `i` (from [`Directory::resolve`]).
     #[inline]
     pub(crate) fn leaf(&self, i: usize) -> &L {
         self.leaves[i]

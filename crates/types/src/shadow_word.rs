@@ -367,12 +367,6 @@ impl SlabDirectory {
         SlabHandle(self.dir.resolve(chunk))
     }
 
-    /// The handle of `chunk`'s slab, if one has been allocated.
-    #[inline]
-    pub fn handle(&self, chunk: u64) -> Option<SlabHandle> {
-        self.dir.find(chunk).map(SlabHandle)
-    }
-
     /// The word at `slot` of a resolved slab: one load, no probing.
     #[inline]
     pub fn word_at(&self, handle: SlabHandle, slot: usize) -> ShadowWord {
@@ -550,8 +544,6 @@ mod tests {
         assert_eq!(d.word_at(h, slot), ShadowWord::EMPTY);
         d.set_word_at(h, slot, ShadowWord::from_raw(42));
         assert_eq!(d.get(key).raw(), 42);
-        assert_eq!(d.handle(chunk), Some(h));
-        assert_eq!(d.handle(chunk + 1), None);
     }
 
     #[test]
