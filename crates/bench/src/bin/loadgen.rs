@@ -1,8 +1,7 @@
 //! Multi-tenant service load generator and equivalence oracle.
 //!
 //! Drives a mixed-tenant batch of scaled-down runs through the
-//! [`SimService`] — many tenants, benchmarks, modes and worker counts at
-//! once — and then proves, request by request, that the serving layer added
+//! [`SimService`] — many tenants, benchmarks and modes at once — and then proves, request by request, that the serving layer added
 //! *nothing* to the simulation: every delivered report must be
 //! byte-identical to a direct `Simulator::from_config` run of the same
 //! request, admission must be deterministic for the fixed request sequence,
@@ -48,8 +47,8 @@ fn env_usize(name: &str, default: usize) -> usize {
 }
 
 /// The fixed request sequence: `runs` requests cycling tenants × benchmarks
-/// × modes × worker counts, plus one over-quota request from the broke
-/// tenant every 32 requests.
+/// × modes, plus one over-quota request from the broke tenant every 32
+/// requests.
 fn request_sequence(runs: usize, scale: f64) -> Vec<RunRequest> {
     let modes = [Mode::Native, Mode::FullInstrumentation, Mode::Aikido];
     let mut requests = Vec::with_capacity(runs + runs / 32 + 1);
@@ -57,9 +56,7 @@ fn request_sequence(runs: usize, scale: f64) -> Vec<RunRequest> {
         let tenant = TENANTS[i % TENANTS.len()];
         let preset = BENCHMARKS[(i / TENANTS.len()) % BENCHMARKS.len()];
         let mode = modes[i % modes.len()];
-        let config = SimConfig::default()
-            .with_scale(scale)
-            .with_workers(1 + (i / 7) % 2);
+        let config = SimConfig::default().with_scale(scale);
         let spec = WorkloadSpec::parsec(preset).expect("known preset");
         requests.push(RunRequest::new(tenant, spec, mode).with_config(config));
         if i % 32 == 0 {

@@ -7,35 +7,22 @@
 //!
 //! ```bash
 //! AIKIDO_SCALE=0.05 cargo run --release -p aikido-bench --bin throughput
-//! # Parallel epoch engine, per-worker-count samples:
-//! AIKIDO_PARALLEL=4 cargo run --release -p aikido-bench --bin throughput
-//! cargo run --release -p aikido-bench --bin throughput -- --parallel 4
 //! ```
 //!
 //! Emits a human-readable table on stdout and a machine-readable
 //! `BENCH_throughput.json` (path overridable via `BENCH_OUT`) containing,
-//! for every benchmark × mode × worker-count triple: wall time, accesses/sec
-//! and the deterministic run counts (`vm_exits`, `shadow_misses`, `races`)
-//! so CI can detect both performance and behaviour drift. The top-level
-//! geomeans are always computed from the sequential (1-worker) samples so
-//! the perf-regression gate compares like with like across lanes; the
-//! `per_worker_geomeans` array carries the parallel trajectory.
-//!
-//! In parallel mode every report is asserted equal to the sequential run's —
-//! the wall-clock harness doubles as the cheapest equivalence oracle CI runs
-//! on every push.
+//! for every benchmark × mode pair: wall time, accesses/sec and the
+//! deterministic run counts (`vm_exits`, `shadow_misses`, `races`) so CI can
+//! detect both performance and behaviour drift, plus the accesses/sec
+//! geomean per mode that the perf-regression gate compares.
 //!
 //! Exit codes (see [`aikido_bench::exitcode`]): 0 on success, 3 when the
-//! output document cannot be written (read-only checkout, bad `BENCH_OUT`),
-//! 1 when `AIKIDO_REQUIRE_SCALING=1` is set and the parallel aikido geomean
-//! fails to beat the sequential one on a multi-core machine (the parallel
-//! epoch engine's scaling gate; tolerance overridable via
-//! `AIKIDO_SCALING_TOLERANCE`, skipped on single-core runners).
+//! output document cannot be written (read-only checkout, bad `BENCH_OUT`).
 
 use std::time::Instant;
 
 use aikido::staticcheck::CoverageStats;
-use aikido::{Mode, RunReport, SimConfig, Simulator, StaticReport, Workload, WorkloadSpec};
+use aikido::{Mode, Simulator, StaticReport, Workload, WorkloadSpec};
 use aikido_bench::scale_from_env;
 use serde::Serialize;
 
@@ -45,14 +32,12 @@ use serde::Serialize;
 /// fluidanimate (highest — the analysis-bound worst case).
 const BENCHMARKS: [&str; 4] = ["raytrace", "blackscholes", "vips", "fluidanimate"];
 
-/// One measured benchmark × mode × worker-count data point.
+/// One measured benchmark × mode data point.
 #[derive(Debug, Serialize)]
 struct Sample {
     benchmark: String,
     mode: String,
     threads: u32,
-    /// Epoch-engine worker threads (1 = the sequential reference path).
-    workers: usize,
     mem_accesses: u64,
     wall_nanos: u128,
     accesses_per_sec: f64,
@@ -71,15 +56,6 @@ struct StaticCoverage {
     coverage: CoverageStats,
 }
 
-/// Accesses/sec geometric means across benchmarks at one worker count.
-#[derive(Debug, Serialize)]
-struct WorkerGeomeans {
-    workers: usize,
-    native: f64,
-    full: f64,
-    aikido: f64,
-}
-
 /// The full JSON document written to `BENCH_throughput.json`.
 #[derive(Debug, Serialize)]
 struct Document {
@@ -90,21 +66,17 @@ struct Document {
     fingerprint: String,
     /// Timed repetitions per benchmark × mode (the fastest is reported).
     reps: u32,
-    /// Highest worker count measured (1 when running sequential only).
-    parallel_workers: usize,
     samples: Vec<Sample>,
     /// Per-benchmark static pre-analysis coverage (PR 6). Purely
     /// informational for the perf gate (which reads the document leniently),
     /// but tracked in the committed baseline so coverage regressions show up
     /// in review.
     static_coverage: Vec<StaticCoverage>,
-    /// Accesses/sec geometric mean across benchmarks, per mode label,
-    /// measured on the sequential path (stable input for the perf gate).
+    /// Accesses/sec geometric mean across benchmarks, per mode label
+    /// (the perf gate's input).
     aikido_geomean: f64,
     full_geomean: f64,
     native_geomean: f64,
-    /// The same geomeans per measured worker count (parallel trajectory).
-    per_worker_geomeans: Vec<WorkerGeomeans>,
 }
 
 /// Default timed repetitions per benchmark × mode; the fastest is reported
@@ -122,8 +94,8 @@ fn repeats() -> u32 {
         .unwrap_or(DEFAULT_REPEATS)
 }
 
-fn measure(workload: &Workload, mode: Mode, workers: usize, reps: u32) -> (Sample, RunReport) {
-    let sim = Simulator::default().with_workers(workers);
+fn measure(workload: &Workload, mode: Mode, reps: u32) -> Sample {
+    let sim = Simulator::default();
     // Warm-up run (untimed): page in the workload and the allocator.
     let baseline = sim.run(workload, mode);
     let mut best = None;
@@ -147,11 +119,10 @@ fn measure(workload: &Workload, mode: Mode, workers: usize, reps: u32) -> (Sampl
     }
     let wall = best.expect("at least one repeat");
     let accesses = baseline.counts.mem_accesses;
-    let sample = Sample {
+    Sample {
         benchmark: workload.spec().name.clone(),
         mode: mode.label().to_string(),
         threads: workload.spec().threads,
-        workers,
         mem_accesses: accesses,
         wall_nanos: wall.as_nanos(),
         accesses_per_sec: accesses as f64 / wall.as_secs_f64().max(1e-9),
@@ -159,45 +130,18 @@ fn measure(workload: &Workload, mode: Mode, workers: usize, reps: u32) -> (Sampl
         vm_exits: baseline.vm.vm_exits,
         shadow_misses: baseline.vm.shadow_misses,
         races: baseline.races.len(),
-    };
-    (sample, baseline)
-}
-
-/// Worker counts to measure: `--parallel N` (or `AIKIDO_PARALLEL=N`) adds a
-/// parallel lane next to the sequential reference.
-fn worker_counts() -> Vec<usize> {
-    let mut parallel = SimConfig::from_env_overrides().workers;
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--parallel") {
-        if let Some(n) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            parallel = n.max(1);
-        }
-    }
-    if parallel > 1 {
-        vec![1, parallel]
-    } else {
-        vec![1]
     }
 }
 
 fn main() {
     let scale = scale_from_env();
-    let counts = worker_counts();
     let reps = repeats();
-    let parallel_workers = *counts.last().expect("at least one worker count");
     let mut samples = Vec::new();
     let mut static_coverage = Vec::new();
-    println!("hot-path throughput (scale {scale}, workers {counts:?}, reps {reps}):");
+    println!("hot-path throughput (scale {scale}, reps {reps}):");
     println!(
-        "{:<14} {:>8} {:>7} {:>12} {:>12} {:>14} {:>9} {:>13}",
-        "benchmark",
-        "mode",
-        "workers",
-        "accesses",
-        "wall_ms",
-        "accesses/sec",
-        "vm_exits",
-        "shadow_misses"
+        "{:<14} {:>8} {:>12} {:>12} {:>14} {:>9} {:>13}",
+        "benchmark", "mode", "accesses", "wall_ms", "accesses/sec", "vm_exits", "shadow_misses"
     );
     for name in BENCHMARKS {
         let spec = WorkloadSpec::parsec(name)
@@ -210,59 +154,36 @@ fn main() {
             coverage,
         });
         for mode in [Mode::Native, Mode::FullInstrumentation, Mode::Aikido] {
-            let mut sequential_report: Option<RunReport> = None;
-            for &workers in &counts {
-                let (sample, report) = measure(&workload, mode, workers, reps);
-                match &sequential_report {
-                    None => sequential_report = Some(report),
-                    Some(reference) => assert_eq!(
-                        &report, reference,
-                        "parallel run diverged from the sequential reference \
-                         ({name}, {mode:?}, {workers} workers)"
-                    ),
-                }
-                println!(
-                    "{:<14} {:>8} {:>7} {:>12} {:>12.2} {:>14.0} {:>9} {:>13}",
-                    sample.benchmark,
-                    sample.mode,
-                    sample.workers,
-                    sample.mem_accesses,
-                    sample.wall_nanos as f64 / 1e6,
-                    sample.accesses_per_sec,
-                    sample.vm_exits,
-                    sample.shadow_misses
-                );
-                samples.push(sample);
-            }
+            let sample = measure(&workload, mode, reps);
+            println!(
+                "{:<14} {:>8} {:>12} {:>12.2} {:>14.0} {:>9} {:>13}",
+                sample.benchmark,
+                sample.mode,
+                sample.mem_accesses,
+                sample.wall_nanos as f64 / 1e6,
+                sample.accesses_per_sec,
+                sample.vm_exits,
+                sample.shadow_misses
+            );
+            samples.push(sample);
         }
     }
 
-    let geomean = |label: &str, workers: usize| {
+    let geomean = |label: &str| {
         let rates: Vec<f64> = samples
             .iter()
-            .filter(|s| s.mode == label && s.workers == workers)
+            .filter(|s| s.mode == label)
             .map(|s| s.accesses_per_sec)
             .collect();
         aikido_bench::geometric_mean(&rates)
     };
-    let per_worker_geomeans: Vec<WorkerGeomeans> = counts
-        .iter()
-        .map(|&workers| WorkerGeomeans {
-            workers,
-            native: geomean("native", workers),
-            full: geomean("full", workers),
-            aikido: geomean("aikido", workers),
-        })
-        .collect();
     let doc = Document {
         scale,
         fingerprint: aikido_bench::machine_fingerprint(scale),
         reps,
-        parallel_workers,
-        aikido_geomean: geomean("aikido", 1),
-        full_geomean: geomean("full", 1),
-        native_geomean: geomean("native", 1),
-        per_worker_geomeans,
+        aikido_geomean: geomean("aikido"),
+        full_geomean: geomean("full"),
+        native_geomean: geomean("native"),
         static_coverage,
         samples,
     };
@@ -287,12 +208,10 @@ fn main() {
         );
     }
     println!();
-    for g in &doc.per_worker_geomeans {
-        println!(
-            "geomean accesses/sec ({} workers): native {:.0}  full {:.0}  aikido {:.0}",
-            g.workers, g.native, g.full, g.aikido
-        );
-    }
+    println!(
+        "geomean accesses/sec: native {:.0}  full {:.0}  aikido {:.0}",
+        doc.native_geomean, doc.full_geomean, doc.aikido_geomean
+    );
 
     let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_throughput.json".to_string());
     let json = serde_json::to_string(&doc).expect("document serialises");
@@ -304,56 +223,4 @@ fn main() {
         std::process::exit(aikido_bench::exitcode::WRITE_FAILED);
     }
     println!("wrote {out}");
-
-    enforce_scaling_gate(&doc);
-}
-
-/// The parallel epoch engine's scaling gate: with `AIKIDO_REQUIRE_SCALING=1` on a
-/// multi-core machine, the parallel-lane aikido geomean must beat the
-/// sequential one by more than `AIKIDO_SCALING_TOLERANCE` (a ratio, default
-/// 1.0 — any speedup at all). On a single-core runner, or when no parallel
-/// lane was measured, the gate prints a skip notice and passes: interleaved
-/// workers cannot scale without cores to run on.
-fn enforce_scaling_gate(doc: &Document) {
-    if std::env::var("AIKIDO_REQUIRE_SCALING").map(|v| v == "1") != Ok(true) {
-        return;
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if cores < 2 {
-        println!("scaling gate: skipped (single-core machine — no parallelism to gain)");
-        return;
-    }
-    if doc.parallel_workers <= 1 {
-        println!("scaling gate: skipped (no parallel lane measured; set AIKIDO_PARALLEL)");
-        return;
-    }
-    let tolerance = std::env::var("AIKIDO_SCALING_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|t| t.is_finite() && *t > 0.0)
-        .unwrap_or(1.0);
-    let find = |workers: usize| {
-        doc.per_worker_geomeans
-            .iter()
-            .find(|g| g.workers == workers)
-    };
-    let (Some(seq), Some(par)) = (find(1), find(doc.parallel_workers)) else {
-        eprintln!("scaling gate: per_worker_geomeans missing a measured lane");
-        std::process::exit(aikido_bench::exitcode::REGRESSION);
-    };
-    let ratio = par.aikido / seq.aikido;
-    println!(
-        "scaling gate: aikido geomean @{}w / @1w = {ratio:.3} (required > {tolerance:.3}, {cores} cores)",
-        doc.parallel_workers
-    );
-    if ratio <= tolerance || !ratio.is_finite() {
-        eprintln!(
-            "scaling gate FAILED: the parallel epoch engine at {} workers did not outscale the \
-             sequential path ({:.0} vs {:.0} accesses/sec geomean) on a {cores}-core machine",
-            doc.parallel_workers, par.aikido, seq.aikido
-        );
-        std::process::exit(aikido_bench::exitcode::REGRESSION);
-    }
 }

@@ -174,14 +174,6 @@ impl AikidoSystem {
         self
     }
 
-    /// Sets the epoch-engine worker count (1 = sequential). Any count
-    /// produces byte-identical reports; higher counts move block production
-    /// onto a pool of OS threads. See [`Simulator::with_workers`].
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.simulator = self.simulator.clone().with_workers(workers);
-        self
-    }
-
     /// The underlying simulator.
     pub fn simulator(&self) -> &Simulator {
         &self.simulator
@@ -209,8 +201,8 @@ impl AikidoSystem {
     ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] if a worker panics or a checkpoint image fails
-    /// its integrity validation.
+    /// Returns a [`SimError`] if a checkpoint image fails its integrity
+    /// validation.
     pub fn run_checkpointed(&self, workload: &Workload, mode: Mode) -> Result<RunReport, SimError> {
         self.simulator.run_checkpointed(workload, mode)
     }

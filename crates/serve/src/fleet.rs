@@ -1,7 +1,8 @@
 //! The worker fleet: bounded, scoped execution of queued runs.
 //!
-//! Mirrors the epoch engine's concurrency idiom (`std::thread::scope` plus a
-//! bounded `sync_channel`): a fixed pool of scoped workers pulls queued runs
+//! The one place the workspace runs simulations in parallel, at the grain
+//! where that pays: whole runs. A fixed pool of scoped workers
+//! (`std::thread::scope` plus a bounded `sync_channel`) pulls queued runs
 //! off a bounded work lane, executes each with a per-run
 //! [`Simulator::from_config`], and sends outcomes back on an unbounded
 //! results lane. The main thread finishes sending before it starts

@@ -19,9 +19,13 @@ use serde::Serialize;
 ///   "tenant": "acme",
 ///   "workload": {"preset": "vips", "threads": 4},
 ///   "mode": "aikido",
-///   "config": {"workers": 2, "scale": 0.05}
+///   "config": {"quantum": 4, "scale": 0.05}
 /// }
 /// ```
+///
+/// `config` takes only `SimConfig`'s fields (`quantum`, `checkpoint_every`,
+/// `scale`); any other key, such as the retired `workers`, is refused as an
+/// unknown field.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunRequest {
     /// The tenant the run is attributed to (billing, budgets, quotas).
@@ -124,7 +128,7 @@ mod tests {
                 "tenant": "acme",
                 "workload": {"preset": "vips", "threads": 4},
                 "mode": "aikido",
-                "config": {"workers": 2, "scale": 0.05}
+                "config": {"quantum": 4, "scale": 0.05}
             }"#,
         )
         .unwrap();
@@ -132,7 +136,7 @@ mod tests {
         assert_eq!(request.spec.name, "vips");
         assert_eq!(request.spec.threads, 4);
         assert_eq!(request.mode, Mode::Aikido);
-        assert_eq!(request.config.workers, 2);
+        assert_eq!(request.config.quantum, 4);
         assert_eq!(request.config.scale, 0.05);
     }
 
@@ -172,6 +176,10 @@ mod tests {
                 r#"{"tenant": "acme", "tenant": "umbrella", "workload": {"preset": "vips"}, "mode": "native"}"#,
                 "repeats the key 'tenant'",
             ),
+            (
+                r#"{"tenant": "t", "workload": {"preset": "vips"}, "mode": "native", "config": {"workers": 2}}"#,
+                "unknown field 'workers'",
+            ),
         ] {
             let err = RunRequest::from_json(bad).unwrap_err();
             assert!(err.contains(needle), "{bad} -> {err}");
@@ -200,7 +208,7 @@ mod tests {
             WorkloadSpec::parsec("swaptions").unwrap().with_threads(2),
             Mode::FullInstrumentation,
         )
-        .with_config(SimConfig::default().with_workers(3).with_scale(0.1));
+        .with_config(SimConfig::default().with_quantum(3).with_scale(0.1));
         let mut config_json = String::new();
         serde::Serialize::json_write(&request.config, &mut config_json);
         let wire = format!(

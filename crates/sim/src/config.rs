@@ -59,10 +59,6 @@ pub struct SimConfig {
     /// Basic-block executions a thread runs before the round-robin scheduler
     /// switches to the next thread (`Simulator::with_quantum`). Must be ≥ 1.
     pub quantum: u32,
-    /// OS worker threads for epoch-parallel block production
-    /// (`Simulator::with_workers`); 1 is the sequential reference path.
-    /// Reports are byte-identical at every count. Must be ≥ 1.
-    pub workers: usize,
     /// Periodic checkpoint policy for
     /// [`Simulator::run_checkpointed`](crate::Simulator::run_checkpointed):
     /// every `N` block executions the run pauses, serializes, re-validates
@@ -82,7 +78,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             quantum: 8,
-            workers: 1,
             checkpoint_every: None,
             scale: 1.0,
         }
@@ -99,12 +94,6 @@ impl SimConfig {
     /// Builder: sets the scheduling quantum.
     pub fn with_quantum(mut self, quantum: u32) -> Self {
         self.quantum = quantum;
-        self
-    }
-
-    /// Builder: sets the epoch-engine worker count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
         self
     }
 
@@ -125,12 +114,6 @@ impl SimConfig {
     pub fn validate(&self) -> Result<(), SimConfigError> {
         if self.quantum == 0 {
             return Err(SimConfigError::new("quantum", "must be at least 1"));
-        }
-        if self.workers == 0 {
-            return Err(SimConfigError::new(
-                "workers",
-                "must be at least 1 (1 = sequential)",
-            ));
         }
         if self.checkpoint_every == Some(0) {
             return Err(SimConfigError::new(
@@ -154,7 +137,6 @@ impl SimConfig {
     ///
     /// | variable | field | parsing |
     /// |----------|-------|---------|
-    /// | `AIKIDO_PARALLEL` | `workers` | integer ≥ 1; otherwise ignored |
     /// | `AIKIDO_CHECKPOINT_EVERY` | `checkpoint_every` | integer ≥ 1; 0, unset or unparsable disable the policy |
     /// | `AIKIDO_SCALE` | `scale` | float > 0; otherwise ignored |
     pub fn from_env_overrides() -> Self {
@@ -165,9 +147,6 @@ impl SimConfig {
     /// on top of `self` (unset or unparsable variables leave the field
     /// untouched).
     pub fn with_env_overrides(mut self) -> Self {
-        if let Some(workers) = parse_env::<usize>("AIKIDO_PARALLEL").filter(|&w| w >= 1) {
-            self.workers = workers;
-        }
         if let Some(every) = parse_env::<u64>("AIKIDO_CHECKPOINT_EVERY") {
             self.checkpoint_every = (every > 0).then_some(every);
         }
@@ -195,7 +174,6 @@ impl SimConfig {
             };
             match key.as_str() {
                 "quantum" => config.quantum = int("quantum", u32::MAX.into())? as u32,
-                "workers" => config.workers = int("workers", usize::MAX as u64)? as usize,
                 "checkpoint_every" => {
                     config.checkpoint_every = match value {
                         serde_json::Value::Null => None,
@@ -235,16 +213,14 @@ mod tests {
         let config = SimConfig::default();
         config.validate().unwrap();
         assert_eq!(config.quantum, 8);
-        assert_eq!(config.workers, 1);
         assert_eq!(config.checkpoint_every, None);
         assert_eq!(config.scale, 1.0);
     }
 
     #[test]
     fn validation_names_the_offending_field() {
-        let cases: [(SimConfig, &str); 5] = [
+        let cases: [(SimConfig, &str); 4] = [
             (SimConfig::default().with_quantum(0), "quantum"),
-            (SimConfig::default().with_workers(0), "workers"),
             (
                 SimConfig::default().with_checkpoint_every(Some(0)),
                 "checkpoint_every",
@@ -263,7 +239,6 @@ mod tests {
     fn json_round_trip_preserves_every_field() {
         let config = SimConfig::default()
             .with_quantum(3)
-            .with_workers(4)
             .with_checkpoint_every(Some(512))
             .with_scale(0.25);
         let json = serde_json::to_string(&config).unwrap();
@@ -273,14 +248,20 @@ mod tests {
 
     #[test]
     fn json_parsing_defaults_absent_fields_and_rejects_unknown_ones() {
-        let value = serde_json::from_str(r#"{"workers": 2}"#).unwrap();
+        let value = serde_json::from_str(r#"{"scale": 0.5}"#).unwrap();
         let config = SimConfig::from_json_value(&value).unwrap();
-        assert_eq!(config.workers, 2);
+        assert_eq!(config.scale, 0.5);
         assert_eq!(config.quantum, 8, "absent fields keep their defaults");
 
         let bad = serde_json::from_str(r#"{"wrokers": 2}"#).unwrap();
         let err = SimConfig::from_json_value(&bad).unwrap_err();
         assert!(err.reason.contains("wrokers"), "{err}");
+
+        // The within-run worker count is gone: the field is refused by name.
+        let bad = serde_json::from_str(r#"{"workers": 2}"#).unwrap();
+        let err = SimConfig::from_json_value(&bad).unwrap_err();
+        assert_eq!(err.field, "config");
+        assert_eq!(err.reason, "unknown field 'workers'");
 
         let bad = serde_json::from_str(r#"{"quantum": true}"#).unwrap();
         assert_eq!(
@@ -295,7 +276,7 @@ mod tests {
             "parsed configs are validated"
         );
 
-        let bad = serde_json::from_str(r#"{"workers": 1.5}"#).unwrap();
+        let bad = serde_json::from_str(r#"{"quantum": 1.5}"#).unwrap();
         assert!(SimConfig::from_json_value(&bad).is_err());
 
         // One past u32::MAX must not wrap to quantum 1.

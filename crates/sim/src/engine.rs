@@ -10,30 +10,24 @@ use aikido_types::{
     Vpn,
 };
 use aikido_vm::{AikidoVm, TouchOutcome, VmConfig};
-use aikido_workloads::{AccessWord, BlockExec, BlockShape, MemSlot, Step, Workload};
+use aikido_workloads::{
+    AccessWord, BlockExec, BlockShape, MemSlot, Step, ThreadTrace, TraceCursor, Workload,
+};
 
 mod checkpoint;
 
 use checkpoint::{
-    check_stash, snapshot_meta_json, stashed_op, SchedState, AKSD_VERSION, AKVM_VERSION,
-    DBIE_VERSION, FTRK_VERSION, META_VERSION, SCHD_VERSION, TCCH_VERSION,
+    snapshot_meta_json, SchedState, AKSD_VERSION, AKVM_VERSION, DBIE_VERSION, FTRK_VERSION,
+    META_VERSION, SCHD_VERSION, TCCH_VERSION,
 };
 
 use crate::config::{SimConfig, SimConfigError};
 use crate::cost::CostModel;
-use crate::epoch::{BlockStream, StreamPos, TraceSource};
 use crate::report::{RunCounts, RunReport};
 
 /// A recoverable simulation failure surfaced by the `try_` entry points.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// An epoch-engine block producer panicked. The commit thread drained
-    /// the surviving lanes and shut the pool down cleanly; nothing from the
-    /// failed epoch is merged and the partial run is discarded.
-    WorkerPanic {
-        /// The panic payload, when it was a string.
-        message: String,
-    },
     /// A snapshot failed validation during [`Simulator::resume`] (corrupt
     /// image, or state that does not match the workload being resumed).
     Snapshot(SnapshotError),
@@ -42,9 +36,6 @@ pub enum SimError {
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SimError::WorkerPanic { message } => {
-                write!(f, "pool worker panicked: {message}")
-            }
             SimError::Snapshot(err) => write!(f, "{err}"),
         }
     }
@@ -59,8 +50,8 @@ impl From<SnapshotError> for SimError {
 }
 
 /// What [`Simulator::checkpoint`] (and [`Simulator::resume_until`]) produced:
-/// either the run reached its end before the block target, or it paused at an
-/// epoch boundary with its full state serialized.
+/// either the run reached its end before the block target, or it paused at a
+/// scheduling-round boundary with its full state serialized.
 #[derive(Debug)]
 pub enum CheckpointOutcome {
     /// The workload ran to completion; no snapshot was taken. (Boxed: a
@@ -73,9 +64,9 @@ pub enum CheckpointOutcome {
 
 /// The record [`Simulator::try_run_with_occupancy`] pairs with a report:
 /// accesses analysed per worker shard and accesses escalated to the commit
-/// thread. Analysis always runs on the commit thread, so no run produces
-/// one; the type remains only for the benchmark's within-run parallelism
-/// probe.
+/// thread. Every run is sequential, so no run produces one; the type is a
+/// benchmark-only shim kept for perfbench's within-run parallelism probe,
+/// and goes with that probe.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardOccupancy {
     /// Accesses analysed locally by each worker shard, indexed by shard.
@@ -185,7 +176,7 @@ impl Default for Simulator {
 
 impl Simulator {
     /// Creates a simulator with the given cost model and the default
-    /// [`SimConfig`] (scheduling quantum 8, sequential, all fast paths on).
+    /// [`SimConfig`] (scheduling quantum 8, all fast paths on).
     pub fn new(cost: CostModel) -> Self {
         Simulator {
             cost,
@@ -246,20 +237,19 @@ impl Simulator {
         self
     }
 
-    /// Sets how many OS worker threads the epoch engine uses for block
-    /// production. `1` (the default) is the fully sequential reference path;
-    /// any higher count runs trace generation on a worker pool while the
-    /// commit thread retires blocks in logical-clock order, so reports are
-    /// byte-identical at every worker count (see the `epoch` module docs —
-    /// the `parallel_equivalence` integration suite pins this).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers.max(1);
+    /// Benchmark-only shim: ignores `workers` and returns `self` unchanged.
+    /// Every run takes the one sequential path; this remains only because
+    /// perfbench's within-run parallelism probe still calls it, and goes
+    /// with that probe.
+    pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
 
-    /// The configured worker count (1 = sequential).
+    /// Benchmark-only shim: always `1`, because every run is sequential.
+    /// Kept for perfbench's within-run parallelism probe, like
+    /// [`Simulator::with_workers`].
     pub fn workers(&self) -> usize {
-        self.config.workers
+        1
     }
 
     /// Sets the periodic checkpoint policy [`Simulator::run_checkpointed`]
@@ -300,8 +290,7 @@ impl Simulator {
     }
 
     /// Runs `workload` in `mode` with a FastTrack analysis, surfacing
-    /// failures (such as a panicking epoch producer) as a structured
-    /// [`SimError`] instead of panicking or hanging.
+    /// failures as a structured [`SimError`] instead of panicking.
     pub fn try_run(&self, workload: &Workload, mode: Mode) -> Result<RunReport, SimError> {
         let mut analysis = self.new_fasttrack();
         let mut report = self.try_run_with_analysis(workload, mode, &mut analysis)?;
@@ -310,10 +299,10 @@ impl Simulator {
     }
 
     /// [`Simulator::try_run`] paired with an always-`None` occupancy
-    /// record. Analysis runs on the commit thread, so there is no shard
-    /// split to report; this method exists only for the benchmark's
-    /// within-run parallelism probe and goes when a benchmark change
-    /// removes that probe.
+    /// record. Every run is sequential, so there is no shard split to
+    /// report; this benchmark-only shim exists for perfbench's within-run
+    /// parallelism probe and goes when a benchmark change removes that
+    /// probe.
     pub fn try_run_with_occupancy(
         &self,
         workload: &Workload,
@@ -347,7 +336,7 @@ impl Simulator {
         analysis: &mut A,
     ) -> Result<RunReport, SimError> {
         let (mut run, mut states) = Run::new(self, workload, mode, analysis);
-        self.drive(workload, &mut run, &mut states, None)?;
+        self.drive(workload, &mut run, &mut states, None);
         Ok(run.into_report())
     }
 
@@ -355,7 +344,7 @@ impl Simulator {
     /// policy (`SimConfig::checkpoint_every`, settable from the
     /// `AIKIDO_CHECKPOINT_EVERY` variable via
     /// [`SimConfig::from_env_overrides`]): every `N` block executions the run
-    /// pauses at an epoch boundary, serializes its full state, re-validates
+    /// pauses at a round boundary, serializes its full state, re-validates
     /// the image from its own bytes (every section checksum is re-verified)
     /// and resumes from the *restored* state. With the policy unset this is
     /// exactly [`Simulator::try_run`]; with it set, the final report is
@@ -421,7 +410,7 @@ impl Simulator {
     ) -> Result<CheckpointOutcome, SimError> {
         let mut analysis = self.new_fasttrack();
         let (mut run, mut states) = Run::new(self, workload, mode, &mut analysis);
-        let status = self.drive(source, &mut run, &mut states, Some(after_blocks))?;
+        let status = self.drive(source, &mut run, &mut states, Some(after_blocks));
         Ok(match status {
             ExecStatus::Paused => CheckpointOutcome::Paused(run.encode_snapshot(&states)),
             ExecStatus::Completed => {
@@ -433,11 +422,11 @@ impl Simulator {
     }
 
     /// Resumes a run from `snapshot` and drives it to completion. The final
-    /// report is byte-identical to the uninterrupted run's, at any worker
-    /// count. The snapshot must have been taken for the same workload,
-    /// scheduling quantum and cost model — a mismatch (or any corruption the
-    /// container checksums missed) returns a structured
-    /// [`SnapshotError`] naming the failing section and offset.
+    /// report is byte-identical to the uninterrupted run's. The snapshot
+    /// must have been taken for the same workload, scheduling quantum and
+    /// cost model — a mismatch (or any corruption the container checksums
+    /// missed) returns a structured [`SnapshotError`] naming the failing
+    /// section and offset.
     pub fn resume(&self, workload: &Workload, snapshot: &Snapshot) -> Result<RunReport, SimError> {
         match self.resume_from(workload, workload, snapshot, None)? {
             CheckpointOutcome::Completed(report) => Ok(*report),
@@ -526,7 +515,7 @@ impl Simulator {
             cache,
             sched,
         );
-        let status = self.drive(source, &mut run, &mut states, stop_after)?;
+        let status = self.drive(source, &mut run, &mut states, stop_after);
         Ok(match status {
             ExecStatus::Paused => CheckpointOutcome::Paused(run.encode_snapshot(&states)),
             ExecStatus::Completed => {
@@ -537,64 +526,46 @@ impl Simulator {
         })
     }
 
-    /// Drives `run` to completion (or to the `stop_after` block target) over
-    /// the configured feed: sequential for one worker, the epoch-parallel
-    /// engine otherwise. `source` supplies the per-thread block streams
-    /// (always the workload itself outside tests); each slot's stream opens
-    /// at its state's recorded position, so resuming a run is a seek, not a
-    /// replay of the prefix. On a pause, every state's position is updated
-    /// to where its stream stands.
-    fn drive<'w, A: SharedDataAnalysis, S: TraceSource + ?Sized>(
+    /// Drives `run` to completion (or to the `stop_after` block target).
+    /// `source` supplies the per-thread block streams (always the workload
+    /// itself outside tests); each slot's stream opens at its state's
+    /// recorded cursor, so resuming a run is a seek, not a replay of the
+    /// prefix. On a pause, every state's cursor is updated to where its
+    /// stream stands.
+    fn drive<A: SharedDataAnalysis, S: TraceSource + ?Sized>(
         &self,
         source: &S,
-        run: &mut Run<'_, 'w, A>,
+        run: &mut Run<'_, '_, A>,
         states: &mut [ThreadState],
         stop_after: Option<u64>,
-    ) -> Result<ExecStatus, SimError> {
-        let streams = open_streams(source, run.workload, states)?;
-        if self.config.workers <= 1 || states.len() <= 1 {
-            let mut feed = SeqFeed { traces: streams };
-            let status = run.execute(&mut feed, states, stop_after);
-            record_positions(source, &feed, states, status)?;
-            return Ok(status);
+    ) -> ExecStatus {
+        let mut streams: Vec<_> = states
+            .iter()
+            .map(|st| source.stream_at(st.id, &st.at))
+            .collect();
+        let status = run.execute(&mut streams, states, stop_after);
+        if status == ExecStatus::Paused {
+            for (st, stream) in states.iter_mut().zip(&streams) {
+                st.at = stream.cursor();
+            }
         }
-        let (status, panic) = std::thread::scope(|scope| {
-            let mut feed = crate::epoch::spawn_producers(scope, streams, self.config.workers);
-            let panic = feed.panic_handle();
-            let status = run.execute(&mut feed, states, stop_after);
-            let status = record_positions(source, &feed, states, status).map(|()| status);
-            // Dropping the feed disconnects every lane, letting any
-            // producer that ran ahead of the commit clock exit before the
-            // scope joins it.
-            drop(feed);
-            (status, panic)
-        });
-        // Every producer has joined: the record is final. A recorded panic
-        // outranks whatever the commit side salvaged — the run is truncated.
-        let recorded = panic
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .take();
-        if let Some(message) = recorded {
-            return Err(SimError::WorkerPanic { message });
-        }
-        Ok(status?)
+        status
     }
 
     /// Test seam: runs `workload` but pulls the per-thread block streams from
-    /// `source` instead — how the fault-injection tests plant a panicking
-    /// producer without touching the workload generator.
+    /// `source` instead — how the tests count generated blocks without
+    /// touching the workload generator.
     #[cfg(test)]
-    fn try_run_with_source<S: TraceSource + ?Sized>(
+    fn run_with_source<S: TraceSource + ?Sized>(
         &self,
         workload: &Workload,
         source: &S,
         mode: Mode,
-    ) -> Result<RunReport, SimError> {
+    ) -> RunReport {
         let mut analysis = FastTrack::new();
         let (mut run, mut states) = Run::new(self, workload, mode, &mut analysis);
-        self.drive(source, &mut run, &mut states, None)?;
-        Ok(run.into_report())
+        self.drive(source, &mut run, &mut states, None);
+        run.into_report()
     }
 
     /// Runs the native / full / Aikido triple the paper compares for every
@@ -608,119 +579,55 @@ impl Simulator {
     }
 }
 
-/// Where the scheduler's blocks come from: the sequential path pulls straight
-/// from each thread's trace; the parallel path pops batches produced by the
-/// epoch worker pool. `slot` indexes the workload's thread list, and every
-/// implementation must yield the exact same per-slot stream — the scheduler
-/// (and therefore every report) cannot tell the feeds apart.
-pub(crate) trait BlockFeed {
-    /// Moves `slot`'s next execution into `out` (reusing `out`'s access
-    /// buffer); returns `false` once the slot's trace is exhausted.
-    fn next_into(&mut self, slot: usize, out: &mut BlockExec) -> bool;
+/// Where a run's per-thread block streams come from. Production runs use
+/// the [`Workload`] itself (each stream is a [`ThreadTrace`]); the tests
+/// inject an instrumented source to prove that a resumed run regenerates
+/// no trace prefix.
+pub(crate) trait TraceSource {
+    /// One guest thread's block stream.
+    type Stream<'s>: BlockStream
+    where
+        Self: 's;
 
-    /// Where `slot`'s stream stands: reopening it there yields exactly the
-    /// executions this feed would deliver next.
-    fn position(&self, slot: usize) -> StreamPos;
+    /// Opens `thread`'s stream at `cursor`, which the caller has validated
+    /// against the workload (a fresh run passes each trace's start cursor).
+    fn stream_at(&self, thread: ThreadId, cursor: &TraceCursor) -> Self::Stream<'_>;
 }
 
-/// The sequential feed: one block stream per slot (a
-/// [`aikido_workloads::ThreadTrace`] in production), consumed in place on
-/// the scheduler thread. This is the reference path the parallel engine is
-/// proven byte-identical against.
-struct SeqFeed<T> {
-    traces: Vec<T>,
+/// One guest thread's stream of block executions.
+pub(crate) trait BlockStream {
+    /// Produces the next execution into `out` (recycling its buffers);
+    /// returns `false` once the stream is exhausted.
+    fn next_into(&mut self, out: &mut BlockExec) -> bool;
+
+    /// Where the stream stands: the cursor the next execution is generated
+    /// from.
+    fn cursor(&self) -> TraceCursor;
 }
 
-impl<T: BlockStream> BlockFeed for SeqFeed<T> {
+impl TraceSource for Workload {
+    type Stream<'s> = ThreadTrace<'s>;
+
+    fn stream_at(&self, thread: ThreadId, cursor: &TraceCursor) -> ThreadTrace<'_> {
+        self.thread_trace_at(thread, cursor)
+            .expect("stream cursors are validated before a run opens them")
+    }
+}
+
+impl BlockStream for ThreadTrace<'_> {
     #[inline]
-    fn next_into(&mut self, slot: usize, out: &mut BlockExec) -> bool {
-        self.traces[slot].next_into(out)
+    fn next_into(&mut self, out: &mut BlockExec) -> bool {
+        ThreadTrace::next_into(self, out)
     }
 
-    fn position(&self, slot: usize) -> StreamPos {
-        StreamPos {
-            cursor: self.traces[slot].cursor(),
-            skip: 0,
-        }
+    fn cursor(&self) -> TraceCursor {
+        ThreadTrace::cursor(self)
     }
-}
-
-/// Opens `thread`'s stream at `pos`: at the cursor, then `pos.skip`
-/// executions further (regenerated and discarded — at most one epoch batch,
-/// see [`StreamPos`]).
-fn seek<'s, S: TraceSource + ?Sized>(
-    source: &'s S,
-    thread: ThreadId,
-    pos: &StreamPos,
-) -> Result<S::Stream<'s>, SnapshotError> {
-    let mut stream = source.stream_at(thread, &pos.cursor);
-    let mut scratch = BlockExec::default();
-    for n in 0..pos.skip {
-        if !stream.next_into(&mut scratch) {
-            return Err(SnapshotError::new(
-                "SCHD",
-                0,
-                format!(
-                    "{thread}: trace exhausted {n} executions into a {}-execution skip",
-                    pos.skip
-                ),
-            ));
-        }
-    }
-    Ok(stream)
-}
-
-/// Opens every slot's stream at its state's position. A restored stashed
-/// op is checked here, against the position just past it, which is only
-/// known once the skip is regenerated.
-fn open_streams<'s, S: TraceSource + ?Sized>(
-    source: &'s S,
-    workload: &Workload,
-    states: &[ThreadState],
-) -> Result<Vec<S::Stream<'s>>, SnapshotError> {
-    states
-        .iter()
-        .map(|st| {
-            let stream = seek(source, st.id, &st.at)?;
-            if st.has_exec {
-                check_stash(stashed_op(&st.exec), &stream.cursor().counters, workload).map_err(
-                    |reason| SnapshotError::new("SCHD", 0, format!("{}: {reason}", st.id)),
-                )?;
-            }
-            Ok(stream)
-        })
-        .collect()
-}
-
-/// After a pause, records where each slot's stream stands so the snapshot
-/// can reopen it there. Positions are canonicalized to the exact cursor
-/// (`skip == 0`): the epoch feed's batch-relative positions are regenerated
-/// forward here — at most one batch per slot — so a checkpoint image is
-/// byte-identical at every worker count.
-fn record_positions<S: TraceSource + ?Sized, F: BlockFeed>(
-    source: &S,
-    feed: &F,
-    states: &mut [ThreadState],
-    status: ExecStatus,
-) -> Result<(), SnapshotError> {
-    if status == ExecStatus::Paused {
-        for (slot, st) in states.iter_mut().enumerate() {
-            let pos = feed.position(slot);
-            st.at = StreamPos {
-                cursor: match pos.skip {
-                    0 => pos.cursor,
-                    _ => seek(source, st.id, &pos)?.cursor(),
-                },
-                skip: 0,
-            };
-        }
-    }
-    Ok(())
 }
 
 /// Per-thread scheduling state.
 ///
-/// `exec` is a reusable scratch buffer filled through the run's [`BlockFeed`],
+/// `exec` is a reusable scratch buffer filled from the slot's block stream,
 /// so the scheduler's steady state performs no per-block allocation.
 struct ThreadState {
     id: ThreadId,
@@ -730,10 +637,10 @@ struct ThreadState {
     /// True if `exec` holds a produced-but-unconsumed execution (a blocked
     /// synchronisation operation waiting to retry).
     has_exec: bool,
-    /// Where the slot's stream stands: its opening position when a run
-    /// starts or resumes, and — after a pause — the position the snapshot
-    /// records (just past `exec` when `has_exec` is set).
-    at: StreamPos,
+    /// Where the slot's stream stands: its opening cursor when a run starts
+    /// or resumes, and — after a pause — the cursor the snapshot records
+    /// (just past `exec` when `has_exec` is set).
+    at: TraceCursor,
 }
 
 /// How [`Run::execute`] returned.
@@ -1051,9 +958,10 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
     /// end of the scheduling round ([`ExecStatus::Paused`]). Pausing only at
     /// round boundaries keeps the checkpoint surface small: no thread is
     /// mid-quantum, so `states` plus the components is the whole state.
-    fn execute<F: BlockFeed>(
+    /// `streams[i]` is slot `i`'s block stream.
+    fn execute<T: BlockStream>(
         &mut self,
-        feed: &mut F,
+        streams: &mut [T],
         states: &mut [ThreadState],
         stop_after: Option<u64>,
     ) -> ExecStatus {
@@ -1068,7 +976,7 @@ impl<'a, 'w, A: SharedDataAnalysis> Run<'a, 'w, A> {
                 while executed < self.sim.config.quantum {
                     if !states[i].has_exec {
                         let st = &mut states[i];
-                        if !feed.next_into(i, &mut st.exec) {
+                        if !streams[i].next_into(&mut st.exec) {
                             st.finished = true;
                             break;
                         }
@@ -2105,60 +2013,28 @@ mod tests {
     }
 
     #[test]
-    fn parallel_workers_reproduce_the_sequential_report() {
-        let w = small("swaptions");
-        for mode in [Mode::Native, Mode::FullInstrumentation, Mode::Aikido] {
-            let seq = Simulator::default().run(&w, mode);
-            for workers in [2, 3, 8] {
-                let par = Simulator::default().with_workers(workers).run(&w, mode);
-                assert_eq!(par, seq, "workers={workers} mode={mode:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_analysis_reproduces_the_commit_thread_oracle() {
-        // Analysis now runs only on the commit thread, whatever the worker
-        // count: the analysed modes must report identically (cycles, stats,
-        // races and all) to the one-worker oracle at several worker counts.
-        let w = small("streamcluster");
-        for mode in [Mode::FullInstrumentation, Mode::Aikido] {
-            let oracle = Simulator::default().run(&w, mode);
-            for workers in [2, 4, 8] {
-                let parallel = Simulator::default().with_workers(workers).run(&w, mode);
-                assert_eq!(parallel, oracle, "workers={workers} mode={mode:?}");
-            }
-        }
-    }
-
-    #[test]
     fn env_overrides_parse_every_variable_in_one_place() {
         // The ONLY test that mutates the simulator environment variables —
         // every other path is config-driven — so mutating them here races
         // with nothing.
-        let vars = ["AIKIDO_PARALLEL", "AIKIDO_CHECKPOINT_EVERY", "AIKIDO_SCALE"];
+        let vars = ["AIKIDO_CHECKPOINT_EVERY", "AIKIDO_SCALE"];
         for var in vars {
             std::env::remove_var(var);
         }
         assert_eq!(SimConfig::from_env_overrides(), SimConfig::default());
 
-        std::env::set_var("AIKIDO_PARALLEL", "4");
         std::env::set_var("AIKIDO_CHECKPOINT_EVERY", "300");
         std::env::set_var("AIKIDO_SCALE", "0.25");
         let config = SimConfig::from_env_overrides();
-        assert_eq!(config.workers, 4);
         assert_eq!(config.checkpoint_every, Some(300));
         assert_eq!(config.scale, 0.25);
 
-        std::env::set_var("AIKIDO_PARALLEL", "0");
         std::env::set_var("AIKIDO_CHECKPOINT_EVERY", "0");
         std::env::set_var("AIKIDO_SCALE", "-1");
         let config = SimConfig::from_env_overrides();
-        assert_eq!(config.workers, 1, "0 is not a worker count");
         assert_eq!(config.checkpoint_every, None, "0 disables the policy");
         assert_eq!(config.scale, 1.0, "non-positive scales are ignored");
 
-        std::env::set_var("AIKIDO_PARALLEL", "not-a-number");
         std::env::set_var("AIKIDO_CHECKPOINT_EVERY", "not-a-number");
         std::env::set_var("AIKIDO_SCALE", "not-a-number");
         assert_eq!(SimConfig::from_env_overrides(), SimConfig::default());
@@ -2171,17 +2047,21 @@ mod tests {
     #[test]
     fn from_config_matches_the_builder_chain_and_rejects_invalid_configs() {
         let w = small("freqmine");
-        let config = SimConfig::default().with_quantum(3).with_workers(2);
+        let config = SimConfig::default()
+            .with_quantum(3)
+            .with_checkpoint_every(Some(200));
         let from_config = Simulator::from_config(config).unwrap();
-        let chained = Simulator::default().with_quantum(3).with_workers(2);
+        let chained = Simulator::default()
+            .with_quantum(3)
+            .with_checkpoint_every(Some(200));
         assert_eq!(from_config.config(), chained.config());
         assert_eq!(
             from_config.run(&w, Mode::Aikido),
             chained.run(&w, Mode::Aikido)
         );
 
-        let err = Simulator::from_config(SimConfig::default().with_workers(0)).unwrap_err();
-        assert_eq!(err.field, "workers");
+        let err = Simulator::from_config(SimConfig::default().with_quantum(0)).unwrap_err();
+        assert_eq!(err.field, "quantum");
     }
 
     #[test]
@@ -2328,99 +2208,35 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Checkpoint/restore and fault containment
+    // Checkpoint/restore
     // ------------------------------------------------------------------
 
-    use crate::epoch::EPOCH_BLOCKS;
-    use aikido_workloads::{ThreadTrace, TraceCursor};
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-    /// A [`TraceSource`] that hands out the workload's real streams but makes
-    /// one thread's stream panic after a fixed number of pulls — the injected
-    /// fault the parallel engine must contain.
-    struct PanicSource<'w> {
-        workload: &'w Workload,
-        victim: ThreadId,
-        after: u32,
-    }
-
-    struct PanicStream<'s> {
-        inner: ThreadTrace<'s>,
-        armed: bool,
-        remaining: u32,
-    }
-
-    impl PanicStream<'_> {
-        fn tick(&mut self) {
-            if self.armed {
-                if self.remaining == 0 {
-                    panic!("injected producer panic");
-                }
-                self.remaining -= 1;
-            }
-        }
-    }
-
-    impl TraceSource for PanicSource<'_> {
-        type Stream<'s>
-            = PanicStream<'s>
-        where
-            Self: 's;
-
-        fn stream_at(&self, thread: ThreadId, cursor: &TraceCursor) -> PanicStream<'_> {
-            PanicStream {
-                inner: self.workload.stream_at(thread, cursor),
-                armed: thread == self.victim,
-                remaining: self.after,
-            }
-        }
-    }
-
-    impl BlockStream for PanicStream<'_> {
-        fn fill_batch(&mut self, batch: &mut Vec<BlockExec>, target: usize) -> bool {
-            self.tick();
-            self.inner.fill_batch(batch, target)
-        }
-
-        fn next_into(&mut self, out: &mut BlockExec) -> bool {
-            self.tick();
-            self.inner.next_into(out)
-        }
-
-        fn cursor(&self) -> TraceCursor {
-            self.inner.cursor()
-        }
-    }
+    use std::cell::Cell;
 
     /// A [`TraceSource`] over the workload's real streams that counts every
     /// block execution generated, across all streams it ever opens — how the
     /// resume tests prove a restored run seeks instead of replaying.
     struct CountingSource<'w> {
         workload: &'w Workload,
-        /// Blocks generated one at a time (`next_into`).
-        pulled: AtomicU64,
-        /// Blocks generated in epoch batches (`fill_batch`).
-        batched: AtomicU64,
+        generated: Cell<u64>,
     }
 
     impl<'w> CountingSource<'w> {
         fn new(workload: &'w Workload) -> Self {
             CountingSource {
                 workload,
-                pulled: AtomicU64::new(0),
-                batched: AtomicU64::new(0),
+                generated: Cell::new(0),
             }
         }
 
         fn generated(&self) -> u64 {
-            self.pulled.load(Relaxed) + self.batched.load(Relaxed)
+            self.generated.get()
         }
     }
 
     struct CountingStream<'s> {
         inner: ThreadTrace<'s>,
-        pulled: &'s AtomicU64,
-        batched: &'s AtomicU64,
+        generated: &'s Cell<u64>,
     }
 
     impl TraceSource for CountingSource<'_> {
@@ -2432,22 +2248,16 @@ mod tests {
         fn stream_at(&self, thread: ThreadId, cursor: &TraceCursor) -> CountingStream<'_> {
             CountingStream {
                 inner: self.workload.stream_at(thread, cursor),
-                pulled: &self.pulled,
-                batched: &self.batched,
+                generated: &self.generated,
             }
         }
     }
 
     impl BlockStream for CountingStream<'_> {
-        fn fill_batch(&mut self, batch: &mut Vec<BlockExec>, target: usize) -> bool {
-            let more = self.inner.fill_batch(batch, target);
-            self.batched.fetch_add(batch.len() as u64, Relaxed);
-            more
-        }
-
         fn next_into(&mut self, out: &mut BlockExec) -> bool {
             let produced = self.inner.next_into(out);
-            self.pulled.fetch_add(u64::from(produced), Relaxed);
+            self.generated
+                .set(self.generated.get() + u64::from(produced));
             produced
         }
 
@@ -2465,7 +2275,7 @@ mod tests {
         for mode in [Mode::Native, Mode::Aikido] {
             let plain = CountingSource::new(&w);
             let sim = Simulator::default();
-            let mut uninterrupted = sim.try_run_with_source(&w, &plain, mode).unwrap();
+            let mut uninterrupted = sim.run_with_source(&w, &plain, mode);
             let periodic = CountingSource::new(&w);
             let checkpointed = sim
                 .clone()
@@ -2483,114 +2293,15 @@ mod tests {
     }
 
     #[test]
-    fn a_parallel_checkpoint_regenerates_at_most_one_batch_per_slot() {
-        // Under the epoch feed a slot's position is its batch head cursor
-        // plus an offset into that batch; pinning it to an exact cursor
-        // regenerates at most one batch per slot per period. The producers
-        // generate through `fill_batch`, so every `next_into` pull below is
-        // such a regeneration.
-        let w = scaled("fluidanimate", 0.1);
-        let every = 500;
-        let sim = Simulator::default()
-            .with_workers(2)
-            .with_checkpoint_every(Some(every));
-        let uninterrupted = Simulator::default().run(&w, Mode::Aikido);
-        let periodic = CountingSource::new(&w);
-        let checkpointed = sim
-            .run_checkpointed_from(&w, &periodic, Mode::Aikido)
-            .unwrap();
-        assert_eq!(checkpointed, uninterrupted);
-        let periods = uninterrupted.counts.block_execs.div_ceil(every);
-        let slots = w.threads().len() as u64;
-        assert!(periods >= 4, "too few periods to exercise resume");
-        let regenerated = periodic.pulled.load(Relaxed);
-        assert!(
-            regenerated <= periods * slots * EPOCH_BLOCKS as u64,
-            "{regenerated} blocks regenerated over {periods} periods"
-        );
-    }
-
-    #[test]
-    fn a_panicking_producer_surfaces_as_a_structured_error() {
-        let w = small("blackscholes");
-        // A whole epoch batch can swallow a small trace in one pull, so the
-        // panic must be armed for the very first one.
-        let source = PanicSource {
-            workload: &w,
-            victim: w.threads()[1],
-            after: 0,
-        };
-        for workers in [2, 4] {
-            let sim = Simulator::default().with_workers(workers);
-            let err = sim
-                .try_run_with_source(&w, &source, Mode::Aikido)
-                .expect_err("the injected panic must fail the run");
-            match err {
-                SimError::WorkerPanic { ref message } => {
-                    assert!(
-                        message.contains("injected producer panic"),
-                        "panic payload lost: {message:?}"
-                    );
-                }
-                ref other => panic!("expected WorkerPanic, got {other:?}"),
-            }
-            assert!(err.to_string().contains("injected producer panic"));
-        }
-    }
-
-    #[test]
     fn an_untampered_source_reproduces_the_production_run() {
         // The test seam itself must be inert: driving the run through the
-        // TraceSource indirection (panic disarmed) changes nothing.
+        // TraceSource indirection changes nothing.
         let w = small("canneal");
-        let source = PanicSource {
-            workload: &w,
-            victim: ThreadId::new(u32::MAX),
-            after: 0,
-        };
-        let via_seam = Simulator::default()
-            .try_run_with_source(&w, &source, Mode::Aikido)
-            .unwrap();
+        let source = CountingSource::new(&w);
+        let via_seam = Simulator::default().run_with_source(&w, &source, Mode::Aikido);
         let mut direct = Simulator::default().run(&w, Mode::Aikido);
         direct.fasttrack = None; // the seam helper runs without stats capture
         assert_eq!(via_seam, direct);
-    }
-
-    #[test]
-    fn a_recorded_skip_is_regenerated_on_resume() {
-        // Images written here always pin exact cursors, but the SCHD format
-        // also carries a skip: a position may be an earlier cursor plus up
-        // to one epoch batch of executions to regenerate. Re-express every
-        // slot's position that way and resume at both feeds.
-        let w = small("fluidanimate");
-        let sim = Simulator::default();
-        let uninterrupted = sim.run(&w, Mode::Aikido);
-        let mut analysis = sim.new_fasttrack();
-        let (mut run, mut states) = Run::new(&sim, &w, Mode::Aikido, &mut analysis);
-        let midpoint = Some(uninterrupted.counts.block_execs / 2);
-        let status = sim.drive(&w, &mut run, &mut states, midpoint).unwrap();
-        assert_eq!(status, ExecStatus::Paused);
-        let mut skipped = 0;
-        for st in &mut states {
-            let mut trace = w.thread_trace(st.id);
-            let mut cursors = vec![trace.cursor()];
-            while cursors.last() != Some(&st.at.cursor) {
-                assert!(trace.next().is_some(), "recorded cursor is on the stream");
-                cursors.push(trace.cursor());
-            }
-            let skip = (cursors.len() - 1).min(EPOCH_BLOCKS);
-            st.at = StreamPos {
-                cursor: cursors[cursors.len() - 1 - skip],
-                skip: skip as u32,
-            };
-            skipped += skip;
-        }
-        assert!(skipped > 0);
-        let image = Snapshot::from_bytes(run.encode_snapshot(&states).into_bytes()).unwrap();
-        for workers in [1, 2] {
-            let resumed = sim.clone().with_workers(workers).resume(&w, &image);
-            assert_eq!(resumed.unwrap(), uninterrupted, "workers={workers}");
-        }
     }
 
     #[test]
@@ -2609,29 +2320,6 @@ mod tests {
             let resumed = sim.resume(&w, &snapshot).unwrap();
             assert_eq!(resumed, uninterrupted, "{mode:?}");
         }
-    }
-
-    #[test]
-    fn snapshots_resume_across_worker_counts() {
-        let w = small("fluidanimate");
-        let seq = Simulator::default();
-        let par = Simulator::default().with_workers(4);
-        let uninterrupted = seq.run(&w, Mode::Aikido);
-        let midpoint = uninterrupted.counts.block_execs / 2;
-
-        // Sequential checkpoint, parallel resume…
-        let CheckpointOutcome::Paused(snap) = seq.checkpoint(&w, Mode::Aikido, midpoint).unwrap()
-        else {
-            panic!("midpoint checkpoint must pause");
-        };
-        assert_eq!(par.resume(&w, &snap).unwrap(), uninterrupted);
-
-        // …and parallel checkpoint, sequential resume.
-        let CheckpointOutcome::Paused(snap) = par.checkpoint(&w, Mode::Aikido, midpoint).unwrap()
-        else {
-            panic!("midpoint checkpoint must pause");
-        };
-        assert_eq!(seq.resume(&w, &snap).unwrap(), uninterrupted);
     }
 
     #[test]
@@ -2687,9 +2375,7 @@ mod tests {
         // Different workload.
         let other = small("canneal");
         let err = sim.resume(&other, &snapshot).unwrap_err();
-        let SimError::Snapshot(err) = err else {
-            panic!("expected a snapshot error, got {err:?}");
-        };
+        let SimError::Snapshot(err) = err;
         assert_eq!(err.section, "META");
 
         // Different scheduling quantum.
@@ -2697,16 +2383,8 @@ mod tests {
             .with_quantum(3)
             .resume(&w, &snapshot)
             .unwrap_err();
-        let SimError::Snapshot(err) = err else {
-            panic!("expected a snapshot error, got {err:?}");
-        };
+        let SimError::Snapshot(err) = err;
         assert_eq!(err.section, "META");
-
-        // Worker count is *not* identity: the same snapshot still resumes.
-        assert!(Simulator::default()
-            .with_workers(3)
-            .resume(&w, &snapshot)
-            .is_ok());
     }
 
     #[test]

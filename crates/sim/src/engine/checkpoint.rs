@@ -14,14 +14,14 @@ use aikido_workloads::{
 
 use super::{ArrivalSet, Mode, Run, Simulator, ThreadState, DENSE_LOCKS};
 use crate::cost::CostModel;
-use crate::epoch::{StreamPos, EPOCH_BLOCKS};
 use crate::report::RunCounts;
 
 /// Section format versions. Bumped whenever a section's wire layout changes;
 /// restore rejects any mismatch with a structured error.
 pub(super) const META_VERSION: u16 = 1;
-/// v2: each slot records its stream position (`TraceCursor` + skip) and its
-/// stashed blocked sync op instead of a pull count to replay.
+/// v2: each slot records its stream position (a `TraceCursor`, then a
+/// reserved `u32` that is always zero) and its stashed blocked sync op
+/// instead of a pull count to replay.
 pub(super) const SCHD_VERSION: u16 = 2;
 /// v3: tracked states are written one record per shadow slab, each block
 /// as its slot and canonical packed word (spilled states as a sentinel plus
@@ -40,7 +40,7 @@ pub(super) const AKSD_VERSION: u16 = 1;
 /// Everything that must match for a resumed run to be byte-identical is in
 /// here: the full workload spec, the mode, the scheduling quantum and the
 /// cost model. Deliberately absent, because each is proven observably inert:
-/// the worker count, `checkpoint_every`, `scale` (the workload spec is
+/// `checkpoint_every`, `scale` (the workload spec is
 /// recorded already scaled) and whether the simulator is
 /// [`Simulator::reference`]. A snapshot resumes cleanly across all of them;
 /// the FTRK section's own storage byte keeps a reference image on the
@@ -69,12 +69,12 @@ pub(super) fn snapshot_meta_json(sim: &Simulator, workload: &Workload, mode: Mod
     .expect("snapshot metadata serializes")
 }
 
-/// One [`ThreadState`]'s serializable core: the stream position and the
+/// One [`ThreadState`]'s serializable core: the stream cursor and the
 /// stashed blocked sync op stand in for the `exec` shell.
 pub(super) struct SlotState {
     pub(super) started: bool,
     pub(super) finished: bool,
-    pub(super) at: StreamPos,
+    pub(super) at: TraceCursor,
     pub(super) stash: Option<SyncOp>,
 }
 
@@ -111,10 +111,7 @@ impl SchedState {
                 .map(|id| SlotState {
                     started: id == ThreadId::MAIN,
                     finished: false,
-                    at: StreamPos {
-                        cursor: workload.thread_trace(id).cursor(),
-                        skip: 0,
-                    },
+                    at: workload.thread_trace(id).cursor(),
                     stash: None,
                 })
                 .collect(),
@@ -198,24 +195,28 @@ impl SchedState {
             let started = r.get_bool()?;
             let finished = r.get_bool()?;
             let at_offset = r.offset();
-            let cursor = get_cursor(r)?;
-            let skip = r.get_u32()?;
+            let at = get_cursor(r)?;
+            let reserved = r.get_u32()?;
             let refuse = |reason: String| {
                 SnapshotError::new("SCHD", at_offset, format!("{thread}: {reason}"))
             };
             workload
-                .thread_trace_at(thread, &cursor)
+                .thread_trace_at(thread, &at)
                 .map_err(|err| refuse(err.to_string()))?;
-            if skip as usize > EPOCH_BLOCKS {
+            if reserved != 0 {
                 return Err(refuse(format!(
-                    "skip {skip} exceeds one epoch batch ({EPOCH_BLOCKS} executions)"
+                    "reserved word after the cursor is {reserved}, not 0"
                 )));
+            }
+            let stash = get_stash(r)?;
+            if let Some(op) = stash {
+                check_stash(op, &at.counters, workload).map_err(refuse)?;
             }
             slot_states.push(SlotState {
                 started,
                 finished,
-                at: StreamPos { cursor, skip },
-                stash: get_stash(r)?,
+                at,
+                stash,
             });
         }
         Ok(SchedState {
@@ -233,8 +234,9 @@ impl SchedState {
 }
 
 // Slot wire layout (fixed size, so every field sits at a fixed offset):
-// started u8, finished u8, cursor (`put_cursor`), skip u32, stash
-// (`put_stash`).
+// started u8, finished u8, cursor (`put_cursor`), a reserved u32 (always
+// 0; it held a regenerate-forward count while a parallel feed could pause
+// mid-batch), stash (`put_stash`).
 
 /// Writes a [`TraceCursor`]: the four RNG words, the phase tag, the
 /// counters, then the critical section as a presence byte plus lock index
@@ -338,7 +340,7 @@ fn get_stash(r: &mut SectionReader) -> Result<Option<SyncOp>, SnapshotError> {
 
 /// The sync op of a stashed execution. Only a blocked sync op stays stashed
 /// across a scheduling round (work blocks and exits always complete).
-pub(super) fn stashed_op(exec: &BlockExec) -> SyncOp {
+fn stashed_op(exec: &BlockExec) -> SyncOp {
     match exec.step {
         Step::Sync(op) => op,
         Step::Work | Step::Exit => {
@@ -350,11 +352,7 @@ pub(super) fn stashed_op(exec: &BlockExec) -> SyncOp {
 /// A stashed op is the execution the slot's stream yielded last, left
 /// blocked: it must be an op that can block, and it must agree with the
 /// stream position just past it (`c`).
-pub(super) fn check_stash(
-    op: SyncOp,
-    c: &TraceCounters,
-    workload: &Workload,
-) -> Result<(), String> {
+fn check_stash(op: SyncOp, c: &TraceCounters, workload: &Workload) -> Result<(), String> {
     let full_section = workload.spec().critical_section_blocks.max(1);
     let consistent = match op {
         SyncOp::Acquire(lock) => c.critical_section.is_some_and(|cs| {
@@ -462,8 +460,8 @@ impl<'w> Run<'_, 'w, FastTrack> {
         for st in states {
             out.put_bool(st.started);
             out.put_bool(st.finished);
-            put_cursor(out, &st.at.cursor);
-            out.put_u32(st.at.skip);
+            put_cursor(out, &st.at);
+            out.put_u32(0);
             put_stash(out, st.has_exec.then(|| stashed_op(&st.exec)));
         }
     }

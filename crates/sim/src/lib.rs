@@ -46,7 +46,6 @@
 mod config;
 mod cost;
 mod engine;
-mod epoch;
 mod report;
 
 pub use aikido_snapshot::{FaultPlan, Snapshot, SnapshotError};

@@ -53,9 +53,9 @@ impl RunCounts {
 
 /// The result of simulating one workload in one mode.
 ///
-/// Reports compare with `==` field-for-field; the parallel-equivalence suite
-/// leans on this (plus the serialized JSON) to prove the epoch-parallel
-/// engine byte-identical to the sequential reference.
+/// Reports compare with `==` field-for-field; the equivalence suites lean on
+/// this (plus the serialized JSON) to prove the batched kernels, packed
+/// shadow words and checkpoint/resume byte-identical to their references.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Workload name.

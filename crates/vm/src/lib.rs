@@ -32,12 +32,11 @@
 //! `touch` runs once per simulated memory access, so everything it consults
 //! is flat and index-addressed: threads get dense slots into a vector of
 //! per-thread `ThreadShard`s at registration (each shard — shadow page
-//! table, protection table, TLB — is self-contained and `Send`, so the
-//! per-thread state can migrate across OS threads or be updated shard-wise
-//! without aliasing the rest of the VM), the shadow page table, protection
-//! table and guest page table are [`aikido_types::ChunkMap`]s (the typed
-//! form of the page-indexed directory the sharing detector and FastTrack
-//! also sit on), and each thread
+//! table, protection table, TLB — is self-contained, so the per-thread state
+//! can be updated shard-wise without aliasing the rest of the VM), the
+//! shadow page table, protection table and guest page table are
+//! [`aikido_types::ChunkMap`]s (the typed form of the page-indexed directory
+//! the sharing detector and FastTrack also sit on), and each thread
 //! carries a software TLB over its recent successful translations
 //! ([`AikidoVm::TLB_ENTRIES`] entries, direct-mapped on the page number). The
 //! TLB is a pure accelerator — it only serves accesses the shadow table would

@@ -1,14 +1,11 @@
-//! Per-thread hypervisor state as a self-contained, `Send` shard.
+//! Per-thread hypervisor state as a self-contained shard.
 //!
 //! Everything the hypervisor keeps *per guest thread* — the thread's shadow
 //! page table, its Aikido protection table, and its direct-mapped software
 //! TLB — lives in one [`ThreadShard`]. The shard owns no references into the
 //! rest of the VM, so disjoint shards can be updated independently: the VM's
 //! broadcast operations (`restore_temp_protections`, guest page-table
-//! synchronisation) iterate shards without aliasing, and the compile-time
-//! assertion below guarantees a shard can migrate to another OS thread —
-//! the property the epoch-parallel engine's design (commit-ordered VM
-//! mutations, shardable per-thread state) rests on.
+//! synchronisation) iterate shards without aliasing.
 
 use aikido_types::{AccessKind, Prot, ThreadId, Vpn};
 
@@ -118,11 +115,3 @@ impl TlbLane<'_> {
         cached == page && prot.allows_user(kind)
     }
 }
-
-// A shard owns all of its storage (chunked flat tables and a fixed TLB
-// array), so it can be handed to another OS thread wholesale. Verified at
-// compile time so a future field can't silently regress it.
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<ThreadShard>();
-};

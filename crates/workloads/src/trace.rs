@@ -571,32 +571,6 @@ impl<'a> ThreadTrace<'a> {
         }
     }
 
-    /// Fills `batch` with up to `target` executions, reusing the shells
-    /// already in `batch` (each one's access vector is refilled in place)
-    /// and truncating it to the number actually produced. Returns `false`
-    /// once the trace is exhausted (the batch may still hold a final partial
-    /// run).
-    ///
-    /// This is the bulk interface the parallel epoch scheduler's producer
-    /// workers use: each epoch a worker refills one batch per guest thread it
-    /// owns, off the critical commit path.
-    pub fn fill_batch(&mut self, batch: &mut Vec<BlockExec>, target: usize) -> bool {
-        batch.truncate(target);
-        let mut produced = 0;
-        while produced < target {
-            if produced == batch.len() {
-                batch.push(BlockExec::default());
-            }
-            if !self.next_into(&mut batch[produced]) {
-                batch.truncate(produced);
-                return false;
-            }
-            produced += 1;
-        }
-        batch.truncate(produced);
-        true
-    }
-
     /// Fills `out` with one execution of work block `block`: one access word
     /// per memory slot of its shape, each drawn by `pick` in slot order.
     #[inline]
@@ -773,14 +747,6 @@ fn sync_exec(out: &mut BlockExec, block: BlockId, step: Step) {
     out.accesses.clear();
 }
 
-// The parallel epoch scheduler ships each thread's trace to a producer
-// worker; this keeps the compiler honest that the move stays legal (a trace
-// is plain data plus a shared reference to the immutable workload).
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<ThreadTrace<'static>>();
-};
-
 impl Iterator for ThreadTrace<'_> {
     type Item = BlockExec;
 
@@ -808,27 +774,6 @@ mod tests {
     fn trace_of(spec: &WorkloadSpec, thread: u32) -> Vec<BlockExec> {
         let w = Workload::generate(spec);
         w.thread_trace(ThreadId::new(thread)).collect()
-    }
-
-    #[test]
-    fn fill_batch_reproduces_the_iterator_stream() {
-        let spec = small_spec();
-        let w = Workload::generate(&spec);
-        let sequential: Vec<BlockExec> = w.thread_trace(ThreadId::new(1)).collect();
-        let mut batched = Vec::new();
-        let mut trace = w.thread_trace(ThreadId::new(1));
-        let mut batch = Vec::new();
-        loop {
-            let more = trace.fill_batch(&mut batch, 7);
-            batched.extend(batch.iter().cloned());
-            if !more {
-                break;
-            }
-        }
-        assert_eq!(batched, sequential);
-        // Exhausted traces keep reporting exhaustion with empty batches.
-        assert!(!trace.fill_batch(&mut batch, 7));
-        assert!(batch.is_empty());
     }
 
     #[test]

@@ -299,9 +299,9 @@ impl Workload {
     }
 }
 
-// The parallel scheduler shares one workload across every producer worker
-// (trace generation is a pure function of the workload); keep the compiler
-// honest that the sharing stays legal.
+// Concurrent whole runs may share one workload across OS threads (trace
+// generation is a pure function of the workload); keep the compiler honest
+// that the sharing stays legal.
 const _: fn() = || {
     fn assert_sync<T: Sync + Send>() {}
     assert_sync::<Workload>();

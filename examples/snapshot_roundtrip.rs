@@ -18,11 +18,9 @@
 //! canonical JSON, so `cmp` on the two report files is a byte-level
 //! equivalence check across process boundaries.
 //!
-//! The simulator is built from [`SimConfig::from_env_overrides`], so the CI
-//! lanes can steer each *process* independently: `AIKIDO_PARALLEL=4`
-//! produces a parallel run whose report file must `cmp` equal to an
-//! `AIKIDO_PARALLEL=1` process's — the cross-process spelling of the epoch
-//! engine's parallel-equals-sequential contract.
+//! The simulator is built from [`SimConfig::from_env_overrides`], so each
+//! *process* can be steered independently through the `AIKIDO_*`
+//! variables (for example `AIKIDO_CHECKPOINT_EVERY`).
 
 use aikido::prelude::*;
 use aikido::CheckpointOutcome;
@@ -89,8 +87,8 @@ fn report_json(report: &RunReport) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    // Env-driven configuration (AIKIDO_PARALLEL, AIKIDO_SCALE, …) so the
-    // CI lanes can compare differently-configured processes byte for byte.
+    // Env-driven configuration (AIKIDO_CHECKPOINT_EVERY, AIKIDO_SCALE, …)
+    // so differently-configured processes can be compared byte for byte.
     let sim = match Simulator::from_config(SimConfig::from_env_overrides()) {
         Ok(sim) => sim,
         Err(err) => fail(format!("invalid configuration: {err}")),

@@ -10,8 +10,7 @@
 
 use aikido::prelude::*;
 
-/// A small mixed batch spanning benchmarks, modes, worker counts and
-/// configs.
+/// A small mixed batch spanning benchmarks, modes and scheduling quanta.
 fn batch() -> Vec<(WorkloadSpec, Mode, SimConfig)> {
     let presets = ["blackscholes", "swaptions", "canneal", "bodytrack"];
     let modes = [Mode::Native, Mode::FullInstrumentation, Mode::Aikido];
@@ -20,7 +19,7 @@ fn batch() -> Vec<(WorkloadSpec, Mode, SimConfig)> {
         for (j, mode) in modes.into_iter().enumerate() {
             let config = SimConfig::default()
                 .with_scale(0.02)
-                .with_workers(1 + (i + j) % 2);
+                .with_quantum(4 + 4 * ((i + j) % 2) as u32);
             let spec = WorkloadSpec::parsec(preset).unwrap();
             batch.push((spec, mode, config));
         }

@@ -26,9 +26,7 @@ fn requests() -> Vec<RunRequest> {
     (0..12)
         .map(|i| {
             let spec = WorkloadSpec::parsec(presets[i % presets.len()]).unwrap();
-            let config = SimConfig::default()
-                .with_scale(0.02)
-                .with_workers(1 + i % 2);
+            let config = SimConfig::default().with_scale(0.02);
             RunRequest::new(tenants[i % tenants.len()], spec, modes[i % modes.len()])
                 .with_config(config)
         })

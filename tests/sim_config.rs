@@ -12,12 +12,10 @@ fn from_config_matches_the_equivalent_with_chain_byte_for_byte() {
 
     let config = SimConfig::default()
         .with_quantum(5)
-        .with_workers(2)
         .with_checkpoint_every(Some(400));
     let via_config = Simulator::from_config(config).unwrap();
     let via_chain = Simulator::default()
         .with_quantum(5)
-        .with_workers(2)
         .with_checkpoint_every(Some(400));
 
     assert_eq!(via_config.config(), via_chain.config());
@@ -36,7 +34,6 @@ fn from_config_matches_the_equivalent_with_chain_byte_for_byte() {
 fn invalid_configs_are_rejected_with_the_offending_field() {
     for (config, field) in [
         (SimConfig::default().with_quantum(0), "quantum"),
-        (SimConfig::default().with_workers(0), "workers"),
         (
             SimConfig::default().with_checkpoint_every(Some(0)),
             "checkpoint_every",
@@ -58,7 +55,6 @@ fn invalid_configs_are_rejected_with_the_offending_field() {
 fn the_json_wire_form_round_trips() {
     let config = SimConfig::default()
         .with_quantum(12)
-        .with_workers(3)
         .with_checkpoint_every(Some(250))
         .with_scale(0.25);
     let text = serde_json::to_string(&config).unwrap();
@@ -67,9 +63,9 @@ fn the_json_wire_form_round_trips() {
     assert_eq!(back, config);
 
     // Absent fields default; unknown keys are an error, not silently dropped.
-    let sparse = serde_json::from_str(r#"{"workers": 2}"#).unwrap();
+    let sparse = serde_json::from_str(r#"{"quantum": 2}"#).unwrap();
     let parsed = SimConfig::from_json_value(&sparse).unwrap();
-    assert_eq!(parsed, SimConfig::default().with_workers(2));
+    assert_eq!(parsed, SimConfig::default().with_quantum(2));
     let junk = serde_json::from_str(r#"{"wokers": 2}"#).unwrap();
     assert!(SimConfig::from_json_value(&junk).is_err());
 }
@@ -77,16 +73,17 @@ fn the_json_wire_form_round_trips() {
 #[test]
 fn removed_fast_path_toggles_are_refused_on_the_wire() {
     // Behaviour-neutral fast paths are not configuration (their only off
-    // switch is the test-only `Simulator::reference()`), and analysis always
-    // runs on the commit thread, so its sharding switch is gone too: a
-    // request naming any of them is an unknown field, refused with a message
-    // that names it.
+    // switch is the test-only `Simulator::reference()`); analysis is never
+    // sharded and every run is sequential, so the sharding switch and the
+    // worker count are gone too: a request naming any of them is an unknown
+    // field, refused with a message that names it.
     for field in [
         "batched_kernels",
         "inline_tlb",
         "static_precheck",
         "packed_words",
         "sharded_analysis",
+        "workers",
     ] {
         let value = serde_json::from_str(&format!(r#"{{"{field}": false}}"#)).unwrap();
         let err = SimConfig::from_json_value(&value).unwrap_err();

@@ -8,15 +8,11 @@
 //! the exact-count assertion.
 //!
 //! Semantic corruption gets the same guarantee: SCHD images whose checksums
-//! are fixed up but whose trace cursors are out of range, or whose section
-//! version is the retired v1, are refused with a structured SCHD error, and
-//! a DBIE image claiming more code cache slots than the program has blocks
-//! is refused with a structured DBIE error before anything is allocated.
-//!
-//! The harness's fifth fault family — a worker thread panicking mid-run —
-//! is exercised at the engine layer (`aikido-sim`'s
-//! `a_panicking_producer_surfaces_as_a_structured_error`), where the
-//! panicking block stream can be planted behind the trace-source seam.
+//! are fixed up but whose trace cursors are out of range, whose reserved
+//! slot word is nonzero, or whose section version is the retired v1, are
+//! refused with a structured SCHD error, and a DBIE image claiming more code
+//! cache slots than the program has blocks is refused with a structured DBIE
+//! error before anything is allocated.
 
 use aikido::snapshot::FaultPlan;
 use aikido::{CheckpointOutcome, Mode, Simulator, Snapshot, Workload, WorkloadSpec};
@@ -160,9 +156,7 @@ fn a_snapshot_for_one_workload_cannot_resume_another() {
     let image = midpoint_image(&sim, &a, Mode::Aikido);
     let snapshot = Snapshot::from_bytes(image).expect("valid image parses");
     let err = sim.resume(&b, &snapshot).expect_err("must be rejected");
-    let aikido::SimError::Snapshot(err) = err else {
-        panic!("expected a snapshot error, got {err:?}");
-    };
+    let aikido::SimError::Snapshot(err) = err;
     assert_eq!(err.section, "META");
     assert!(err.reason.contains("does not match"), "{}", err.reason);
 }
@@ -187,9 +181,7 @@ fn resume_identity_covers_quantum_and_cost_model() {
         let err = mismatched
             .resume(&w, &snapshot)
             .expect_err("must be rejected");
-        let aikido::SimError::Snapshot(err) = err else {
-            panic!("expected a snapshot error, got {err:?}");
-        };
+        let aikido::SimError::Snapshot(err) = err;
         assert_eq!(err.section, "META");
     }
 }
@@ -199,13 +191,13 @@ fn resume_identity_covers_quantum_and_cost_model() {
 // cursor (four RNG words, phase tag u8, remaining budget u64, init
 // remaining u64, init cursor u64, fork_next u32, join_next u32, work blocks
 // u64, barrier counter u32, barriers due u32, racy flag u8, critical
-// section u8 + u32 + u32), `skip u32`, then the stash (op code u8 +
-// operand u64).
+// section u8 + u32 + u32), a reserved u32 that must be zero, then the
+// stash (op code u8 + operand u64).
 const SLOT_BYTES: usize = 106;
 const PHASE: usize = 34;
 const REMAINING: usize = 35;
 const FORK_NEXT: usize = 59;
-const SKIP: usize = 93;
+const RESERVED: usize = 93;
 const STASH_CODE: usize = 97;
 
 /// The `tag` entry of a valid image's section table.
@@ -244,7 +236,6 @@ fn refused_by(sim: &Simulator, w: &Workload, image: Vec<u8>, tag: &str, what: &s
             assert_eq!(err.section, tag, "{what}: {err}");
             err.reason
         }
-        Err(other) => panic!("{what}: expected a snapshot error, got {other:?}"),
         Ok(_) => panic!("{what}: the tampered image resumed"),
     }
 }
@@ -275,12 +266,11 @@ fn out_of_range_schd_cursors_are_refused_with_structured_errors() {
             REMAINING,
             (budget + 1).to_le_bytes().to_vec(),
         ),
-        // One past the epoch batch size (1024 executions).
         (
-            "skip past one epoch batch",
+            "nonzero reserved word",
             2,
-            SKIP,
-            1025u32.to_le_bytes().to_vec(),
+            RESERVED,
+            1u32.to_le_bytes().to_vec(),
         ),
         (
             "stashed op that is not a sync op",
